@@ -1,14 +1,17 @@
 """Algorithm 3 — ComputeMatrixProfile with lower-bound bookkeeping.
 
-Runs the STOMP inner loop (shared with :mod:`repro.matrixprofile.stomp`)
-and, per distance profile, stores the p entries with the smallest
-lower-bound distance into the :class:`~repro.core.entries.EntryStore`.
+Runs the STOMP dot-product recurrence (shared with
+:mod:`repro.matrixprofile.stomp`), stacks its rows ``FILL_BLOCK_ROWS`` at
+a time, and ranks each stack with :func:`~repro.core.entries.rank_rows`:
+one rank-space pass per row yields both the profile minimum and the p
+entries with the smallest lower-bound distance, which go into the
+:class:`~repro.core.entries.EntryStore`.  No distance profile is built.
 This is the O(n^2 log p) first phase of VALMOD.
 
 With ``n_jobs > 1`` the rows are split into blocks processed by worker
 processes.  Each worker replays the STOMP dot-product recurrence up to
-its block start (cheap — no distance profiles are materialized during the
-replay) and then runs the identical per-row pipeline, so the assembled
+its block start and then runs the identical per-row pipeline (every row
+is ranked on its own, whatever stack it lands in), so the assembled
 profile, index, and listDP rows are bitwise identical to a serial run.
 The series travels through ``multiprocessing.shared_memory``; each block
 result comes back as plain arrays the parent stitches together.
@@ -22,15 +25,12 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro import obs
-from repro.types import FloatArray
+from repro.types import FloatArray, IntArray
 
-from repro.core.entries import EntryStore
-from repro.distance.profile import correlation_from_qt
+from repro.core.entries import EntryStore, rank_rows
 from repro.distance.sliding import validate_subsequence_length
-from repro.distance.znorm import CONSTANT_EPS
 from repro.kernels.context import SeriesContext
 from repro.lint.contracts import positive_int, require, series_like
-from repro.matrixprofile.exclusion import exclusion_zone_half_width
 from repro.matrixprofile.index import MatrixProfile
 from repro.matrixprofile.parallel import (
     _attach,
@@ -38,14 +38,20 @@ from repro.matrixprofile.parallel import (
     _preferred_context,
     resolve_n_jobs,
 )
-from repro.matrixprofile.stomp import iterate_stomp_rows
+from repro.matrixprofile.stomp import iterate_stomp_qt
 
 __all__ = ["compute_matrix_profile", "row_blocks"]
 
 #: relative cost of replaying one row of the dot-product recurrence,
-#: versus fully processing one row (distance profile + listDP insert).
-#: Measured on the vectorized kernels; only load balance depends on it.
-REPLAY_COST = 0.35
+#: versus fully processing one row (recurrence + rank-space scoring +
+#: listDP write); measured 0.25 on ECG at 2000 and 6000 points.  Only
+#: load balance depends on it.
+REPLAY_COST = 0.25
+
+#: rows ranked per :func:`rank_rows` call: enough to amortize the per-call
+#: NumPy overhead, while the (16, n) ranking buffers stay far below the
+#: (n, p) listDP store that sets Algorithm 3's peak memory.
+FILL_BLOCK_ROWS = 16
 
 
 @require(n_rows=positive_int(), n_blocks=positive_int())
@@ -76,42 +82,40 @@ def row_blocks(n_rows: int, n_blocks: int, replay_cost: float = REPLAY_COST) -> 
 
 
 def _fill_block(
-    t: FloatArray,
+    ctx: SeriesContext,
     length: int,
-    p: int,
     start: int,
     stop: int,
-    context: Optional[SeriesContext] = None,
-) -> Tuple[FloatArray, FloatArray, FloatArray, FloatArray, FloatArray]:
+    profile: FloatArray,
+    index: IntArray,
+    store: EntryStore,
+) -> None:
     """Profile, index, and listDP rows for the row block ``[start, stop)``.
 
-    The exact per-row pipeline of the serial loop, restricted to a block;
-    ``iterate_stomp_rows`` replays the recurrence up to ``start`` so every
-    produced row matches a full serial run bit for bit.
+    Row ``i`` is written at position ``i - start`` of ``profile``,
+    ``index`` and ``store``.  ``iterate_stomp_qt`` replays the recurrence
+    up to ``start``, and :func:`rank_rows` scores every row on its own,
+    so every produced row matches a full serial run bit for bit.
     """
-    ctx = SeriesContext.ensure(t, context, min_length=4)
     t = ctx.series
     n_subs = t.size - length + 1
     mu, sigma = ctx.moving_mean_std(length)
-    zone = exclusion_zone_half_width(length)
-    rows = stop - start
-    profile = np.empty(rows, dtype=np.float64)
-    index = np.empty(rows, dtype=np.int64)
-    store = EntryStore.empty(max(rows, 1), p, length)
-    positions = np.arange(n_subs)
-    for i, qt, row in iterate_stomp_rows(
-        t, length, mu, sigma, row_range=(start, stop), context=ctx
-    ):
-        j = int(np.argmin(row))
-        k = i - start
-        profile[k] = row[j]
-        index[k] = j if np.isfinite(row[j]) else -1
-        corr = correlation_from_qt(
-            qt, length, float(mu[i]), max(float(sigma[i]), CONSTANT_EPS), mu, sigma
+    stack = np.empty((FILL_BLOCK_ROWS, n_subs), dtype=np.float64)
+    filled = 0
+    for i, qt in iterate_stomp_qt(t, length, sigma, row_range=(start, stop), context=ctx):
+        stack[filled] = qt
+        filled += 1
+        if filled < FILL_BLOCK_ROWS and i < stop - 1:
+            continue
+        first = i + 1 - filled
+        ranked = rank_rows(
+            stack[:filled], np.arange(first, i + 1), mu, sigma, length, store.p
         )
-        eligible = np.abs(positions - i) >= zone
-        store.fill_row(k, qt, corr, float(sigma[i]), length, eligible)
-    return profile, index, store.neighbor[:rows], store.qt[:rows], store.lb_base[:rows]
+        slots = slice(first - start, i + 1 - start)
+        profile[slots] = ranked.profile
+        index[slots] = ranked.index
+        store.fill_rows(slots, ranked, length)
+        filled = 0
 
 
 def _block_worker(task):
@@ -124,8 +128,16 @@ def _block_worker(task):
     obs.worker_begin(trace)
     shm, t = _attach(name, (n,), "float64", untrack)
     try:
+        rows = stop - start
+        profile = np.empty(rows, dtype=np.float64)
+        index = np.empty(rows, dtype=np.int64)
+        store = EntryStore.empty(rows, p, length)
         with obs.span("compute_mp/block"):
-            block = _fill_block(t.copy(), length, p, start, stop)
+            _fill_block(
+                SeriesContext(t.copy(), min_length=4), length, start, stop,
+                profile, index, store,
+            )
+        block = (profile, index, store.neighbor, store.qt, store.lb_base)
         return (start, stop) + block + (obs.worker_snapshot(),)
     finally:
         shm.close()
@@ -162,14 +174,7 @@ def compute_matrix_profile(
     if len(blocks) <= 1:
         with obs.span("compute_mp"):
             with obs.span("block"):
-                prof, idx, nb, qt, lb = _fill_block(
-                    t, length, p, 0, n_subs, context=ctx
-                )
-        profile[:] = prof
-        index[:] = idx
-        store.neighbor[:] = nb
-        store.qt[:] = qt
-        store.lb_base[:] = lb
+                _fill_block(ctx, length, 0, n_subs, profile, index, store)
         return MatrixProfile(profile=profile, index=index, length=length), store
 
     shm, _ = _create_shared(t)

@@ -18,11 +18,26 @@ Empty slots (profiles with fewer than p non-trivial candidates) have
 neighbor -1 and ``lb_base = +inf``; the +inf makes ``max_lb`` infinite for
 such profiles, which encodes "the store holds every candidate, nothing
 was left unstored" — the validity test is then trivially satisfied.
+
+Rank-space fill
+---------------
+Rows are (re)built from their dot products by :func:`rank_rows`, one
+stack of rows at a time.  It never evaluates Eq. 3 or Eq. 2 over a whole
+row: for owner ``i`` it forms ``rank = QT / sigma_j - mu_i (l mu_j /
+sigma_j)``, which is ``corr * l * sigma_i``, takes the p largest ranks
+with one ``argpartition`` per stack, and evaluates Eq. 2 on those p
+entries only.  Eq. 2's ``f(q)`` never increases with ``q`` (and is 1 for
+every ``q <= 0``), and scaling by the positive ``1 / (l sigma_i)`` keeps
+the order under rounding, so the p largest correlations are the p
+smallest lower bounds up to ties among ``q <= 0``.  The profile minimum
+is the best of the same p entries.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Union
 
 import numpy as np
 
@@ -30,9 +45,170 @@ from repro import obs
 from repro.types import BoolArray, FloatArray, IntArray
 
 from repro.core.lower_bound import lower_bound_base
+from repro.distance.profile import apply_exclusion_zone
+from repro.distance.znorm import CONSTANT_EPS
 from repro.exceptions import InvalidParameterError
+from repro.lint.contracts import positive_int, require
+from repro.matrixprofile.exclusion import exclusion_zone_half_width
 
-__all__ = ["EntryStore"]
+__all__ = ["EntryStore", "RankedRows", "rank_rows"]
+
+
+@dataclass(frozen=True)
+class RankedRows:
+    """The p best entries and the profile minimum of a stack of rows.
+
+    ``neighbor`` / ``qt`` / ``lb_base`` are ``(B, k)`` with ``k =
+    min(p, candidates)``, filled entries first and empty slots (-1, 0,
+    +inf) after them; ``profile`` / ``index`` hold each row's exact
+    distance-profile minimum and its offset (+inf / -1 when the row has
+    no candidate outside the exclusion zone).
+    """
+
+    neighbor: IntArray
+    qt: FloatArray
+    lb_base: FloatArray
+    profile: FloatArray
+    index: IntArray
+
+    def head(self, count: int) -> "RankedRows":
+        """The first ``count`` rows."""
+        return RankedRows(
+            self.neighbor[:count],
+            self.qt[:count],
+            self.lb_base[:count],
+            self.profile[:count],
+            self.index[:count],
+        )
+
+
+@require(length=positive_int(), p=positive_int())
+def rank_rows(
+    qt_block: FloatArray,
+    rows: IntArray,
+    mu: FloatArray,
+    sigma: FloatArray,
+    length: int,
+    p: int,
+) -> RankedRows:
+    """Score a ``(B, n)`` stack of dot-product rows in rank space.
+
+    Row ``b`` of ``qt_block`` holds the dot products of window
+    ``rows[b]`` against every window ``0..n-1`` of the same series at
+    ``length``; ``mu`` / ``sigma`` are that length's window statistics.
+    Keeps the p candidates outside each row's exclusion zone with the
+    smallest Eq. 2 lower bound and finds each row's profile minimum,
+    with the constant-window conventions: distance 0 between two constant
+    windows, ``sqrt(l)`` when only one is; a constant candidate's listDP
+    correlation is 0.
+    """
+    n_rows, n_cols = qt_block.shape
+    rows = np.asarray(rows, dtype=np.int64)
+    mu = mu[:n_cols]
+    sigma = sigma[:n_cols]
+    live = sigma >= CONSTANT_EPS
+    inv_sigma = np.where(live, 1.0 / np.maximum(sigma, CONSTANT_EPS), 0.0)
+    rank = qt_block * inv_sigma
+    rank -= mu[rows][:, None] * (length * mu * inv_sigma)
+    zone = exclusion_zone_half_width(length)
+    for b in range(n_rows):
+        apply_exclusion_zone(rank[b], int(rows[b]), zone, value=-np.inf)
+
+    k = min(p, n_cols)
+    if k < n_cols:
+        picked = np.argpartition(rank, n_cols - k, axis=1)[:, n_cols - k :]
+    else:
+        picked = np.broadcast_to(np.arange(n_cols), (n_rows, n_cols))
+    top = np.take_along_axis(rank, picked, axis=1)
+    qt = np.take_along_axis(qt_block, picked, axis=1)
+    filled = np.isfinite(top)
+    if not filled.all():
+        # Exclusion-zone picks (rows with fewer than p candidates) move to
+        # the end, where they become empty slots.
+        order = np.argsort(~filled, axis=1, kind="stable")
+        picked, top, qt, filled = (
+            np.take_along_axis(a, order, axis=1) for a in (picked, top, qt, filled)
+        )
+
+    sigma_rows = sigma[rows]
+    # 1 / (l sigma_i) turns a rank back into a correlation; constant
+    # owners get correlation 0 (their bounds are vacuous anyway).
+    to_corr = np.where(
+        sigma_rows >= CONSTANT_EPS,
+        1.0 / (length * np.maximum(sigma_rows, CONSTANT_EPS)),
+        0.0,
+    )
+    corr = np.where(filled, top, 0.0) * to_corr[:, None]
+    np.clip(corr, -1.0, 1.0, out=corr)
+    lb = np.asarray(
+        lower_bound_base(corr, length, sigma_rows[:, None]), dtype=np.float64
+    )
+
+    # The largest rank is the profile minimum; ties go to the smallest
+    # offset, as an argmin over the full profile would break them.
+    best = top.max(axis=1)
+    index = np.where(top == best[:, None], picked, n_cols).min(axis=1)
+    none = best == -np.inf
+    best_corr = np.clip(np.where(none, 0.0, best) * to_corr, -1.0, 1.0)
+    profile = np.sqrt(np.maximum(2.0 * length * (1.0 - best_corr), 0.0))
+    profile[none] = np.inf
+    index[none] = -1
+    const_cols = np.flatnonzero(~live)
+    if const_cols.size:
+        _apply_constant_windows(
+            profile, index, rows, const_cols, sigma_rows < CONSTANT_EPS,
+            zone, n_cols, length,
+        )
+    return RankedRows(
+        neighbor=np.where(filled, picked, -1),
+        qt=np.where(filled, qt, 0.0),
+        lb_base=np.where(filled, lb, np.inf),
+        profile=profile,
+        index=index,
+    )
+
+
+def _first_outside_zone(cols: IntArray, rows: IntArray, zone: int) -> IntArray:
+    """Per row, the smallest of the sorted offsets ``cols`` outside its zone.
+
+    Outside the exclusion zone of row ``i`` means ``j <= i - zone`` or
+    ``j >= i + zone``; -1 marks a row with no such offset.
+    """
+    after = np.searchsorted(cols, rows + zone)
+    later = np.where(after < cols.size, cols[np.minimum(after, cols.size - 1)], -1)
+    return np.where(cols[0] <= rows - zone, cols[0], later)
+
+
+def _apply_constant_windows(
+    profile: FloatArray,
+    index: IntArray,
+    rows: IntArray,
+    const_cols: IntArray,
+    const_rows: BoolArray,
+    zone: int,
+    n_cols: int,
+    length: int,
+) -> None:
+    """Fold the constant-window distances into each row's minimum, in place.
+
+    A live row is ``sqrt(l)`` from every constant window; a constant row
+    is 0 from the constant windows and ``sqrt(l)`` from every other one.
+    Ties go to the smallest offset, as a full-profile argmin breaks them.
+    """
+    root_l = math.sqrt(length)
+    first_const = _first_outside_zone(const_cols, rows, zone)
+    has_const = first_const >= 0
+    closer = has_const & ~const_rows & (
+        (root_l < profile) | ((root_l == profile) & (first_const < index))
+    )
+    profile[closer] = root_l
+    index[closer] = first_const[closer]
+
+    first_any = _first_outside_zone(np.arange(n_cols), rows, zone)
+    profile[const_rows] = np.where(
+        has_const, 0.0, np.where(first_any >= 0, root_l, np.inf)
+    )[const_rows]
+    index[const_rows] = np.where(has_const, first_const, first_any)[const_rows]
 
 
 @dataclass
@@ -85,45 +261,45 @@ class EntryStore:
     def p(self) -> int:
         return self.neighbor.shape[1]
 
+    def fill_rows(
+        self, slots: Union[slice, IntArray], ranked: RankedRows, length: int
+    ) -> None:
+        """Store the entries of :func:`rank_rows` in rows ``slots``.
+
+        ``slots`` selects as many store rows as ``ranked`` has rows;
+        ``length`` becomes their base length.
+        """
+        width = ranked.neighbor.shape[1]
+        filled = ranked.neighbor >= 0
+        if obs.enabled():
+            obs.add("listdp.rows_filled", int(filled.shape[0]))
+            obs.add("listdp.entries_stored", int(filled.sum()))
+        self.neighbor[slots, :width] = ranked.neighbor
+        self.neighbor[slots, width:] = -1
+        self.qt[slots, :width] = ranked.qt
+        self.qt[slots, width:] = 0.0
+        self.lb_base[slots, :width] = ranked.lb_base
+        self.lb_base[slots, width:] = np.inf
+        self.base_length[slots] = length
+
     def fill_row(
         self,
         row: int,
         qt_row: FloatArray,
-        corr_row: FloatArray,
-        sigma_owner: float,
+        mu: FloatArray,
+        sigma: FloatArray,
         length: int,
-        eligible: BoolArray,
-    ) -> None:
-        """Rebuild one row from a freshly computed distance profile.
+    ) -> RankedRows:
+        """Rank one dot-product row and store it: :meth:`fill_rows` for one row.
 
-        ``qt_row`` / ``corr_row`` are the dot products and correlations of
-        profile ``row`` against every candidate at ``length``;
-        ``eligible`` marks candidates outside the exclusion zone.  Keeps
-        the p candidates with the smallest lower bound (equivalently, the
-        smallest ``lb_base``, since the 1/sigma factor is shared).
+        ``qt_row`` holds the dot products of window ``row`` against every
+        window at ``length``.  Returns the row's :class:`RankedRows`.
         """
-        base = np.asarray(
-            lower_bound_base(corr_row, length, sigma_owner), dtype=np.float64
+        ranked = rank_rows(
+            qt_row[None, :], np.array([row]), mu, sigma, length, self.p
         )
-        base = np.where(eligible, base, np.inf)
-        p = self.p
-        n_candidates = base.size
-        if n_candidates > p:
-            picked = np.argpartition(base, p - 1)[:p]
-        else:
-            picked = np.arange(n_candidates)
-        picked = picked[np.isfinite(base[picked])]
-        count = picked.size
-        if obs.enabled():
-            obs.add("listdp.rows_filled")
-            obs.add("listdp.entries_stored", int(count))
-        self.neighbor[row, :count] = picked
-        self.neighbor[row, count:] = -1
-        self.qt[row, :count] = qt_row[picked]
-        self.qt[row, count:] = 0.0
-        self.lb_base[row, :count] = base[picked]
-        self.lb_base[row, count:] = np.inf
-        self.base_length[row] = length
+        self.fill_rows(slice(row, row + 1), ranked, length)
+        return ranked
 
     def advance_to(self, new_length: int, series: FloatArray) -> None:
         """Extend every stored pair's dot product to ``new_length``.

@@ -57,14 +57,15 @@ FloatOrArray = Union[float, FloatArray]
 
 @require(length=positive_int())
 def lower_bound_base(
-    correlation: FloatOrArray, length: int, sigma_owner: float
+    correlation: FloatOrArray, length: int, sigma_owner: FloatOrArray
 ) -> FloatOrArray:
     """The k-independent numerator ``f(q) * sqrt(l) * sigma[j,l]`` of Eq. 2.
 
     ``correlation`` is ``q`` between the pair at the base length,
     ``sigma_owner`` the standard deviation of the profile-owner
     subsequence (the one whose extension is known) at the base length.
-    Accepts scalars or arrays of correlations.
+    Accepts scalars or arrays of correlations; an array ``sigma_owner``
+    broadcasts against them (one owner per row).
     """
     if length <= 0:
         raise InvalidParameterError(f"length must be positive, got {length}")

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro import obs
 from repro.core.compute_mp import compute_matrix_profile
-from repro.core.compute_submp import compute_submp
+from repro.core.compute_submp import compute_submp, pairwise_entry_distances
 from repro.core.entries import EntryStore
 from repro.core.lower_bound import lower_bound_from_base
 from repro.core.stats import LengthStats, RunStats
@@ -337,16 +337,16 @@ class Valmod:
                 distances=np.empty(0, dtype=np.float64),
                 max_lb=float("inf") if not real.all() else 0.0,
             )
-        safe_nb = np.where(in_range, nb, 0)
-        qt = store.qt[offset]
-        length_f = float(length)
-        mu_i = mu[safe_nb]
-        sig_i = np.maximum(sigma[safe_nb], 1e-13)
-        mu_j = float(mu[offset])
-        sig_j = max(float(sigma[offset]), 1e-13)
-        corr = (qt - length_f * mu_i * mu_j) / (length_f * sig_i * sig_j)
-        np.clip(corr, -1.0, 1.0, out=corr)
-        dist = np.sqrt(np.maximum(2.0 * length_f * (1.0 - corr), 0.0))
+        dist = pairwise_entry_distances(
+            store.qt[offset : offset + 1],
+            nb[None, :],
+            in_range[None, :],
+            in_range[None, :],
+            mu,
+            sigma,
+            length,
+            rows=np.array([offset]),
+        )[0]
         lb = np.asarray(
             lower_bound_from_base(store.lb_base[offset], float(sigma[offset])),
             dtype=np.float64,

@@ -5,12 +5,13 @@ products of query ``i`` derive from those of query ``i-1`` in O(1) per
 entry (Algorithm 3, line 11 of the paper).  Only the first row needs an
 FFT.
 
-:func:`iterate_stomp_rows` exposes the per-row distance profiles (and raw
-dot products) as a generator so VALMOD's Algorithm 3 — which is STOMP plus
-lower-bound bookkeeping — can reuse the exact same inner loop.  The
-``row_range`` parameter lets a caller replay the recurrence up to a start
-row and only materialize distance profiles for a block of rows — the
-primitive the parallel engines build on.
+:func:`iterate_stomp_qt` exposes the recurrence's dot-product rows as a
+generator so VALMOD's Algorithm 3 — which is STOMP plus lower-bound
+bookkeeping — can reuse the exact same inner loop;
+:func:`iterate_stomp_rows` adds the per-row distance profile for the
+engines.  The ``row_range`` parameter lets a caller replay the recurrence
+up to a start row and only yield a block of rows — the primitive the
+parallel engines build on.
 
 Numerical robustness
 --------------------
@@ -53,6 +54,7 @@ from repro.matrixprofile.index import MatrixProfile
 
 __all__ = [
     "stomp",
+    "iterate_stomp_qt",
     "iterate_stomp_rows",
     "stomp_reanchor_rows",
     "exact_qt_row",
@@ -122,29 +124,25 @@ def stomp_reanchor_rows(
 
 
 @require(series=series_like(), length=positive_int())
-def iterate_stomp_rows(
+def iterate_stomp_qt(
     series: FloatArray,
     length: int,
-    mu: FloatArray,
     sigma: FloatArray,
-    apply_exclusion: bool = True,
     row_range: Optional[Tuple[int, int]] = None,
     context: Optional[SeriesContext] = None,
-) -> Iterator[Tuple[int, FloatArray, FloatArray]]:
-    """Yield ``(i, qt, distance_profile)`` for every query ``i``.
+) -> Iterator[Tuple[int, FloatArray]]:
+    """Yield ``(i, qt)``: the dot products of query ``i`` against all windows.
 
-    ``qt`` is the vector of dot products of query ``i`` against all
-    windows; the distance profile is Eq. 3 applied to it, with the
-    exclusion zone already masked to ``inf`` when ``apply_exclusion``.
+    The bare STOMP recurrence, with no distance profile per row; VALMOD's
+    Algorithm 3 ranks these rows itself (:func:`repro.core.entries.rank_rows`).
 
     ``row_range`` restricts the yielded rows to ``[start, stop)``: the
-    dot-product recurrence is still replayed from row 0 (so every yielded
-    row is bitwise identical to a full run), but the distance profiles of
-    skipped rows are never materialized.  Workers of the parallel
-    Algorithm-3 path use this to split rows across processes.
+    recurrence is still replayed from row 0, so every yielded row is
+    bitwise identical to a full run.  Workers of the parallel Algorithm-3
+    path use this to split rows across processes.
 
-    The yielded arrays are reused across iterations — callers that keep
-    them must copy.
+    The yielded array is reused across iterations — callers that keep it
+    must copy.
     """
     t = series
     n_subs = t.size - length + 1
@@ -153,7 +151,6 @@ def iterate_stomp_rows(
         raise InvalidParameterError(
             f"row_range {row_range!r} out of bounds for {n_subs} rows"
         )
-    zone = exclusion_zone_half_width(length)
     if context is not None and context.matches(t):
         qt_first = context.sliding_dot_product(t[:length])
     else:
@@ -174,8 +171,31 @@ def iterate_stomp_rows(
             else:
                 qt[1:] = qt[:-1] - heads * t[i - 1] + tails * t[i + length - 1]
             qt[0] = qt_first[i]
-        if i < start:
-            continue
+        if i >= start:
+            yield i, qt
+
+
+@require(series=series_like(), length=positive_int())
+def iterate_stomp_rows(
+    series: FloatArray,
+    length: int,
+    mu: FloatArray,
+    sigma: FloatArray,
+    apply_exclusion: bool = True,
+    row_range: Optional[Tuple[int, int]] = None,
+    context: Optional[SeriesContext] = None,
+) -> Iterator[Tuple[int, FloatArray, FloatArray]]:
+    """Yield ``(i, qt, distance_profile)`` for every query ``i``.
+
+    :func:`iterate_stomp_qt` plus Eq. 3 applied to each row, with the
+    exclusion zone already masked to ``inf`` when ``apply_exclusion``.
+    ``row_range`` is passed through.  The yielded arrays are reused
+    across iterations — callers that keep them must copy.
+    """
+    zone = exclusion_zone_half_width(length)
+    for i, qt in iterate_stomp_qt(
+        series, length, sigma, row_range=row_range, context=context
+    ):
         profile = distance_profile_from_qt(
             qt, length, float(mu[i]), float(sigma[i]), mu, sigma
         )

@@ -1,15 +1,79 @@
-"""Tests for the vectorized listDP entry store."""
+"""Tests for the vectorized listDP entry store and its rank-space scorer.
+
+The scorer is checked against the oracles: the brute-force matrix
+profile (each window z-normalized directly) for the profile minimum, and
+a full-row Eq. 2 sort for the stored lower bounds.
+"""
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.core.compute_mp import compute_matrix_profile
-from repro.core.entries import EntryStore
+from repro.core.entries import EntryStore, rank_rows
 from repro.core.lower_bound import lower_bound_base
+from repro.datasets import load_dataset
 from repro.distance.profile import correlation_from_qt
-from repro.distance.sliding import moving_mean_std, sliding_dot_product
+from repro.distance.sliding import moving_mean_std
+from repro.distance.znorm import CONSTANT_EPS, znormalized_distance
 from repro.exceptions import InvalidParameterError
+from repro.matrixprofile.brute import brute_force_matrix_profile
 from repro.matrixprofile.exclusion import exclusion_zone_half_width
+
+#: the exactness tolerance every engine meets against the brute oracle.
+TOL = 1e-6
+
+
+def exact_qt(series, length):
+    """Dot products of every window against every window, summed directly."""
+    windows = sliding_window_view(series, length)
+    return windows @ windows.T
+
+
+def shelf_series():
+    t = np.random.default_rng(5).standard_normal(360)
+    t[100:170] = 4.0  # a flat shelf: its inner windows are constant
+    return t
+
+
+def constant_series():
+    t = np.random.default_rng(6).standard_normal(360)
+    t[40:90] = 0.0
+    t[200:260] = -2.5
+    t[300:330] = 0.0
+    return t
+
+
+SERIES = {
+    "noise": lambda: np.random.default_rng(7).standard_normal(360),
+    "ecg": lambda: load_dataset("ECG", 360),
+    "emg": lambda: load_dataset("EMG", 360),
+    "shelf": shelf_series,
+    "constant": constant_series,
+}
+
+
+def full_row_lb_base(series, row, length):
+    """Eq. 2 numerators of one owner against every candidate (+inf = zone)."""
+    mu, sigma = moving_mean_std(series, length)
+    qt = exact_qt(series, length)[row]
+    corr = correlation_from_qt(
+        qt, length, float(mu[row]), max(float(sigma[row]), CONSTANT_EPS), mu, sigma
+    )
+    corr[sigma < CONSTANT_EPS] = 0.0  # the listDP convention for constant candidates
+    base = np.asarray(lower_bound_base(corr, length, float(sigma[row])))
+    zone = exclusion_zone_half_width(length)
+    base[np.abs(np.arange(base.size) - row) < zone] = np.inf
+    return base
+
+
+def build_row(series, row, length, p):
+    """Helper: fill one store row the way Algorithm 3 does."""
+    mu, sigma = moving_mean_std(series, length)
+    n_subs = series.size - length + 1
+    store = EntryStore.empty(n_subs, p, length)
+    store.fill_row(row, exact_qt(series, length)[row], mu, sigma, length)
+    return store
 
 
 class TestEmpty:
@@ -30,33 +94,16 @@ class TestEmpty:
             EntryStore.empty(0, 4, 16)
 
 
-def build_row(series, row, length, p):
-    """Helper: fill one store row exactly as compute_mp does."""
-    mu, sigma = moving_mean_std(series, length)
-    n_subs = series.size - length + 1
-    qt = sliding_dot_product(series[row : row + length], series)
-    corr = correlation_from_qt(
-        qt, length, float(mu[row]), float(sigma[row]), mu, sigma
-    )
-    zone = exclusion_zone_half_width(length)
-    eligible = np.abs(np.arange(n_subs) - row) >= zone
-    store = EntryStore.empty(n_subs, p, length)
-    store.fill_row(row, qt, corr, float(sigma[row]), length, eligible)
-    return store, corr, eligible, float(sigma[row])
-
-
 class TestFillRow:
     def test_keeps_p_smallest_lb(self, noise_series):
         t = noise_series
-        store, corr, eligible, sigma_owner = build_row(t, 100, 16, 5)
-        base_all = np.asarray(lower_bound_base(corr, 16, sigma_owner))
-        base_all[~eligible] = np.inf
-        expected = np.sort(base_all)[:5]
+        store = build_row(t, 100, 16, 5)
+        expected = np.sort(full_row_lb_base(t, 100, 16))[:5]
         stored = np.sort(store.lb_base[100])
         np.testing.assert_allclose(stored, expected, atol=1e-10)
 
     def test_excludes_trivial_matches(self, noise_series):
-        store, _, _, _ = build_row(noise_series, 100, 16, 8)
+        store = build_row(noise_series, 100, 16, 8)
         zone = exclusion_zone_half_width(16)
         neighbors = store.neighbor[100]
         neighbors = neighbors[neighbors >= 0]
@@ -65,20 +112,84 @@ class TestFillRow:
     def test_partial_fill_when_few_candidates(self):
         t = np.random.default_rng(0).standard_normal(40)
         # length 16 -> zone 8, 25 subsequences, eligible ~ those beyond zone
-        store, _, eligible, _ = build_row(t, 12, 16, 50)
+        store = build_row(t, 12, 16, 50)
+        eligible = np.isfinite(full_row_lb_base(t, 12, 16))
         count = int((store.neighbor[12] >= 0).sum())
         assert count == int(eligible.sum())
+        assert (store.neighbor[12][:count] >= 0).all()
         assert np.isinf(store.lb_base[12][count:]).all()
 
     def test_qt_values_are_dot_products(self, noise_series):
         t = noise_series
-        store, _, _, _ = build_row(t, 50, 16, 4)
+        store = build_row(t, 50, 16, 4)
         for slot in range(4):
             j = store.neighbor[50, slot]
             if j < 0:
                 continue
             expected = float(np.dot(t[50 : 50 + 16], t[j : j + 16]))
             assert store.qt[50, slot] == pytest.approx(expected, abs=1e-8)
+
+
+class TestRankRows:
+    """``rank_rows`` and Algorithm 3 against the brute-force oracle."""
+
+    @pytest.mark.parametrize("name", sorted(SERIES))
+    @pytest.mark.parametrize("length", [12, 24])
+    def test_profile_and_index_match_brute(self, name, length):
+        t = SERIES[name]()
+        mu, sigma = moving_mean_std(t, length)
+        oracle = brute_force_matrix_profile(t, length)
+        ranked = rank_rows(
+            exact_qt(t, length), np.arange(mu.size), mu, sigma, length, 6
+        )
+        mp, _ = compute_matrix_profile(t, length, 6)
+        zone = exclusion_zone_half_width(length)
+        for profile, index in ((ranked.profile, ranked.index), (mp.profile, mp.index)):
+            np.testing.assert_allclose(profile, oracle.profile, rtol=0, atol=TOL)
+            # Ties may pick another offset, but never a worse or trivial one.
+            for i, j in enumerate(index):
+                assert abs(j - i) >= zone
+                direct = znormalized_distance(t[i : i + length], t[j : j + length])
+                assert direct == pytest.approx(oracle.profile[i], abs=TOL)
+
+    @pytest.mark.parametrize("name", sorted(SERIES))
+    @pytest.mark.parametrize("p", [1, 5, 400])
+    def test_lb_base_are_the_p_smallest(self, name, p):
+        t = SERIES[name]()
+        length = 16
+        _, store = compute_matrix_profile(t, length, p)
+        for row in range(0, store.n_profiles, 23):
+            base = full_row_lb_base(t, row, length)
+            eligible = int(np.isfinite(base).sum())
+            kept = min(p, eligible)
+            # Ties among q <= 0 share one value, so any tied choice sorts alike.
+            expected = np.sort(base)[:kept]
+            stored = store.lb_base[row]
+            assert (store.neighbor[row][:kept] >= 0).all()
+            assert (store.neighbor[row][kept:] == -1).all()
+            assert np.isinf(stored[kept:]).all()
+            np.testing.assert_allclose(np.sort(stored[:kept]), expected, rtol=1e-9, atol=1e-9)
+            # Every unstored candidate bounds at least the largest stored one.
+            unstored = np.setdiff1d(np.flatnonzero(np.isfinite(base)), store.neighbor[row])
+            if unstored.size:
+                assert base[unstored].min() >= stored[:kept].max() - 1e-9
+
+    def test_fill_rows_writes_the_given_rows_and_counts(self, noise_series):
+        from repro import obs
+
+        t = noise_series
+        mu, sigma = moving_mean_std(t, 16)
+        rows = np.arange(40, 56)
+        ranked = rank_rows(exact_qt(t, 16)[rows], rows, mu, sigma, 16, 4)
+        store = EntryStore.empty(mu.size, 4, 16)
+        with obs.tracing(True):
+            obs.reset()
+            store.fill_rows(rows[:10], ranked.head(10), 16)
+            counters = obs.snapshot()["counters"]
+        assert counters["listdp.rows_filled"] == 10
+        assert counters["listdp.entries_stored"] == 40
+        np.testing.assert_array_equal(store.neighbor[40:50], ranked.neighbor[:10])
+        assert (store.neighbor[50:] == -1).all()
 
 
 class TestAdvance:
