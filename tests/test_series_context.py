@@ -151,6 +151,27 @@ class TestCacheMechanics:
         assert counters["fft.plan.reuse"] == 1
         assert len(ctx.cached_fft_sizes) == 1
 
+    @pytest.mark.parametrize("length", [DIRECT_DOT_MAX + 1, 150])
+    def test_window_dot_products_match_direct_correlation(self, length):
+        series = _series_with_shelf(7, 400, shelf=True)
+        ctx = SeriesContext(series)
+        starts = np.array([0, 5, 123, series.size - length])
+        with obs.tracing(True):
+            obs.reset()
+            block = ctx.window_dot_products(starts, length)
+            ctx.sliding_dot_product(series[:length])
+            counters = obs.snapshot()["counters"]
+        obs.reset()
+        obs.disable()
+        assert block.shape == (starts.size, series.size - length + 1)
+        for row, start in zip(block, starts):
+            direct = np.correlate(series, series[start : start + length], mode="valid")
+            np.testing.assert_allclose(row, direct, rtol=1e-12, atol=1e-9)
+        # One series transform serves the batch and the one-row path.
+        assert counters["fft.plan.build"] == 1
+        assert counters["fft.plan.reuse"] == 1
+        assert counters["mass.fft_calls"] == starts.size + 1
+
     def test_short_queries_skip_fft_entirely(self):
         series = _series_with_shelf(5, 300, shelf=False)
         ctx = SeriesContext(series)
