@@ -135,15 +135,6 @@ def test_micro_stomp_blocked_vs_rowwise(benchmark):
                     ),
                 )
             )
-        rows.append(
-            (
-                f"blocked-f32 B={DEFAULT_BLOCK_ROWS}",
-                _best_seconds(
-                    lambda: blocked_stomp(series, length, precision="float32", context=ctx),
-                    rounds,
-                ),
-            )
-        )
         return rows
 
     rows = benchmark.pedantic(sweep, iterations=1, rounds=1)

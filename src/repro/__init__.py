@@ -74,7 +74,6 @@ from repro.matrixprofile import (
     StreamingValmod,
     compute_with,
     engine_names,
-    parallel_stomp,
     scrimp,
     stamp,
     stomp,
@@ -88,7 +87,7 @@ from repro.exceptions import (
     WindowTooSmallError,
 )
 
-__version__ = "1.4.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "AnnotationSummary",
@@ -117,7 +116,6 @@ __all__ = [
     "stomp",
     "stamp",
     "scrimp",
-    "parallel_stomp",
     "engine_names",
     "compute_with",
     "Discord",

@@ -16,7 +16,6 @@ import numpy as np
 from repro.core.valmp import VALMP
 from repro.exceptions import BudgetExceededError, InvalidParameterError
 from repro.kernels.context import ensure_context
-from repro.matrixprofile.parallel import parallel_stomp
 from repro.matrixprofile.stomp import stomp
 from repro.types import MotifPair
 
@@ -29,7 +28,6 @@ def stomp_range(
     l_max: int,
     valmp: Optional[VALMP] = None,
     deadline: Optional[float] = None,
-    n_jobs: Optional[int] = 1,
 ) -> Dict[int, MotifPair]:
     """Exact motif pair per length via repeated STOMP runs.
 
@@ -37,8 +35,6 @@ def stomp_range(
     profile VALMOD produces (useful for cross-checking VALMP semantics).
     ``deadline`` (absolute ``time.perf_counter()`` value) turns slow runs
     into :class:`BudgetExceededError` for the harness's DNF reporting.
-    ``n_jobs > 1`` routes each length through the chunked parallel STOMP
-    engine, whose output is bitwise identical to the serial one.
     """
     ctx = ensure_context(series, min_length=8)
     t = ctx.series
@@ -50,10 +46,7 @@ def stomp_range(
             raise BudgetExceededError(
                 f"stomp_range exceeded its deadline at length {length}"
             )
-        if n_jobs == 1:
-            mp = stomp(t, length, context=ctx)
-        else:
-            mp = parallel_stomp(t, length, n_jobs=n_jobs, context=ctx)
+        mp = stomp(t, length, context=ctx)
         result[length] = mp.motif_pair()
         if valmp is not None:
             valmp.update(mp.profile, mp.index, length)

@@ -7,7 +7,7 @@ Subcommands
 ``motifs``   run VALMOD on a CSV file or a named synthetic dataset and
              print the ranked variable-length motifs.
 ``profile``  compute one fixed-length matrix profile with a chosen
-             engine (``--engine``, ``--n-jobs``).
+             engine (``--engine``).
 ``sets``     run the full Problem-2 pipeline (VALMOD + motif sets).
 ``stream``   feed a series point-by-point through the streaming engine,
              printing motif/discord change events as they fire.
@@ -89,7 +89,8 @@ def _add_jobs_argument(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=1,
         dest="n_jobs",
-        help="worker processes for parallel engines (0 = all CPUs, default 1)",
+        help="worker processes that split Algorithm 3's row blocks "
+        "(0 = all CPUs, default 1; results are identical for every value)",
     )
 
 
@@ -202,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=list(engine_names()),
         help=f"matrix-profile engine (default {DEFAULT_ENGINE})",
     )
-    _add_jobs_argument(profile)
     profile.add_argument(
         "--top", type=int, default=5, help="lowest-distance positions to print"
     )
@@ -429,9 +429,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
     series = _load_series(args)
     context = SeriesContext(series)
-    mp = compute_with(
-        args.engine, series, args.length, n_jobs=args.n_jobs, context=context
-    )
+    mp = compute_with(args.engine, series, args.length, context=context)
     finite = np.isfinite(mp.profile)
     print(
         f"# engine={args.engine} length={args.length} "

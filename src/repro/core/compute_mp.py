@@ -13,13 +13,19 @@ processes.  Each worker replays the STOMP dot-product recurrence up to
 its block start and then runs the identical per-row pipeline (every row
 is ranked on its own, whatever stack it lands in), so the assembled
 profile, index, and listDP rows are bitwise identical to a serial run.
-The series travels through ``multiprocessing.shared_memory``; each block
-result comes back as plain arrays the parent stitches together.
+The series travels pickled in each task (it is O(n), small next to the
+O(n p) listDP rows a block sends back); each block result comes back as
+plain arrays the parent stitches together.  This pool is the package's
+only process-parallel path: on 2 CPUs it runs Algorithm 3 1.35-1.6x
+faster than serial (``docs/ENGINES.md``).
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
+from multiprocessing.context import BaseContext
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -30,17 +36,17 @@ from repro.types import FloatArray, IntArray
 from repro.core.entries import EntryStore, rank_rows
 from repro.distance.sliding import validate_subsequence_length
 from repro.kernels.context import SeriesContext
-from repro.lint.contracts import positive_int, require, series_like
-from repro.matrixprofile.index import MatrixProfile
-from repro.matrixprofile.parallel import (
-    _attach,
-    _create_shared,
-    _preferred_context,
-    resolve_n_jobs,
+from repro.lint.contracts import (
+    instance_of,
+    optional,
+    positive_int,
+    require,
+    series_like,
 )
+from repro.matrixprofile.index import MatrixProfile
 from repro.matrixprofile.stomp import iterate_stomp_qt
 
-__all__ = ["compute_matrix_profile", "row_blocks"]
+__all__ = ["compute_matrix_profile", "resolve_n_jobs", "row_blocks"]
 
 #: relative cost of replaying one row of the dot-product recurrence,
 #: versus fully processing one row (recurrence + rank-space scoring +
@@ -52,6 +58,30 @@ REPLAY_COST = 0.25
 #: NumPy overhead, while the (16, n) ranking buffers stay far below the
 #: (n, p) listDP store that sets Algorithm 3's peak memory.
 FILL_BLOCK_ROWS = 16
+
+
+@require(n_jobs=optional(instance_of(int)))
+def resolve_n_jobs(n_jobs: Optional[int]) -> int:
+    """Normalize an ``n_jobs`` request to a positive worker count.
+
+    ``None`` and ``0`` mean "let the library decide" (all visible CPUs);
+    negative values follow the joblib convention ``cpus + 1 + n_jobs``
+    (so ``-1`` is all CPUs, ``-2`` all but one).
+    """
+    cpus = os.cpu_count() or 1
+    if n_jobs is None or n_jobs == 0:
+        return cpus
+    if n_jobs < 0:
+        return max(1, cpus + 1 + n_jobs)
+    return int(n_jobs)
+
+
+def _preferred_context() -> BaseContext:
+    """Fork where available (cheap worker start), else the default."""
+    try:
+        return get_context("fork")
+    except ValueError:  # pragma: no cover - non-POSIX platforms
+        return get_context()
 
 
 @require(n_rows=positive_int(), n_blocks=positive_int())
@@ -119,28 +149,24 @@ def _fill_block(
 
 
 def _block_worker(task):
-    """Worker-process entry: evaluate one row block from shared memory.
+    """Worker-process entry: evaluate one row block of the series.
 
     Returns the block result plus the worker's tracer snapshot (None
     when tracing is off) so the parent can aggregate listDP counters.
     """
-    name, n, length, p, start, stop, untrack, trace = task
+    t, length, p, start, stop, trace = task
     obs.worker_begin(trace)
-    shm, t = _attach(name, (n,), "float64", untrack)
-    try:
-        rows = stop - start
-        profile = np.empty(rows, dtype=np.float64)
-        index = np.empty(rows, dtype=np.int64)
-        store = EntryStore.empty(rows, p, length)
-        with obs.span("compute_mp/block"):
-            _fill_block(
-                SeriesContext(t.copy(), min_length=4), length, start, stop,
-                profile, index, store,
-            )
-        block = (profile, index, store.neighbor, store.qt, store.lb_base)
-        return (start, stop) + block + (obs.worker_snapshot(),)
-    finally:
-        shm.close()
+    rows = stop - start
+    profile = np.empty(rows, dtype=np.float64)
+    index = np.empty(rows, dtype=np.int64)
+    store = EntryStore.empty(rows, p, length)
+    with obs.span("compute_mp/block"):
+        _fill_block(
+            SeriesContext(t, min_length=4), length, start, stop,
+            profile, index, store,
+        )
+    block = (profile, index, store.neighbor, store.qt, store.lb_base)
+    return (start, stop) + block + (obs.worker_snapshot(),)
 
 
 @require(series=series_like(min_length=4), length=positive_int(), p=positive_int())
@@ -159,7 +185,7 @@ def compute_matrix_profile(
     distributes row blocks over worker processes (``None``/``0`` = all
     CPUs); results are identical for every worker count.  ``context``
     optionally carries cached series statistics; workers rebuild their
-    own from the shared series (the cache is per-process).
+    own from the series they receive (the cache is per-process).
     """
     ctx = SeriesContext.ensure(series, context, min_length=4)
     t = ctx.series
@@ -177,31 +203,18 @@ def compute_matrix_profile(
                 _fill_block(ctx, length, 0, n_subs, profile, index, store)
         return MatrixProfile(profile=profile, index=index, length=length), store
 
-    shm, _ = _create_shared(t)
-    try:
-        ctx = _preferred_context()
-        untrack = ctx.get_start_method() != "fork"
-        tasks = [
-            (shm.name, t.size, length, p, start, stop, untrack, obs.enabled())
-            for start, stop in blocks
-        ]
-        with obs.span("compute_mp"):
-            with ProcessPoolExecutor(
-                max_workers=min(jobs, len(blocks)), mp_context=ctx
-            ) as pool:
-                for start, stop, prof, idx, nb, qt, lb, trace in pool.map(
-                    _block_worker, tasks
-                ):
-                    profile[start:stop] = prof
-                    index[start:stop] = idx
-                    store.neighbor[start:stop] = nb
-                    store.qt[start:stop] = qt
-                    store.lb_base[start:stop] = lb
-                    obs.merge(trace)
-    finally:
-        shm.close()
-        try:
-            shm.unlink()
-        except FileNotFoundError:  # pragma: no cover
-            pass
+    tasks = [(t, length, p, start, stop, obs.enabled()) for start, stop in blocks]
+    with obs.span("compute_mp"):
+        with ProcessPoolExecutor(
+            max_workers=min(jobs, len(blocks)), mp_context=_preferred_context()
+        ) as pool:
+            for start, stop, prof, idx, nb, qt, lb, trace in pool.map(
+                _block_worker, tasks
+            ):
+                profile[start:stop] = prof
+                index[start:stop] = idx
+                store.neighbor[start:stop] = nb
+                store.qt[start:stop] = qt
+                store.lb_base[start:stop] = lb
+                obs.merge(trace)
     return MatrixProfile(profile=profile, index=index, length=length), store

@@ -135,7 +135,6 @@ def find_discords(
     l_max: int,
     k: int = 3,
     engine: str = "stomp",
-    n_jobs: Optional[int] = 1,
     lengths: Optional[Sequence[int]] = None,
     context: Optional[SeriesContext] = None,
 ) -> List[Discord]:
@@ -145,8 +144,7 @@ def find_discords(
     distance; discords of different lengths compete on that common
     scale, and returned discords are mutually non-overlapping (the
     exclusion zone of the *longer* window applies).  ``engine`` picks a
-    registered matrix-profile engine by name; ``n_jobs`` is forwarded to
-    engines that parallelize.  ``lengths`` restricts the scan to an
+    registered matrix-profile engine by name.  ``lengths`` restricts the scan to an
     explicit subset of ``[l_min, l_max]`` (the full range is exact but
     costs one matrix profile per length); ``context`` reuses an existing
     per-series stats/FFT cache — results are bitwise identical with or
@@ -178,6 +176,6 @@ def find_discords(
 
     candidates: List[Discord] = []
     for length in scan:
-        mp = compute_with(engine, t, length, n_jobs=n_jobs, context=ctx)
+        mp = compute_with(engine, t, length, context=ctx)
         candidates.extend(per_length_candidates(mp.profile, length, k))
     return select_top_k(candidates, k)

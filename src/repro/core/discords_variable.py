@@ -172,7 +172,7 @@ def find_discords_pruned(
 
     def _candidates_at(length: int) -> List[Discord]:
         with obs.span("discords.profile"):
-            mp = compute_with(engine, t, length, n_jobs=n_jobs, context=ctx)
+            mp = compute_with(engine, t, length, context=ctx)
         return per_length_candidates(mp.profile, length, k)
 
     def _selection() -> List[Discord]:

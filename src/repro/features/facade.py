@@ -273,7 +273,7 @@ def _compute(
             discords = tuple(
                 find_discords(
                     t, l_min, l_max, k=k_discords, engine=engine,
-                    n_jobs=n_jobs, lengths=scan_lengths, context=context,
+                    lengths=scan_lengths, context=context,
                 )
             )
 

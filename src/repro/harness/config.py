@@ -58,7 +58,7 @@ class BenchmarkGrid:
     d_values: List[int] = field(default_factory=lambda: [2, 3, 4, 5, 6])
     default_k: int = 40
     default_d: int = 4
-    #: worker processes handed to algorithms that parallelize (1 = serial).
+    #: worker processes for VALMOD's Algorithm 3 row blocks (1 = serial).
     n_jobs: int = 1
 
 

@@ -45,9 +45,7 @@ def sweep_discord_drivers(
             l_min = grid.default_length
             l_max = l_min + rng_
             start = time.perf_counter()
-            full = find_discords(
-                series, l_min, l_max, k=k, n_jobs=grid.n_jobs
-            )
+            full = find_discords(series, l_min, l_max, k=k)
             full_seconds = time.perf_counter() - start
             with obs.tracing(True):
                 before = dict(obs.get_tracer().counters())

@@ -82,7 +82,7 @@ def _run_stomp(
     n_jobs: Optional[int] = 1,
     stats_cache: bool = True,
 ):
-    return stomp_range(series, l_min, l_max, deadline=deadline, n_jobs=n_jobs)
+    return stomp_range(series, l_min, l_max, deadline=deadline)
 
 
 def _run_moen(
@@ -132,9 +132,8 @@ def run_algorithm(
     The budget is enforced cooperatively (the baselines check a deadline
     between units of work), so a DNF is reported slightly *after* the
     budget passes — the same semantics as killing a C process.
-    ``n_jobs`` reaches the competitors that parallelize (VALMOD's full
-    matrix-profile passes and STOMP-per-length); serial-only baselines
-    ignore it.  ``stats_cache=False`` disables VALMOD's shared series
+    ``n_jobs`` splits VALMOD's Algorithm 3 row blocks over worker
+    processes; the baselines run serial and ignore it.  ``stats_cache=False`` disables VALMOD's shared series
     stats/FFT cache (ablation; identical results, different timings).
     """
     if name not in ALGORITHMS:

@@ -11,7 +11,7 @@ Two layers the whole compute stack builds on (see ``docs/KERNELS.md``):
     :func:`~repro.kernels.blocked.blocked_stomp`, the blocked diagonal
     STOMP backend (``engine="blocked-stomp"``): the QT recurrence as a
     sheared block cumulative sum, Eq.-3 evaluated block-wide in
-    correlation space, optional float32 scoring with float64 verify.
+    correlation space.
 
 Layering: this package imports only :mod:`repro.distance`, :mod:`repro.obs`
 and the foundation modules at import time (engine types are resolved

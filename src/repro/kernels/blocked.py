@@ -39,16 +39,6 @@ Numerical behavior:
   differently than the serial per-row update, so results agree with
   serial STOMP to rounding (and with ``brute`` within the differential
   harness tolerance), not bitwise.
-* ``precision="float32"`` keeps the recurrence and the cancellation-prone
-  centering ``QT - l mu_i mu_j`` in float64, demotes only the scaled
-  ranking scores to float32, and re-scores every candidate column — all
-  columns within :data:`F32_SCORE_MARGIN` (in correlation units) of the
-  float32 row maximum — in float64 before the winner is chosen; rows
-  with more than :data:`F32_CANDIDATE_CAP` candidates fall back to an
-  exact full-row float64 rescore.  Reported distances are always
-  float64.  This path exists to bound the cost of reduced-precision
-  scoring (and as scaffolding for accelerators whose fast path is
-  float32); on CPU it is not faster than the float64 path.
 """
 
 from __future__ import annotations
@@ -69,29 +59,13 @@ from repro.lint.contracts import ensure, no_nan_profile, positive_int, require, 
 if TYPE_CHECKING:  # pragma: no cover - engines sit above this layer
     from repro.matrixprofile.index import MatrixProfile
 
-__all__ = [
-    "blocked_stomp",
-    "DEFAULT_BLOCK_ROWS",
-    "F32_SCORE_MARGIN",
-    "F32_CANDIDATE_CAP",
-]
+__all__ = ["blocked_stomp", "DEFAULT_BLOCK_ROWS"]
 
 #: default rows per block: large enough to amortize the block's shared
 #: window views and boundary handling over tens of thousands of cells,
 #: small enough that the two live scratch rows stay cache-resident.
 #: See docs/ENGINES.md for how to choose a different value.
 DEFAULT_BLOCK_ROWS = 64
-
-#: float32 verify margin, in correlation units: columns whose float32
-#: ranking score is within ``margin * l * sigma_i`` of the row maximum
-#: are re-scored in float64.  Two orders of magnitude above the float32
-#: rounding of a well-scaled score.
-F32_SCORE_MARGIN = 3e-5
-
-#: candidate-set size above which the float32 path re-scores the whole
-#: row in float64 (cheaper and exact for, e.g., constant-heavy rows
-#: where many columns tie at the conventional score).
-F32_CANDIDATE_CAP = 64
 
 
 def _finish_value(
@@ -113,7 +87,6 @@ def blocked_stomp(
     series: FloatArray,
     length: int,
     block_rows: int = DEFAULT_BLOCK_ROWS,
-    precision: str = "float64",
     context: Optional[SeriesContext] = None,
 ) -> "MatrixProfile":
     """Compute the full matrix profile with the blocked STOMP kernel.
@@ -125,9 +98,6 @@ def blocked_stomp(
         a rowwise schedule; any ``B`` larger than the number of
         subsequences processes everything in one block.  All block sizes
         produce the same profile up to rounding.
-    precision:
-        ``"float64"`` (default) or ``"float32"`` — see the module
-        docstring for the float32 verify semantics.
     context:
         Optional :class:`SeriesContext`; pass one to reuse cached window
         statistics and the cached series FFT across calls and lengths.
@@ -142,11 +112,6 @@ def blocked_stomp(
         raise InvalidParameterError(
             f"block_rows must be at least 1, got {block_rows}"
         )
-    if precision not in ("float64", "float32"):
-        raise InvalidParameterError(
-            f"precision must be 'float64' or 'float32', got {precision!r}"
-        )
-    use_f32 = precision == "float32"
     ctx = SeriesContext.ensure(series, context, min_length=4)
     t = ctx.series
     n = t.size
@@ -188,9 +153,6 @@ def blocked_stomp(
     tmprow = np.empty(width_max, dtype=np.float64)
     buf = np.empty(n_subs, dtype=np.float64)
     buf2 = np.empty(n_subs, dtype=np.float64)
-    if use_f32:
-        c1_32 = c1.astype(np.float32)
-        buf32 = np.empty(n_subs, dtype=np.float32)
 
     profile = np.empty(n_subs, dtype=np.float64)
     index = np.empty(n_subs, dtype=np.int64)
@@ -199,7 +161,6 @@ def blocked_stomp(
 
     carry: Optional[FloatArray] = None
     blocks = 0
-    f32_verified = 0
     with obs.span("engine.blocked_stomp"):
         r0 = 0
         next_anchor = 0
@@ -270,43 +231,6 @@ def blocked_stomp(
                     j = int(np.argmax(buf))
                     _finish_value(profile, index, i, float(buf[j]), j, length)
                     continue
-                if use_f32:
-                    # Center in float64 (cancellation-prone), demote the
-                    # scaled scores, select in float32, verify in float64.
-                    np.multiply(lmu, mu[i], out=buf2)
-                    np.subtract(qt_row, buf2, out=buf)
-                    np.multiply(buf, c1_32, out=buf32)
-                    if any_window_const:
-                        buf32[window_const] = np.float32(0.5 * length * sigma[i])
-                    buf32[lo:hi] = -np.inf
-                    top = buf32[int(np.argmax(buf32))]
-                    if not np.isfinite(top):
-                        _finish_value(profile, index, i, -np.inf, -1, length)
-                        continue
-                    margin = np.float32(F32_SCORE_MARGIN * length * sigma[i])
-                    cand = np.nonzero(buf32 >= top - margin)[0]
-                    if cand.size > F32_CANDIDATE_CAP:
-                        np.multiply(buf, c1, out=buf2)
-                        if any_window_const:
-                            buf2[window_const] = 0.5 * length * sigma[i]
-                        buf2[lo:hi] = -np.inf
-                        j = int(np.argmax(buf2))
-                        best = float(buf2[j])
-                        f32_verified += n_subs
-                    else:
-                        exact = buf[cand] * c1[cand]
-                        if any_window_const:
-                            wc = window_const[cand]
-                            if wc.any():
-                                exact[wc] = 0.5 * length * sigma[i]
-                        pick = int(np.argmax(exact))
-                        j = int(cand[pick])
-                        best = float(exact[pick])
-                        f32_verified += int(cand.size)
-                    _finish_value(
-                        profile, index, i, best * invsig[i] * inv_l, j, length
-                    )
-                    continue
                 np.multiply(qt_row, c1, out=buf)
                 np.multiply(c2, mu[i], out=buf2)
                 buf -= buf2
@@ -322,6 +246,4 @@ def blocked_stomp(
 
     if obs.enabled():
         obs.add("kernel.blocks", blocks)
-        if use_f32:
-            obs.add("kernel.f32.verified_cells", f32_verified)
     return MatrixProfile(profile=profile, index=index, length=length)

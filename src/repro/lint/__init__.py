@@ -4,17 +4,15 @@ The exactness guarantees of the matrix-profile family rest on a handful of
 numerical invariants — clip before ``sqrt``, guard every division by a
 window deviation, centralize the exclusion-zone arithmetic, keep parallel
 reductions deterministic.  This package encodes them as AST-based rules
-(R001–R013) that run over the source tree and fail CI on violations::
+(R001–R013; R012 is retired) that run over the source tree and fail CI
+on violations::
 
     python -m repro.lint src/
 
 Beyond the per-file syntactic rules, the analyzer builds a whole-project
 view (:class:`~repro.lint.graph.ProjectContext`: module table, import
-graph, observability emission sites) and an intraprocedural dataflow
-layer (:mod:`repro.lint.dataflow`: CFG, reaching definitions, taint) for
-the cross-file and provenance rules — R010 checks every emitted obs name
-against :mod:`repro.obs.registry`, R012 proves no float32 value escapes
-a kernel without a float64 verify.
+graph, observability emission sites) for the cross-file rules — R010
+checks every emitted obs name against :mod:`repro.obs.registry`.
 
 See ``docs/LINTING.md`` for the rule catalog and the historical bug each
 rule would have caught.  Runtime shape/dtype/finiteness contracts (enabled

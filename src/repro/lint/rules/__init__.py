@@ -1,4 +1,4 @@
-"""Rule registry: one module per invariant, R001–R013."""
+"""Rule registry: one module per invariant, R001–R013 (R012 retired)."""
 
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ from repro.lint.rules.r008_context_stats import ContextStatsRule
 from repro.lint.rules.r009_features_layering import FeaturesLayeringRule
 from repro.lint.rules.r010_obs_registry import ObsRegistryRule
 from repro.lint.rules.r011_stale_pragma import StalePragmaRule
-from repro.lint.rules.r012_f32_escape import F32EscapeRule
 from repro.lint.rules.r013_contract_coverage import ContractCoverageRule
 
 __all__ = ["all_rules"]
@@ -36,6 +35,5 @@ def all_rules() -> List[Rule]:
         FeaturesLayeringRule(),
         ObsRegistryRule(),
         StalePragmaRule(),
-        F32EscapeRule(),
         ContractCoverageRule(),
     ]

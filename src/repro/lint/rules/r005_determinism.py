@@ -1,7 +1,7 @@
 """R005: worker code must be deterministic and picklable.
 
-The parallel engines promise bitwise-identical results for every worker
-count.  Two code shapes silently break that promise:
+Algorithm 3's row-block pool (:mod:`repro.core.compute_mp`) promises
+bitwise-identical results for every worker count.  Two code shapes silently break that promise:
 
 * iterating a ``set`` (hash order varies across processes and runs) to
   produce ordered side effects — iterate ``sorted(...)`` instead;
@@ -41,7 +41,7 @@ class WorkerDeterminismRule(Rule):
     rationale = (
         "set iteration order varies per process; lambdas/closures fail to "
         "pickle under spawn — both break the bitwise-parity guarantee of "
-        "the parallel engines"
+        "the row-block pool"
     )
 
     def applies(self, ctx: FileContext) -> bool:

@@ -14,12 +14,13 @@ Engines
     which Algorithm 3 of the paper extends.
 :func:`repro.matrixprofile.stamp.stamp`
     MASS-based engine; supports anytime (random-order, early-stop) runs.
-:func:`repro.matrixprofile.parallel.parallel_stomp`
-    Diagonal-chunked STOMP across worker processes; bitwise identical to
-    the serial engine for every worker count.
+:func:`repro.matrixprofile.scrimp.scrimp`
+    Diagonal-order anytime engine.
+:func:`repro.kernels.blocked.blocked_stomp`
+    Cache-blocked diagonal STOMP, the fastest exact engine.
 
 The :mod:`repro.matrixprofile.registry` module maps engine names
-(``"stomp" | "stamp" | "scrimp" | "brute" | "parallel-stomp"``) to
+(``"stomp" | "stamp" | "scrimp" | "brute" | "blocked-stomp"``) to
 implementations so callers can dispatch by string.
 """
 
@@ -29,7 +30,6 @@ from repro.matrixprofile.brute import brute_force_matrix_profile
 from repro.matrixprofile.stomp import stomp
 from repro.matrixprofile.stamp import stamp
 from repro.matrixprofile.scrimp import pre_scrimp, scrimp
-from repro.matrixprofile.parallel import parallel_stomp
 from repro.matrixprofile.registry import (
     EngineSpec,
     compute_with,
@@ -65,7 +65,6 @@ __all__ = [
     "stamp",
     "scrimp",
     "pre_scrimp",
-    "parallel_stomp",
     "EngineSpec",
     "register_engine",
     "get_engine",

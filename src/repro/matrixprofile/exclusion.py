@@ -42,7 +42,7 @@ def contributing_cells(n_subs: int, zone: int) -> int:
 
     The engine-independent work measure behind the ``engine.cells``
     trace counter: every exact full-profile engine — row-order STOMP,
-    MASS-per-row STAMP, diagonal-order SCRIMP, chunked parallel STOMP —
+    MASS-per-row STAMP, diagonal-order SCRIMP, blocked diagonal STOMP —
     evaluates exactly these cells of the distance matrix, so the counter
     is comparable across engines by construction.  Closed form
     ``k (k + 1)`` with ``k = n_subs - zone`` (each of the ``k`` upper

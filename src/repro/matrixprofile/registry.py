@@ -5,34 +5,26 @@ the harness runner, the discord scanner — goes through this registry, so
 adding an engine is one :func:`register_engine` call and every entry
 point picks it up.
 
-Engines differ in how they use ``n_jobs``: serial engines ignore it (and
-the registry warns when a caller passes one anyway), parallel engines fan
-out.  The ``parallel`` flag on the spec records which is which so callers
-can warn or route accordingly.
-
-Engines also differ in whether they can exploit a shared
-:class:`~repro.kernels.SeriesContext`.  Specs registered with a
-``compute_ctx`` entry point receive the caller's context (stats + FFT
-cache) and reuse it; the rest fall back to their plain ``compute``
-callable, so passing a context is always safe.
+Every engine is serial and takes an optional shared
+:class:`~repro.kernels.SeriesContext` (stats + FFT cache); engines that
+cannot use it ignore it, so passing a context is always safe and never
+changes a result bit.  ``docs/ENGINES.md`` gives each engine's reason to
+exist.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Set, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.types import FloatArray
 
-from repro import obs
 from repro.exceptions import InvalidParameterError
 from repro.kernels.blocked import blocked_stomp
 from repro.kernels.context import SeriesContext
 from repro.lint.contracts import instance_of, positive_int, require, series_like
 from repro.matrixprofile.brute import brute_force_matrix_profile
 from repro.matrixprofile.index import MatrixProfile
-from repro.matrixprofile.parallel import parallel_stomp
 from repro.matrixprofile.scrimp import scrimp
 from repro.matrixprofile.stamp import stamp
 from repro.matrixprofile.stomp import stomp
@@ -48,56 +40,35 @@ __all__ = [
 
 DEFAULT_ENGINE = "stomp"
 
-ComputeFn = Callable[[FloatArray, int, Optional[int]], MatrixProfile]
-ComputeCtxFn = Callable[
-    [FloatArray, int, Optional[int], Optional[SeriesContext]], MatrixProfile
-]
+ComputeFn = Callable[[FloatArray, int, Optional[SeriesContext]], MatrixProfile]
 
 
 @dataclass(frozen=True)
 class EngineSpec:
     """A registered matrix-profile engine.
 
-    ``compute`` takes ``(series, length, n_jobs)`` and returns a
-    :class:`MatrixProfile`; serial engines receive ``n_jobs`` and ignore
-    it.  ``parallel`` marks engines that actually honor ``n_jobs``.
-    ``compute_ctx``, when present, takes ``(series, length, n_jobs,
-    context)`` and threads a shared :class:`SeriesContext` into the
-    engine; results are identical with or without it.
+    ``compute`` takes ``(series, length, context)`` and returns a
+    :class:`MatrixProfile`; ``context`` is a shared
+    :class:`SeriesContext` or ``None``, and results are identical either
+    way.
     """
 
     name: str
     compute: ComputeFn
-    parallel: bool
     description: str
-    compute_ctx: Optional[ComputeCtxFn] = None
 
 
 _REGISTRY: Dict[str, EngineSpec] = {}
 
-#: engine names that already emitted the ignored-``n_jobs`` warning this
-#: process — the warning fires once per engine, the obs counter always.
-_N_JOBS_WARNED: Set[str] = set()
-
 
 @require(name=instance_of(str))
 def register_engine(
-    name: str,
-    compute: ComputeFn,
-    parallel: bool = False,
-    description: str = "",
-    compute_ctx: Optional[ComputeCtxFn] = None,
+    name: str, compute: ComputeFn, description: str = ""
 ) -> EngineSpec:
     """Register (or replace) an engine under ``name``."""
     if not name:
         raise InvalidParameterError("engine name must be non-empty")
-    spec = EngineSpec(
-        name=name,
-        compute=compute,
-        parallel=parallel,
-        description=description,
-        compute_ctx=compute_ctx,
-    )
+    spec = EngineSpec(name=name, compute=compute, description=description)
     _REGISTRY[name] = spec
     return spec
 
@@ -128,7 +99,6 @@ def compute_with(
     name: str,
     series: FloatArray,
     length: int,
-    n_jobs: Optional[int] = None,
     context: Optional[SeriesContext] = None,
 ) -> MatrixProfile:
     """Compute a matrix profile with the engine registered under ``name``.
@@ -136,83 +106,32 @@ def compute_with(
     ``context`` optionally carries a shared :class:`SeriesContext`;
     context-aware engines reuse its cached statistics and series FFT,
     other engines silently ignore it (results are identical either way).
-    Passing ``n_jobs`` other than ``1`` to a serial engine warns once per
-    engine and bumps the ``engine.n_jobs_ignored`` counter every time.
     """
-    spec = get_engine(name)
-    if not spec.parallel and n_jobs is not None and n_jobs != 1:
-        obs.add("engine.n_jobs_ignored")
-        if spec.name not in _N_JOBS_WARNED:
-            _N_JOBS_WARNED.add(spec.name)
-            warnings.warn(
-                f"engine {spec.name!r} is serial; n_jobs={n_jobs} is ignored",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    if spec.compute_ctx is not None:
-        return spec.compute_ctx(series, length, n_jobs, context)
-    return spec.compute(series, length, n_jobs)
+    return get_engine(name).compute(series, length, context)
 
 
 register_engine(
     "stomp",
-    lambda series, length, n_jobs=None: stomp(series, length),
-    parallel=False,
+    lambda series, length, context: stomp(series, length, context=context),
     description="serial O(n^2) rolling-dot-product engine (default)",
-    compute_ctx=lambda series, length, n_jobs, context: stomp(
-        series, length, context=context
-    ),
 )
 register_engine(
     "stamp",
-    lambda series, length, n_jobs=None: stamp(series, length),
-    parallel=False,
+    lambda series, length, context: stamp(series, length, context=context),
     description="MASS-per-row anytime engine",
-    compute_ctx=lambda series, length, n_jobs, context: stamp(
-        series, length, context=context
-    ),
 )
 register_engine(
     "scrimp",
-    lambda series, length, n_jobs=None: scrimp(series, length),
-    parallel=False,
+    lambda series, length, context: scrimp(series, length, context=context),
     description="diagonal-order anytime engine",
-    compute_ctx=lambda series, length, n_jobs, context: scrimp(
-        series, length, context=context
-    ),
 )
 register_engine(
     "brute",
-    lambda series, length, n_jobs=None: brute_force_matrix_profile(series, length),
-    parallel=False,
+    lambda series, length, context: brute_force_matrix_profile(series, length),
     description="O(n^2 l) reference oracle",
 )
 register_engine(
-    "parallel-stomp",
-    lambda series, length, n_jobs=None: parallel_stomp(series, length, n_jobs=n_jobs),
-    parallel=True,
-    description="diagonal-chunked STOMP across worker processes",
-    compute_ctx=lambda series, length, n_jobs, context: parallel_stomp(
-        series, length, n_jobs=n_jobs, context=context
-    ),
-)
-register_engine(
     "blocked-stomp",
-    lambda series, length, n_jobs=None: blocked_stomp(series, length),
-    parallel=False,
-    description="cache-blocked diagonal STOMP kernel (float64)",
-    compute_ctx=lambda series, length, n_jobs, context: blocked_stomp(
-        series, length, context=context
-    ),
-)
-register_engine(
-    "blocked-stomp-f32",
-    lambda series, length, n_jobs=None: blocked_stomp(
-        series, length, precision="float32"
-    ),
-    parallel=False,
-    description="blocked STOMP with float32 scoring + float64 verification",
-    compute_ctx=lambda series, length, n_jobs, context: blocked_stomp(
-        series, length, precision="float32", context=context
-    ),
+    lambda series, length, context: blocked_stomp(series, length, context=context),
+    description="cache-blocked diagonal STOMP kernel (fastest exact engine)",
 )

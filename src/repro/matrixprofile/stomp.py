@@ -10,8 +10,8 @@ generator so VALMOD's Algorithm 3 — which is STOMP plus lower-bound
 bookkeeping — can reuse the exact same inner loop;
 :func:`iterate_stomp_rows` adds the per-row distance profile for the
 engines.  The ``row_range`` parameter lets a caller replay the recurrence
-up to a start row and only yield a block of rows — the primitive the
-parallel engines build on.
+up to a start row and only yield a block of rows — the primitive
+Algorithm 3's row-block workers build on.
 
 Numerical robustness
 --------------------
@@ -23,8 +23,9 @@ huge products, and the cancellation error can corrupt every later row.
 series alone — the rows at which the accumulated drift bound crosses a
 tolerance; at those rows the recurrence is re-anchored with an exactly
 summed dot-product row.  The schedule is a pure function of the input so
-the chunked parallel engine (:mod:`repro.matrixprofile.parallel`) can
-reproduce the serial results bit for bit.
+a row-block worker of Algorithm 3 (:mod:`repro.core.compute_mp`) that
+replays the recurrence from row 0 reproduces the serial results bit for
+bit.
 """
 
 from __future__ import annotations
@@ -91,8 +92,8 @@ def stomp_reanchor_rows(
     ``l sigma^2`` scale that Eq. 3 divides by.  For data without extreme
     magnitudes the schedule is empty and the fast path is untouched.
 
-    Deterministic in the inputs: serial STOMP and every chunk of the
-    parallel engine compute the same schedule, which keeps their outputs
+    Deterministic in the inputs: serial STOMP and every row-block worker
+    of Algorithm 3 compute the same schedule, which keeps their outputs
     bitwise identical.
     """
     t = np.asarray(series, dtype=np.float64)

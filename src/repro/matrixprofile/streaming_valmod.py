@@ -582,9 +582,7 @@ class StreamingValmod:
 
         def candidates_at(length: int) -> List[Discord]:
             with obs.span("discords.profile"):
-                mp = compute_with(
-                    self._engine, t, length, n_jobs=self._n_jobs, context=ctx
-                )
+                mp = compute_with(self._engine, t, length, context=ctx)
             # exact refresh of the maintained bound for this window
             if np.isfinite(mp.profile).all() and (mp.index >= 0).all():
                 self._discord_ub[length] = (

@@ -47,23 +47,18 @@ __all__ = [
 
 #: Monotonic counters, by exact name or ``{placeholder}`` template.
 COUNTERS: Dict[str, str] = {
-    # engines (shared across stomp/stamp/scrimp/parallel/blocked)
+    # engines (shared across stomp/stamp/scrimp/blocked)
     "engine.rows": "profile rows an engine processed",
     "engine.cells": "distance cells an engine contributed (exclusion-adjusted)",
-    "engine.n_jobs_ignored": "calls where a serial engine ignored n_jobs > 1",
     # serial stomp
     "stomp.qt_reanchor_rows": "rows recomputed exactly by the drift schedule",
     "stomp.qt_rolling_rows": "rows advanced by the rolling QT update",
     # stamp / scrimp
     "stamp.mass_rows": "rows computed via full MASS calls",
     "scrimp.diagonals": "diagonals visited by the SCRIMP schedule",
-    # parallel engine
-    "parallel.chunks": "diagonal chunks dispatched to workers",
-    "parallel.qt_reanchor_rows": "chunk rows re-anchored exactly at chunk starts",
     # blocked kernel
     "kernel.blocks": "sheared blocks processed by blocked_stomp",
     "kernel.reanchor_rows": "anchor rows that force-started a new block",
-    "kernel.f32.verified_cells": "candidate cells re-scored in float64 on the f32 path",
     # series-context caches
     "stats.cache.hits": "moving mean/std lookups served from the context cache",
     "stats.cache.misses": "moving mean/std lookups computed fresh",
@@ -130,9 +125,6 @@ SPANS: Dict[str, str] = {
     "engine.stamp": "STAMP engine",
     "engine.scrimp": "SCRIMP engine",
     "engine.blocked_stomp": "blocked diagonal STOMP kernel",
-    "engine.parallel-stomp": "parallel STOMP driver (parent side)",
-    "engine.parallel-stomp/chunk": "one diagonal chunk (worker side, recorded as a path)",
-    "chunk": "one diagonal chunk nested under the parallel driver",
     "compute_mp": "row-blocked reference driver",
     "compute_mp/block": "one row block (worker side, recorded as a path)",
     "block": "one row block nested under compute_mp",

@@ -19,5 +19,5 @@ def record(n, length):
     obs.add("submp.profiles.total", n)
     obs.add(f"submp.profiles.valid.l{length}", n)
     obs.gauge("kernel.block_rows", n)
-    with obs.span("chunk"):
+    with obs.span("block"):
         pass

@@ -4,8 +4,7 @@ The blocked backend (``repro.kernels.blocked``) restates the QT
 recurrence as a sheared block cumulative sum; these tests pin it to the
 brute-force oracle across the full block-size spectrum — ``B=1`` (the
 rowwise degenerate), interior sizes, the default, and ``B`` larger than
-the number of subsequences (one giant block) — and pin the float32
-scoring path to the float64 one via the candidate-verify contract.
+the number of subsequences (one giant block).
 """
 
 import numpy as np
@@ -133,31 +132,6 @@ class TestBlockedVsBrute:
         np.testing.assert_array_equal(mp.index, rowwise.index)
 
 
-class TestFloat32Path:
-    @pytest.mark.parametrize("fixture", sorted(FIXTURES))
-    def test_f32_with_verify_matches_f64(self, fixture, oracles):
-        """float32 scoring + float64 candidate verify: the *returned*
-        profile is float64-accurate even though scores were f32."""
-        series, length, reference = oracles[fixture]
-        f64 = blocked_stomp(series, length)
-        f32 = blocked_stomp(series, length, precision="float32")
-        np.testing.assert_allclose(
-            f32.profile, f64.profile, atol=ATOL, rtol=0.0,
-            err_msg=f"f32+verify diverges from f64 on {fixture}",
-        )
-        _assert_matches_oracle(series, length, f32, reference)
-
-    def test_f32_verify_counter_records_work(self):
-        series, length = _random_walk()
-        with obs.tracing(True):
-            obs.reset()
-            blocked_stomp(series, length, precision="float32")
-            counters = obs.snapshot()["counters"]
-        obs.reset()
-        obs.disable()
-        assert counters.get("kernel.f32.verified_cells", 0) > 0
-
-
 class TestContextIntegration:
     def test_shared_context_is_bitwise_neutral(self):
         series, length = _planted_motif()
@@ -188,8 +162,3 @@ class TestValidation:
         series, length = _short_series()
         with pytest.raises(InvalidParameterError, match="block_rows"):
             blocked_stomp(series, length, block_rows=0)
-
-    def test_unknown_precision_rejected(self):
-        series, length = _short_series()
-        with pytest.raises(InvalidParameterError, match="precision"):
-            blocked_stomp(series, length, precision="float16")

@@ -20,6 +20,17 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["bench", "fig99"])
 
+    def test_n_jobs_only_where_algorithm3_runs(self, capsys):
+        """``--n-jobs`` splits Algorithm 3's row blocks; ``profile`` runs
+        a serial engine, so it does not take the flag."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["profile", "--n-jobs", "2"])
+        capsys.readouterr()
+        assert build_parser().parse_args(["motifs", "--n-jobs", "2"]).n_jobs == 2
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["motifs", "--help"])
+        assert "row blocks" in capsys.readouterr().out
+
 
 class TestCommands:
     def test_datasets(self, capsys):

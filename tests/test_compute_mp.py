@@ -1,10 +1,14 @@
 """Tests for Algorithm 3 (ComputeMatrixProfile with listDP)."""
 
+import os
+
 import numpy as np
 import pytest
 
-from repro.core.compute_mp import compute_matrix_profile
+from repro.core.compute_mp import compute_matrix_profile, resolve_n_jobs, row_blocks
+from repro.distance.sliding import moving_mean_std
 from repro.matrixprofile import stomp
+from repro.matrixprofile.stomp import stomp_reanchor_rows
 from tests.conftest import assert_profiles_close
 
 
@@ -51,3 +55,73 @@ def test_large_p_keeps_all_candidates():
         eligible = int((np.abs(np.arange(n_subs) - row) >= zone).sum())
         stored = int((store.neighbor[row] >= 0).sum())
         assert stored == eligible
+
+
+def _random_walk():
+    return np.random.default_rng(41).standard_normal(280).cumsum(), 16
+
+
+def _flat_run():
+    # A zero-variance run the 2-block seam cuts through.
+    t = np.random.default_rng(9).standard_normal(200)
+    t[90:130] = -3.0
+    return t, 20
+
+
+def _high_shelf():
+    # A 1e8 shelf activates the drift re-anchor schedule.
+    t = np.random.default_rng(11).standard_normal(300).cumsum()
+    t[120:170] = 1e8
+    return t, 16
+
+
+ROW_BLOCK_FIXTURES = {
+    "random-walk": _random_walk,
+    "flat-run": _flat_run,
+    "high-shelf": _high_shelf,
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(ROW_BLOCK_FIXTURES))
+def test_compute_mp_row_blocks_bitwise(fixture):
+    """Algorithm 3's row-block parallel path matches serial exactly,
+    profile and listDP store alike."""
+    t, length = ROW_BLOCK_FIXTURES[fixture]()
+    n_subs = t.size - length + 1
+    (_, seam), _ = row_blocks(n_subs, 2)
+    if fixture == "flat-run":
+        assert 90 < seam < 130 - length
+    if fixture == "high-shelf":
+        # The second block's replay must honor anchors before its start.
+        _, sigma = moving_mean_std(t, length)
+        anchors = stomp_reanchor_rows(t, length, sigma)
+        assert anchors.size > 0 and anchors.min() < seam
+    mp1, st1 = compute_matrix_profile(t, length, 8, n_jobs=1)
+    mp2, st2 = compute_matrix_profile(t, length, 8, n_jobs=2)
+    assert np.isfinite(mp2.profile).all()
+    np.testing.assert_array_equal(mp1.profile, mp2.profile)
+    np.testing.assert_array_equal(mp1.index, mp2.index)
+    np.testing.assert_array_equal(st1.neighbor, st2.neighbor)
+    np.testing.assert_array_equal(st1.qt, st2.qt)
+    np.testing.assert_array_equal(st1.lb_base, st2.lb_base)
+
+
+def test_row_blocks_tile_rows():
+    blocks = row_blocks(100, 4)
+    assert blocks[0][0] == 0 and blocks[-1][1] == 100
+    for (s1, e1), (s2, e2) in zip(blocks, blocks[1:]):
+        assert e1 == s2 and s1 < e1
+    # Later blocks replay more rows first, so they are shorter.
+    sizes = [e - s for s, e in blocks]
+    assert sizes == sorted(sizes, reverse=True)
+    assert row_blocks(3, 8) == [(0, 1), (1, 2), (2, 3)]
+
+
+def test_resolve_n_jobs_conventions():
+    cpus = os.cpu_count() or 1
+    assert resolve_n_jobs(None) == cpus
+    assert resolve_n_jobs(0) == cpus
+    assert resolve_n_jobs(1) == 1
+    assert resolve_n_jobs(3) == 3
+    assert resolve_n_jobs(-1) == cpus
+    assert resolve_n_jobs(-cpus - 5) == 1

@@ -3,8 +3,7 @@
 One parameterized sweep proves all engines agree on the same fixtures:
 profile values within 1e-8 of ``brute``, and neighbor indices that agree
 up to tie-breaking (the reported neighbor must realize the reported
-distance).  The parallel engine additionally runs at several worker
-counts, where it must be *bitwise* identical to serial STOMP.
+distance).
 """
 
 import pathlib
@@ -15,16 +14,11 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.core.compute_mp import compute_matrix_profile
 from repro.distance.znorm import znormalized_distance
 from repro.exceptions import InvalidParameterError
 from repro.matrixprofile.brute import brute_force_matrix_profile
-from repro.matrixprofile.parallel import parallel_stomp
-from repro.matrixprofile.registry import (
-    compute_with,
-    engine_names,
-    get_engine,
-)
-from repro.matrixprofile.stomp import stomp
+from repro.matrixprofile.registry import compute_with, engine_names, get_engine
 
 ATOL = 1e-8
 
@@ -96,7 +90,7 @@ def _check_indices_realize_distances(series, length, mp, reference, atol):
 @pytest.mark.parametrize("engine", sorted(engine_names()))
 def test_engine_matches_brute(engine, fixture, oracles):
     series, length, reference = oracles[fixture]
-    mp = compute_with(engine, series, length, n_jobs=1)
+    mp = compute_with(engine, series, length)
     finite = np.isfinite(reference.profile)
     assert np.array_equal(np.isfinite(mp.profile), finite)
     np.testing.assert_allclose(
@@ -110,28 +104,15 @@ def test_engine_matches_brute(engine, fixture, oracles):
 
 
 @pytest.mark.parametrize("fixture", sorted(FIXTURES))
-@pytest.mark.parametrize("n_jobs", [1, 2, 4])
-def test_parallel_engine_bitwise_vs_serial(n_jobs, fixture, oracles):
-    series, length, _ = oracles[fixture]
-    serial = stomp(series, length)
-    mp = parallel_stomp(series, length, n_jobs=n_jobs)
-    np.testing.assert_array_equal(
-        mp.profile, serial.profile,
-        err_msg=f"parallel-stomp n_jobs={n_jobs} not bitwise on {fixture}",
-    )
-    np.testing.assert_array_equal(mp.index, serial.index)
-
-
-@pytest.mark.parametrize("fixture", sorted(FIXTURES))
 @pytest.mark.parametrize("engine", sorted(engine_names()))
 def test_tracing_does_not_change_results(engine, fixture, oracles):
     """Observability is read-only: traced output is bitwise untraced."""
     series, length, _ = oracles[fixture]
     with obs.tracing(False):
-        plain = compute_with(engine, series, length, n_jobs=1)
+        plain = compute_with(engine, series, length)
     with obs.tracing(True):
         obs.reset()
-        traced = compute_with(engine, series, length, n_jobs=1)
+        traced = compute_with(engine, series, length)
         recorded = obs.snapshot()["counters"]
     obs.reset()
     np.testing.assert_array_equal(
@@ -144,11 +125,12 @@ def test_tracing_does_not_change_results(engine, fixture, oracles):
 
 
 def test_tracing_does_not_change_parallel_workers(oracles):
+    """Algorithm 3's row-block workers return untraced bits when traced."""
     series, length, _ = oracles["random-walk"]
-    serial = stomp(series, length)
+    serial, _ = compute_matrix_profile(series, length, 8)
     with obs.tracing(True):
         obs.reset()
-        mp = parallel_stomp(series, length, n_jobs=2, n_chunks=4)
+        mp, _ = compute_matrix_profile(series, length, 8, n_jobs=2)
         pids = obs.snapshot()["pids"]
     obs.reset()
     obs.disable()
@@ -188,73 +170,9 @@ def test_repro_trace_env_does_not_change_results(tmp_path):
 
 
 def test_registry_lists_all_engines():
-    names = engine_names()
-    for expected in ("stomp", "stamp", "scrimp", "brute", "parallel-stomp"):
-        assert expected in names
-    assert get_engine("parallel-stomp").parallel
-    assert not get_engine("stomp").parallel
+    assert engine_names() == ("stomp", "stamp", "scrimp", "brute", "blocked-stomp")
 
 
 def test_registry_rejects_unknown_engine():
-    with pytest.raises(InvalidParameterError, match="parallel-stomp"):
+    with pytest.raises(InvalidParameterError, match="blocked-stomp"):
         get_engine("no-such-engine")
-
-
-class TestNJobsIgnored:
-    """Serial engines warn once per engine when n_jobs is passed, and the
-    ``engine.n_jobs_ignored`` counter fires on every occurrence."""
-
-    @pytest.fixture(autouse=True)
-    def _fresh_warning_state(self):
-        from repro.matrixprofile.registry import _N_JOBS_WARNED
-
-        saved = set(_N_JOBS_WARNED)
-        _N_JOBS_WARNED.clear()
-        yield
-        _N_JOBS_WARNED.clear()
-        _N_JOBS_WARNED.update(saved)
-
-    def test_warns_once_per_engine_counts_every_time(self, oracles):
-        import warnings as warnings_mod
-
-        series, length, _ = oracles["short"]
-        with obs.tracing(True):
-            obs.reset()
-            with warnings_mod.catch_warnings(record=True) as caught:
-                warnings_mod.simplefilter("always")
-                compute_with("stomp", series, length, n_jobs=4)
-                compute_with("stomp", series, length, n_jobs=2)
-                compute_with("brute", series, length, n_jobs=4)
-            counters = obs.snapshot()["counters"]
-        obs.reset()
-        obs.disable()
-        messages = [str(w.message) for w in caught if w.category is RuntimeWarning]
-        assert len(messages) == 2, messages
-        assert any("'stomp'" in m and "n_jobs=4" in m for m in messages)
-        assert any("'brute'" in m for m in messages)
-        assert counters["engine.n_jobs_ignored"] == 3
-
-    @pytest.mark.parametrize("n_jobs", [None, 1])
-    def test_serial_values_do_not_warn(self, n_jobs, oracles):
-        import warnings as warnings_mod
-
-        series, length, _ = oracles["short"]
-        with obs.tracing(True):
-            obs.reset()
-            with warnings_mod.catch_warnings(record=True) as caught:
-                warnings_mod.simplefilter("always")
-                compute_with("stomp", series, length, n_jobs=n_jobs)
-            counters = obs.snapshot()["counters"]
-        obs.reset()
-        obs.disable()
-        assert [w for w in caught if w.category is RuntimeWarning] == []
-        assert counters.get("engine.n_jobs_ignored", 0) == 0
-
-    def test_parallel_engine_accepts_n_jobs_silently(self, oracles):
-        import warnings as warnings_mod
-
-        series, length, _ = oracles["short"]
-        with warnings_mod.catch_warnings(record=True) as caught:
-            warnings_mod.simplefilter("always")
-            compute_with("parallel-stomp", series, length, n_jobs=2)
-        assert [w for w in caught if w.category is RuntimeWarning] == []

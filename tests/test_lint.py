@@ -33,7 +33,6 @@ RULE_IDS = (
     "R009",
     "R010",
     "R011",
-    "R012",
     "R013",
 )
 
@@ -50,7 +49,6 @@ BAD_FIXTURES = {
     "R009": ("r009_bad.py", 2),
     "R010": ("r010_bad.py", 2),
     "R011": ("r011_bad.py", 2),
-    "R012": ("kernels/r012_bad.py", 3),
     "R013": ("kernels/r013_bad.py", 2),
 }
 GOOD_FIXTURES = {
@@ -65,7 +63,6 @@ GOOD_FIXTURES = {
     "R009": "r009_good.py",
     "R010": "r010_good.py",
     "R011": "matrixprofile/r011_good.py",
-    "R012": "kernels/r012_good.py",
     "R013": "kernels/r013_good.py",
 }
 
@@ -281,6 +278,7 @@ class TestCli:
         out = capsys.readouterr().out
         for rule_id in RULE_IDS:
             assert rule_id in out
+        assert "R012" not in out  # retired with the float32 scoring path
 
     def test_main_usage_error_on_unknown_rule(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -442,48 +440,6 @@ class TestStalePragma:
         active = [r for r in all_rules() if r.rule_id == "R011"]
         source = "x = 1  # repro-lint: ignore[R004]\n"
         assert lint_source(source, path="matrixprofile/fake.py", rules=active) == []
-
-
-class TestF32Escape:
-    def test_rule_scoped_to_kernel_package(self):
-        source = (
-            "import numpy as np\n"
-            "def f(series):\n"
-            "    x = series.astype(np.float32)\n"
-            "    return x\n"
-        )
-        assert rule_ids(lint_source(source, path="kernels/fake.py")) == ["R012"]
-        assert lint_source(source, path="analysis/fake.py") == []
-
-    def test_rebinding_kills_taint(self):
-        source = (
-            "import numpy as np\n"
-            "def f(series):\n"
-            "    x = series.astype(np.float32)\n"
-            "    x = series * 1.0\n"
-            "    return x\n"
-        )
-        assert lint_source(source, path="kernels/fake.py") == []
-
-    def test_index_sanitizer_allows_verified_escape(self):
-        source = (
-            "import numpy as np\n"
-            "def f(series):\n"
-            "    x = series.astype(np.float32)\n"
-            "    j = int(np.argmax(x))\n"
-            "    return float(series[j])\n"
-        )
-        assert lint_source(source, path="kernels/fake.py") == []
-
-    def test_float_cast_is_not_a_sanitizer(self):
-        # float() changes the Python type but not the demoted precision.
-        source = (
-            "import numpy as np\n"
-            "def f(series):\n"
-            "    x = series.astype(np.float32)\n"
-            "    return float(x[0])\n"
-        )
-        assert rule_ids(lint_source(source, path="kernels/fake.py")) == ["R012"]
 
 
 class TestContractCoverage:

@@ -114,13 +114,12 @@ class TestStampAnytime:
 class TestFlatSegmentNumerics:
     """Regression: zero-variance and high-magnitude shelves.
 
-    Two historical failure modes live here.  First, a flat (zero
-    variance) window that spans a parallel chunk seam used to risk
-    NaN/inf leaking through the merged profile.  Second, prefix-sum
-    mean/variance cancellation downstream of a high-magnitude shelf
-    (plus QT recurrence drift) inflated STOMP's error to O(1); the
-    noise-floor recompute in ``moving_mean_std`` and the re-anchoring
-    schedule in ``stomp`` keep it bounded now.
+    Prefix-sum mean/variance cancellation downstream of a
+    high-magnitude shelf (plus QT recurrence drift) inflated STOMP's
+    error to O(1); the noise-floor recompute in ``moving_mean_std`` and
+    the re-anchoring schedule in ``stomp`` keep it bounded now.  The
+    row-block seams of Algorithm 3's pool are checked on a flat run and
+    on this shelf in ``tests/test_compute_mp.py``.
     """
 
     @staticmethod
@@ -129,22 +128,6 @@ class TestFlatSegmentNumerics:
         t = rng.standard_normal(300).cumsum()
         t[120:170] = magnitude
         return t
-
-    def test_flat_window_spanning_chunk_seam_has_no_nan(self):
-        from repro.matrixprofile.parallel import parallel_stomp
-
-        rng = np.random.default_rng(9)
-        t = rng.standard_normal(200)
-        # Flat segment centered on the series midpoint so every chunking
-        # of the diagonals puts a seam through its zero-variance windows.
-        t[90:130] = -3.0
-        serial = stomp(t, 20)
-        for n_chunks in (2, 3, 5):
-            mp = parallel_stomp(t, 20, n_jobs=1, n_chunks=n_chunks)
-            assert not np.isnan(mp.profile).any()
-            assert not np.isinf(mp.profile).any()
-            np.testing.assert_array_equal(mp.profile, serial.profile)
-            np.testing.assert_array_equal(mp.index, serial.index)
 
     @pytest.mark.parametrize(
         "magnitude, tolerance",
@@ -164,19 +147,3 @@ class TestFlatSegmentNumerics:
         assert np.array_equal(np.isfinite(result.profile), finite)
         error = np.max(np.abs(result.profile[finite] - reference.profile[finite]))
         assert error < tolerance
-
-    def test_high_magnitude_shelf_parallel_bitwise(self):
-        """The shelf activates the re-anchoring schedule; the parallel
-        engine must mirror it exactly (the two-chain design)."""
-        from repro.distance.sliding import moving_mean_std
-        from repro.matrixprofile.parallel import parallel_stomp
-        from repro.matrixprofile.stomp import stomp_reanchor_rows
-
-        t = self._shelf_series(1e8)
-        _, sigma = moving_mean_std(t, 16)
-        assert stomp_reanchor_rows(t, 16, sigma).size > 0
-        serial = stomp(t, 16)
-        for n_chunks in (2, 5):
-            mp = parallel_stomp(t, 16, n_jobs=1, n_chunks=n_chunks)
-            np.testing.assert_array_equal(mp.profile, serial.profile)
-            np.testing.assert_array_equal(mp.index, serial.index)

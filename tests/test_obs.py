@@ -17,8 +17,6 @@ from repro import obs
 from repro.core.compute_mp import compute_matrix_profile
 from repro.exceptions import InvalidParameterError
 from repro.harness.runner import run_algorithm
-from repro.matrixprofile.parallel import parallel_stomp
-from repro.matrixprofile.stomp import stomp
 from repro.obs import (
     Tracer,
     build_report,
@@ -247,28 +245,6 @@ class TestMultiprocessAggregation:
         assert serial["compute_mp.rows"] == 500 - 24 + 1
         assert len(serial_pids) == 1
         assert len(parallel_pids) >= 2
-
-    def test_parallel_stomp_counters_match_serial_stomp(self):
-        series = _series(450, seed=2)
-
-        def engine_counters(fn):
-            with obs.tracing(True):
-                obs.reset()
-                fn()
-                snap = obs.snapshot()
-            return {
-                k: v
-                for k, v in snap["counters"].items()
-                if k.startswith(("engine.", "mass."))
-            }
-
-        serial = engine_counters(lambda: stomp(series, 20))
-        pooled = engine_counters(
-            lambda: parallel_stomp(series, 20, n_jobs=2, n_chunks=4)
-        )
-        assert serial["engine.rows"] == pooled["engine.rows"]
-        assert serial["engine.cells"] == pooled["engine.cells"]
-        assert serial == pooled
 
 
 class TestReport:
