@@ -37,7 +37,7 @@ from repro.exceptions import InvalidParameterError
 from repro.kernels.context import SeriesContext
 from repro.lint.contracts import instance_of, positive_int, require, series_like
 from repro.matrixprofile.exclusion import exclusion_zone_half_width
-from repro.matrixprofile.registry import compute_with
+from repro.matrixprofile.registry import DEFAULT_ENGINE, compute_with
 from repro.types import FloatArray, length_normalized
 
 __all__ = ["Discord", "find_discords", "per_length_candidates", "select_top_k"]
@@ -134,7 +134,7 @@ def find_discords(
     l_min: int,
     l_max: int,
     k: int = 3,
-    engine: str = "stomp",
+    engine: str = DEFAULT_ENGINE,
     lengths: Optional[Sequence[int]] = None,
     context: Optional[SeriesContext] = None,
 ) -> List[Discord]:

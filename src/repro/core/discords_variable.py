@@ -62,12 +62,12 @@ from repro.core.compute_mp import compute_matrix_profile
 from repro.core.compute_submp import pairwise_entry_distances
 from repro.core.discords import Discord, per_length_candidates, select_top_k
 from repro.core.valmod import DEFAULT_P
-from repro.distance.znorm import as_series
+from repro.distance.znorm import CONSTANT_EPS, as_series
 from repro.exceptions import InvalidParameterError
 from repro.kernels.context import SeriesContext
 from repro.lint.contracts import instance_of, positive_int, require, series_like
 from repro.matrixprofile.exclusion import exclusion_zone_half_width
-from repro.matrixprofile.registry import compute_with
+from repro.matrixprofile.registry import DEFAULT_ENGINE, compute_with
 from repro.types import FloatArray, IntArray
 
 __all__ = ["find_discords_pruned", "length_upper_bound", "UB_RELATIVE_SLACK"]
@@ -92,6 +92,10 @@ def length_upper_bound(
 
     ``+inf`` when any surviving position has no usable stored entry
     (nothing bounds its profile value, so the length cannot be pruned).
+    Eq. 3 runs on one stored entry per row, the one with the largest
+    rank; that is the row's nearest entry unless rounding reorders
+    near-tied entries (ill-conditioned series, e.g. a large offset),
+    and then the bound can only come out larger, never smaller.
     Public because the streaming driver
     (:class:`repro.matrixprofile.streaming_valmod.StreamingValmod`)
     seeds its maintained per-length bounds from the same listDP store.
@@ -102,11 +106,31 @@ def length_upper_bound(
     zone = exclusion_zone_half_width(length)
     nb = store_neighbor[:n_dp]
     qt = store_qt[:n_dp]
-    rows = np.arange(n_dp)[:, None]
+    rows = np.arange(n_dp)
     in_range = (nb >= 0) & (nb <= n - length)
-    usable = in_range & (np.abs(nb - rows) >= zone)
-    dist = pairwise_entry_distances(qt, nb, usable, in_range, mu, sigma, length)
-    min_dist = dist.min(axis=1)
+    usable = in_range & (np.abs(nb - rows[:, None]) >= zone)
+    safe_nb = np.where(in_range, nb, 0)
+
+    # Rank space, as in repro.core.entries.rank_rows: rank = corr * l *
+    # sigma_owner, so each row's largest rank is its nearest stored entry
+    # and Eq. 3 runs on that one entry per row.
+    live = sigma >= CONSTANT_EPS
+    inv_sigma = np.where(live, 1.0 / np.maximum(sigma, CONSTANT_EPS), 0.0)
+    ranked = usable & live[safe_nb]
+    rank = qt * inv_sigma[safe_nb]
+    rank -= mu[:, None] * (length * mu * inv_sigma)[safe_nb]
+    rank[~ranked] = -np.inf
+    best = (rows, rank.argmax(axis=1))
+    min_dist = pairwise_entry_distances(
+        qt[best][:, None], nb[best][:, None], ranked[best][:, None],
+        in_range[best][:, None], mu, sigma, length,
+    )[:, 0]
+    if not live.all():
+        # Constant neighbours sit outside rank space (their correlation is
+        # undefined); fold their conventional distances back in.
+        const_nb = usable & ~live[safe_nb]
+        dist = pairwise_entry_distances(qt, nb, const_nb, in_range, mu, sigma, length)
+        np.minimum(min_dist, dist.min(axis=1), out=min_dist)
     return float(min_dist.max()) / math.sqrt(length)
 
 
@@ -123,7 +147,7 @@ def find_discords_pruned(
     l_min: int,
     l_max: int,
     k: int = 3,
-    engine: str = "stomp",
+    engine: str = DEFAULT_ENGINE,
     n_jobs: Optional[int] = 1,
     lengths: Optional[Sequence[int]] = None,
     context: Optional[SeriesContext] = None,

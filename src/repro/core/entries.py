@@ -325,9 +325,9 @@ class EntryStore:
         in_range = (nb >= 0) & (nb <= n - new_length)
         if obs.enabled():
             obs.add("listdp.entries_advanced", int(in_range.sum()))
-        rows = np.arange(n_rows)[:, None]
         safe_nb = np.where(in_range, nb, 0)
-        increment = t[safe_nb + new_length - 1] * t[rows + new_length - 1]
+        tails = t[new_length - 1 : new_length - 1 + n_rows, None]
+        increment = t[safe_nb + new_length - 1] * tails
         block = self.qt[:n_rows]
-        block[in_range] += increment[in_range]
+        np.add(block, increment, out=block, where=in_range)
         self.current_length = new_length

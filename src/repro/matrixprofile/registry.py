@@ -38,7 +38,7 @@ __all__ = [
     "DEFAULT_ENGINE",
 ]
 
-DEFAULT_ENGINE = "stomp"
+DEFAULT_ENGINE = "blocked-stomp"
 
 ComputeFn = Callable[[FloatArray, int, Optional[SeriesContext]], MatrixProfile]
 
@@ -113,7 +113,7 @@ def compute_with(
 register_engine(
     "stomp",
     lambda series, length, context: stomp(series, length, context=context),
-    description="serial O(n^2) rolling-dot-product engine (default)",
+    description="serial O(n^2) rolling-dot-product engine (the paper's baseline)",
 )
 register_engine(
     "stamp",
@@ -133,5 +133,5 @@ register_engine(
 register_engine(
     "blocked-stomp",
     lambda series, length, context: blocked_stomp(series, length, context=context),
-    description="cache-blocked diagonal STOMP kernel (fastest exact engine)",
+    description="cache-blocked diagonal STOMP kernel (default, fastest exact engine)",
 )

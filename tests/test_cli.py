@@ -230,7 +230,7 @@ class TestTrace:
         out = capsys.readouterr().out
         report = json.loads(out[out.index("\n{"):])
         assert report["counters"]["engine.rows"] == 1000 - 32 + 1
-        assert "engine.stomp" in report["spans"]
+        assert "engine.blocked_stomp" in report["spans"]
 
     def test_trace_out_writes_clean_json(self, tmp_path, capsys):
         import json

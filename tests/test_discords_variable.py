@@ -9,14 +9,23 @@ evaluates profiles with the same registered engine, so there is no
 tolerance to grant.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import obs
+from repro.core import discords_variable
+from repro.core.compute_mp import compute_matrix_profile
+from repro.core.compute_submp import pairwise_entry_distances
 from repro.core.discords import find_discords
-from repro.core.discords_variable import find_discords_pruned
+from repro.core.discords_variable import find_discords_pruned, length_upper_bound
+from repro.datasets import load_dataset
+from repro.distance.znorm import CONSTANT_EPS
 from repro.exceptions import InvalidParameterError
 from repro.kernels.context import SeriesContext
+from repro.matrixprofile.exclusion import exclusion_zone_half_width
 from repro.matrixprofile.registry import engine_names
 
 
@@ -134,3 +143,143 @@ class TestValidation:
     def test_unknown_engine(self, anomalous_series):
         with pytest.raises(InvalidParameterError):
             find_discords_pruned(anomalous_series, 14, 26, engine="nope")
+
+
+def nxp_length_upper_bound(store_neighbor, store_qt, ctx, length):
+    """The bound with Eq. 3 evaluated on every stored entry (the oracle)."""
+    n = ctx.series.size
+    n_dp = n - length + 1
+    mu, sigma = ctx.moving_mean_std(length)
+    zone = exclusion_zone_half_width(length)
+    nb = store_neighbor[:n_dp]
+    qt = store_qt[:n_dp]
+    rows = np.arange(n_dp)[:, None]
+    in_range = (nb >= 0) & (nb <= n - length)
+    usable = in_range & (np.abs(nb - rows) >= zone)
+    dist = pairwise_entry_distances(qt, nb, usable, in_range, mu, sigma, length)
+    return float(dist.min(axis=1).max()) / math.sqrt(length)
+
+
+def spiked_sine(n, seed):
+    """Noisy sine (period 100) with three short spikes at distinct phases."""
+    rng = np.random.default_rng(seed)
+    t = np.sin(np.linspace(0.0, 0.02 * np.pi * n, n))
+    t += 0.05 * rng.standard_normal(n)
+    for q in (1, 3, 5):
+        pos = (q * n) // 8 + 11 * q
+        t[pos : pos + 6] += np.hanning(6)
+    return t
+
+
+def constant_run():
+    t = spiked_sine(900, 2)
+    t[300:500] = 0.3
+    return t
+
+
+def offset_shelf():
+    t = spiked_sine(900, 3)
+    t[300:450] += 1e6
+    return t
+
+
+BOUND_CASES = {
+    "spiked-sine": lambda: spiked_sine(900, 1),
+    "ecg": lambda: load_dataset("ECG", 900),
+    "constant-run": constant_run,
+    "offset-shelf": offset_shelf,
+}
+
+
+def advanced_bounds(series, base, top, p, bound):
+    """``bound`` at every length in ``(base, top]`` on one advancing store."""
+    ctx = SeriesContext(series)
+    _, store = compute_matrix_profile(ctx.series, base, p, context=ctx)
+    out = []
+    for length in range(base + 1, top + 1):
+        store.advance_to(length, ctx.series)
+        out.append(bound(store.neighbor, store.qt, ctx, length))
+    return out
+
+
+class TestRankSpaceBound:
+    """``length_upper_bound`` scores entries in rank space; Eq. 3 runs on
+    one winner per row (plus constant neighbours).  It must give the n x p
+    form's value bit for bit, and never less on an ill-conditioned series."""
+
+    @pytest.mark.parametrize("name", sorted(BOUND_CASES))
+    def test_bitwise_equal_to_nxp_form(self, name):
+        t = BOUND_CASES[name]()
+        fast = advanced_bounds(t, 36, 72, 20, length_upper_bound)
+        oracle = advanced_bounds(t, 36, 72, 20, nxp_length_upper_bound)
+        assert fast == oracle
+        assert all(math.isfinite(value) for value in oracle)
+
+    def test_constant_neighbours_are_folded_in(self):
+        # Algorithm 3 ranks constant candidates at correlation 0, so its
+        # stores rarely keep one; point whole rows at constant windows to
+        # reach the fold-in: a constant owner is 0 from them, a live owner
+        # sqrt(l).  Without the fold-in both rows would bound at +inf.
+        t = constant_run()
+        length = 37
+        ctx = SeriesContext(t)
+        _, store = compute_matrix_profile(t, length - 1, 20, context=ctx)
+        store.advance_to(length, t)
+        _, sigma = ctx.moving_mean_std(length)
+        const = np.flatnonzero(sigma < CONSTANT_EPS)
+        owner_const, owner_live = int(const[0]), 100
+        nb = store.neighbor.copy()
+        nb[owner_const] = const[-20:]
+        nb[owner_live] = const[:20]
+        fast = length_upper_bound(nb, store.qt, ctx, length)
+        assert fast == nxp_length_upper_bound(nb, store.qt, ctx, length)
+        assert math.isfinite(fast)
+
+    def test_row_without_usable_entry_is_infinite(self):
+        t = spiked_sine(600, 4)
+        ctx = SeriesContext(t)
+        _, store = compute_matrix_profile(t, 30, 8, context=ctx)
+        store.advance_to(31, t)
+        assert math.isfinite(length_upper_bound(store.neighbor, store.qt, ctx, 31))
+        for row, unusable in ((100, -1), (200, 205)):  # empty / inside the zone
+            nb = store.neighbor.copy()
+            nb[row] = unusable
+            assert length_upper_bound(nb, store.qt, ctx, 31) == math.inf
+            assert nxp_length_upper_bound(nb, store.qt, ctx, 31) == math.inf
+
+    def test_never_below_nxp_form_when_ill_conditioned(self):
+        # A 1e6 offset on the whole series makes QT and l mu_i mu_j cancel
+        # to ~12 digits, so the rank order of near-tied entries can differ
+        # from the order of their Eq. 3 distances.  The winner's distance
+        # is then one of the n x p form's candidates: never smaller, so the
+        # bound never prunes a length the n x p form would keep.
+        t = spiked_sine(900, 6) + 1e6
+        fast = advanced_bounds(t, 36, 72, 20, length_upper_bound)
+        oracle = advanced_bounds(t, 36, 72, 20, nxp_length_upper_bound)
+        assert all(f >= o for f, o in zip(fast, oracle))
+
+    def test_pruned_and_recomputed_lengths_unchanged(self, monkeypatch):
+        t = spiked_sine(1000, 0)
+
+        def lengths_by_outcome():
+            with obs.tracing(True):
+                obs.reset()
+                found = find_discords_pruned(t, 36, 80, k=3)
+                counters = obs.get_tracer().counters()
+            return found, {
+                outcome: sorted(
+                    int(name.rsplit(".l", 1)[1])
+                    for name in counters
+                    if name.startswith(f"discords.profiles.{outcome}.l")
+                )
+                for outcome in ("pruned", "recomputed")
+            }
+
+        found, lengths = lengths_by_outcome()
+        monkeypatch.setattr(
+            discords_variable, "length_upper_bound", nxp_length_upper_bound
+        )
+        oracle_found, oracle_lengths = lengths_by_outcome()
+        assert lengths == oracle_lengths
+        assert len(lengths["pruned"]) > len(lengths["recomputed"]) > 0
+        assert found == oracle_found == find_discords(t, 36, 80, k=3)

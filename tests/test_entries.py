@@ -237,3 +237,24 @@ class TestAdvance:
         if j >= 0 and j <= t.size - 20:
             expected = float(np.dot(t[10:30], t[j : j + 20]))
             assert store.qt[10, 0] == pytest.approx(expected, abs=1e-8)
+
+    def test_masked_advance_matches_boolean_scatter(self):
+        # Short series, long lengths: neighbours leave the range during the
+        # run and must stay frozen exactly as the boolean scatter froze them.
+        t = np.random.default_rng(8).standard_normal(140)
+        _, store = compute_matrix_profile(t, 30, 12)
+        qt = store.qt.copy()
+        left_range = 0
+        for length in range(31, 70):
+            store.advance_to(length, t)
+            n_rows = min(store.n_profiles, t.size - length + 1)
+            nb = store.neighbor[:n_rows]
+            in_range = (nb >= 0) & (nb <= t.size - length)
+            left_range += int(((nb > t.size - length) & (nb >= 0)).sum())
+            rows = np.arange(n_rows)[:, None]
+            safe_nb = np.where(in_range, nb, 0)
+            increment = t[safe_nb + length - 1] * t[rows + length - 1]
+            block = qt[:n_rows]
+            block[in_range] += increment[in_range]
+            np.testing.assert_array_equal(store.qt, qt)
+        assert left_range > 0

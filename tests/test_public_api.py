@@ -122,3 +122,36 @@ def test_readme_features_quickstart_verbatim():
     assert set(features.pairs_by_length()) == set(range(24, 29))
     assert len(features.motif_set_counts) == len(features.motif_sets)
     assert features.discords and features.discord_distance is not None
+
+
+def test_engine_default_is_default_engine_everywhere():
+    # One source of truth: a literal default in any one place would split
+    # the defaults the moment DEFAULT_ENGINE moves.
+    import argparse
+    import inspect
+
+    from repro.cli import build_parser
+    from repro.matrixprofile.registry import DEFAULT_ENGINE
+
+    for fn in (
+        repro.find_discords,
+        repro.find_discords_pruned,
+        repro.StreamingValmod,
+        repro.StreamingFeatures,
+        repro.extract_features,
+    ):
+        default = inspect.signature(fn).parameters["engine"].default
+        assert default == DEFAULT_ENGINE, fn.__name__
+
+    subparsers = next(
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    with_engine = set()
+    for command, parser in subparsers.choices.items():
+        for action in parser._actions:
+            if action.dest == "engine":
+                assert action.default == DEFAULT_ENGINE, command
+                with_engine.add(command)
+    assert {"discords", "features", "profile", "stream"} <= with_engine

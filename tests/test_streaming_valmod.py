@@ -24,7 +24,7 @@ from repro.core.discords import find_discords
 from repro.core.discords_variable import find_discords_pruned
 from repro.core.valmod import valmod
 from repro.exceptions import InvalidParameterError, WindowTooSmallError
-from repro.matrixprofile.registry import engine_names
+from repro.matrixprofile.registry import DEFAULT_ENGINE, engine_names
 from repro.matrixprofile.streaming_valmod import StreamingValmod
 
 L_MIN, L_MAX, P, K = 12, 18, 10, 2
@@ -45,7 +45,7 @@ def discord_tuples(discords):
     ]
 
 
-def assert_wall(stream, window, engine="stomp"):
+def assert_wall(stream, window, engine=DEFAULT_ENGINE):
     """Motifs and discords of ``stream`` == fresh batch runs on ``window``."""
     result = stream.motifs()
     batch = valmod(window, stream.l_min, stream.l_max, p=stream.p)
