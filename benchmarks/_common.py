@@ -81,18 +81,27 @@ def bench_dataset(name: str, n: int, seed: int = 0):
 
 
 def _git_sha() -> str:
-    """The repo's HEAD commit, or "unknown" outside a git checkout."""
+    """The repo's HEAD commit, or "unknown" outside a git checkout.
+
+    Suffixed ``-dirty`` when tracked files differ from HEAD, so a result
+    produced on an uncommitted tree does not claim HEAD's code.
+    """
+    here = Path(__file__).resolve().parent
     try:
-        out = subprocess.run(
+        head = subprocess.run(
             ["git", "rev-parse", "HEAD"],
-            cwd=Path(__file__).resolve().parent,
-            capture_output=True,
-            text=True,
-            timeout=10,
+            cwd=here, capture_output=True, text=True, timeout=10,
+        )
+        status = subprocess.run(
+            ["git", "status", "--porcelain", "--untracked-files=no"],
+            cwd=here, capture_output=True, text=True, timeout=10,
         )
     except (OSError, subprocess.TimeoutExpired):
         return "unknown"
-    return out.stdout.strip() if out.returncode == 0 else "unknown"
+    if head.returncode != 0:
+        return "unknown"
+    dirty = status.returncode == 0 and status.stdout.strip() != ""
+    return head.stdout.strip() + ("-dirty" if dirty else "")
 
 
 def run_metadata() -> Dict[str, Any]:

@@ -53,7 +53,7 @@ accounting identity behind the Fig.-9-style discord pruning power
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -186,77 +186,89 @@ def find_discords_pruned(
                     f"discord length {length} outside [{l_min}, {l_max}]"
                 )
     ctx = SeriesContext.ensure(t, context, min_length=8)
-    scan_set = frozenset(scan)
 
-    # Per-length candidate lists keyed by length: concatenated in
-    # ascending-length order they reproduce the full driver's pool (for
-    # the lengths that were evaluated) entry for entry.
-    computed: Dict[int, List[Discord]] = {}
-    pruned: Dict[int, float] = {}
-
-    def _candidates_at(length: int) -> List[Discord]:
+    def candidates_at(length: int) -> List[Discord]:
         with obs.span("discords.profile"):
             mp = compute_with(engine, t, length, context=ctx)
         return per_length_candidates(mp.profile, length, k)
 
-    def _selection() -> List[Discord]:
-        pool = [c for length in sorted(computed) for c in computed[length]]
-        return select_top_k(pool, k)
+    computed = {scan[0]: candidates_at(scan[0])}
+    pruned: Dict[int, float] = {}
+    selection = _selection(computed, k)
+    for length, upper, _ in _bound_pass(t, ctx, scan, p, n_jobs):
+        # Until the selection holds k entries, *any* candidate could
+        # still enter it, so nothing may be pruned.
+        threshold = (
+            selection[k - 1].normalized_distance if len(selection) == k else -math.inf
+        )
+        upper *= 1.0 + UB_RELATIVE_SLACK
+        if upper < threshold:
+            pruned[length] = upper
+            continue
+        computed[length] = candidates_at(length)
+        selection = _selection(computed, k)
+    return _certify(computed, pruned, candidates_at, k)
 
-    base = scan[0]
-    computed[base] = _candidates_at(base)
-    selection = _selection()
 
-    if len(scan) > 1:
-        # The candidate values above came from the caller's engine; the
-        # bound store additionally needs the listDP bookkeeping, which
-        # only the Algorithm 3 pass produces.
-        with obs.span("discords.listdp"):
-            _, store = compute_matrix_profile(
-                t, base, p, n_jobs=n_jobs, context=ctx
-            )
-        for length in range(base + 1, scan[-1] + 1):
-            with obs.span("discords.advance"):
-                store.advance_to(length, t)
-            if length not in scan_set:
-                continue
-            # Until the selection holds k entries, *any* candidate could
-            # still enter it, so nothing may be pruned.
-            threshold = (
-                selection[k - 1].normalized_distance
-                if len(selection) == k
-                else -math.inf
-            )
+def _bound_pass(
+    t: FloatArray,
+    ctx: SeriesContext,
+    scan: Sequence[int],
+    p: int,
+    n_jobs: Optional[int],
+) -> Iterator[Tuple[int, float, IntArray]]:
+    """Yield ``(length, U_l, store.neighbor)`` for the scanned lengths > ``scan[0]``.
+
+    One Algorithm 3 pass at ``scan[0]`` builds the listDP store; every
+    later length up to ``scan[-1]`` is reached by the O(n p) dot-product
+    advance, and only scanned lengths are bounded.  Lazy, so the sweep
+    interleaves the advance with its profile computations.
+    """
+    if len(scan) < 2:
+        return
+    with obs.span("discords.listdp"):
+        _, store = compute_matrix_profile(t, scan[0], p, n_jobs=n_jobs, context=ctx)
+    scan_set = frozenset(scan)
+    for length in range(scan[0] + 1, scan[-1] + 1):
+        with obs.span("discords.advance"):
+            store.advance_to(length, t)
+        if length in scan_set:
             upper = length_upper_bound(store.neighbor, store.qt, ctx, length)
-            if upper * (1.0 + UB_RELATIVE_SLACK) < threshold:
-                pruned[length] = upper
-                continue
-            computed[length] = _candidates_at(length)
-            selection = _selection()
+            yield length, upper, store.neighbor
 
-        # Certification loop: the sweep pruned against running
-        # thresholds; re-validate every pruned length against the final
-        # one, recomputing violators until the fixpoint described in the
-        # module docstring.
-        while pruned:
-            selection = _selection()
-            if len(selection) == k:
-                threshold = selection[k - 1].normalized_distance
-                violating = sorted(
-                    length
-                    for length, upper in pruned.items()
-                    if upper * (1.0 + UB_RELATIVE_SLACK) >= threshold
-                )
-            else:
-                violating = sorted(pruned)
-            if not violating:
-                break
-            for length in violating:
-                computed[length] = _candidates_at(length)
-                del pruned[length]
+
+def _certify(
+    computed: Dict[int, List[Discord]],
+    pruned: Dict[int, float],
+    candidates_at: Callable[[int], List[Discord]],
+    k: int,
+) -> List[Discord]:
+    """Certification fixpoint over the ``pruned`` lengths, then count once.
+
+    ``computed`` maps the lengths already evaluated to their candidates;
+    ``pruned`` maps the others to their ``U_l``, already inflated by the
+    caller's slack.  Re-validates every pruned length against the
+    current threshold and recomputes all violators at once, until the
+    fixpoint described in the module docstring.  Both dicts are updated
+    in place.
+    """
+    while pruned:
+        selection = _selection(computed, k)
+        if len(selection) == k:
+            threshold = selection[k - 1].normalized_distance
+            violating = sorted(
+                length for length, upper in pruned.items() if upper >= threshold
+            )
+        else:
+            violating = sorted(pruned)
+        if not violating:
+            break
+        for length in violating:
+            computed[length] = candidates_at(length)
+            del pruned[length]
 
     if obs.enabled():
-        obs.add("discords.lengths.swept", len(scan))
+        obs.add("discords.lengths.swept", len(computed) + len(pruned))
         obs.add("discords.profiles.recomputed", len(computed))
         obs.add("discords.profiles.pruned", len(pruned))
         for length in computed:
@@ -264,4 +276,9 @@ def find_discords_pruned(
         for length in pruned:
             obs.add(f"discords.profiles.pruned.l{length}")
 
-    return _selection()
+    return _selection(computed, k)
+
+
+def _selection(computed: Dict[int, List[Discord]], k: int) -> List[Discord]:
+    pool = [c for length in sorted(computed) for c in computed[length]]
+    return select_top_k(pool, k)

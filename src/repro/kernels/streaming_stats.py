@@ -1,4 +1,4 @@
-"""Incrementally-extended per-window statistics for the streaming engines.
+"""The streaming window shared by both streaming engines.
 
 :class:`~repro.kernels.context.SeriesContext` caches one
 ``moving_mean_std`` array pair per length for a *fixed* series; a
@@ -8,6 +8,15 @@ counterpart: it owns an amortized-growth buffer of the current window
 and, for every length in ``[l_min, l_max]``, per-window mean/std arrays
 that are *extended in place* — one exact O(l) window computation per
 length per append, never a full recompute.
+
+It also owns the trailing dot-product row at ``l_min`` (the newest
+window against every window), extended per append by the STAMPI
+recurrence and recomputed exactly by ``np.correlate`` on a drift
+schedule: every ``max(REANCHOR_EVERY, l_min)`` appends, and at once
+when a value jumps the window's magnitude by
+:data:`MAGNITUDE_REANCHOR_FACTOR` (the recurrence's cancellation error
+scales with the squared magnitude).  ``streaming.qt.reanchors`` counts
+the scheduled recomputes.
 
 Numerical contract: every per-window value is computed directly on the
 window slice (``window.mean()`` / ``window.var()``), which is exactly
@@ -34,6 +43,18 @@ from repro.types import FloatArray
 
 __all__ = ["StreamingSeriesStats"]
 
+#: recompute the trailing dot-product row exactly at least this often
+#: (in appends).  Long windows stretch the period to ``l_min`` appends:
+#: each recurrence step adds a few roundings of the squared magnitude to
+#: an entry, so ``l_min`` steps stay within the error order of the exact
+#: ``l_min``-term dot product, while the O(n * l_min) recompute costs
+#: O(n) per append amortized, the order of the recurrence itself.
+REANCHOR_EVERY = 64
+
+#: an appended value this many times larger than anything in the window
+#: forces an immediate exact recompute of the trailing row.
+MAGNITUDE_REANCHOR_FACTOR = 1e3
+
 
 def _capacity_for(n: int) -> int:
     cap = 64
@@ -43,11 +64,12 @@ def _capacity_for(n: int) -> int:
 
 
 class StreamingSeriesStats:
-    """Growing window buffer plus per-length running window statistics.
+    """Growing window buffer, per-length window statistics, trailing QT row.
 
-    Supports :meth:`append` (O(sum of lengths) exact window stats),
-    :meth:`evict` (slide the retained window left), and zero-copy
-    :meth:`mean_std` views per length.  All arrays are float64.
+    Supports :meth:`append` (O(sum of lengths) exact window stats plus an
+    O(n) row update), :meth:`evict` (slide the retained window left), and
+    zero-copy :meth:`mean_std` / :meth:`trailing_qt` views.  All arrays
+    are float64.
     """
 
     @require(series=series_like(), l_min=positive_int(), l_max=positive_int())
@@ -77,11 +99,22 @@ class StreamingSeriesStats:
             sigma_buf[: sigma.size] = sigma
             self._mu[length] = mu_buf
             self._sigma[length] = sigma_buf
+        self._qt = np.empty(self._cap, dtype=np.float64)
+        self._qt_tmp = np.empty(self._cap, dtype=np.float64)
+        self._qt[: t.size - self.l_min + 1] = self._exact_qt()
+        self._since_anchor = 0
+        self._reanchor_every = max(REANCHOR_EVERY, self.l_min)
+        self._scale = max(1.0, float(np.abs(t).max()))
 
     @property
     def n_points(self) -> int:
         """Number of points currently retained."""
         return self._n
+
+    @property
+    def capacity(self) -> int:
+        """Points the buffers hold before the next doubling."""
+        return self._cap
 
     def series(self) -> FloatArray:
         """Read-only view of the current window (no copy)."""
@@ -101,16 +134,24 @@ class StreamingSeriesStats:
                 new = np.empty(self._cap, dtype=np.float64)
                 new[:count] = table[length][:count]
                 table[length] = new
+        qt = np.empty(self._cap, dtype=np.float64)
+        qt[: self._n - self.l_min + 1] = self._qt[: self._n - self.l_min + 1]
+        self._qt = qt
+        self._qt_tmp = np.empty(self._cap, dtype=np.float64)
 
     def append(self, value: float) -> None:
-        """Ingest one point, extending every per-length stats array."""
-        if not np.isfinite(value):
+        """Ingest one point, extending every stats array and the trailing row."""
+        if not math.isfinite(value):
             raise InvalidParameterError(
                 f"appended value must be finite, got {value}"
             )
+        value = float(value)
+        magnitude = abs(value)
+        force_anchor = magnitude > MAGNITUDE_REANCHOR_FACTOR * self._scale
+        self._scale = max(self._scale, magnitude)
         if self._n + 1 > self._cap:
             self._grow()
-        self._buf[self._n] = float(value)
+        self._buf[self._n] = value
         self._n += 1
         n = self._n
         for length in range(self.l_min, self.l_max + 1):
@@ -121,6 +162,30 @@ class StreamingSeriesStats:
             sigma = math.sqrt(max(float(window.var()), 0.0))
             self._mu[length][n - length] = mu
             self._sigma[length][n - length] = sigma
+
+        self._since_anchor += 1
+        rows = n - self.l_min + 1
+        if force_anchor or self._since_anchor >= self._reanchor_every:
+            obs.add("streaming.qt.reanchors")
+            self._since_anchor = 0
+            self._qt[:rows] = self._exact_qt()
+            return
+        # STAMPI: the new row follows from the previous one by the STOMP
+        # recurrence run along the row.  It reads every previous entry, so
+        # it writes into the second buffer and the two swap.
+        t = self._buf[:n]
+        l_min = self.l_min
+        new = rows - 1
+        qt = self._qt_tmp
+        qt[1:rows] = (
+            self._qt[:new] - t[:new] * t[new - 1] + t[l_min : l_min + new] * t[n - 1]
+        )
+        qt[0] = float(np.dot(t[:l_min], t[new:]))
+        self._qt, self._qt_tmp = qt, self._qt
+
+    def _exact_qt(self) -> FloatArray:
+        t = self._buf[: self._n]
+        return np.correlate(t, t[self._n - self.l_min :], mode="valid")
 
     def evict(self, count: int) -> None:
         """Retire the ``count`` oldest points (slide the window left)."""
@@ -134,6 +199,9 @@ class StreamingSeriesStats:
                 f"than l_max={self.l_max} points"
             )
         n = self._n
+        # the magnitude scale is the window's maximum |value| (floored at
+        # 1), so it only moves when an evicted point attains it
+        rescale = float(np.abs(self._buf[:count]).max()) >= self._scale
         self._buf[: n - count] = self._buf[count:n]
         for length in range(self.l_min, self.l_max + 1):
             windows = n - length + 1
@@ -142,7 +210,11 @@ class StreamingSeriesStats:
             for table in (self._mu, self._sigma):
                 arr = table[length]
                 arr[: windows - count] = arr[count:windows]
+        rows = n - self.l_min + 1
+        self._qt[: rows - count] = self._qt[count:rows]
         self._n = n - count
+        if rescale:
+            self._scale = max(1.0, float(np.abs(self._buf[: self._n]).max()))
 
     def mean_std(self, length: int) -> tuple:
         """(mu, sigma) views over the current window's length-``l`` windows."""
@@ -156,3 +228,9 @@ class StreamingSeriesStats:
                 f"window of {self._n} points has no length-{length} subsequences"
             )
         return self._mu[length][:count], self._sigma[length][:count]
+
+    def trailing_qt(self) -> FloatArray:
+        """Read-only view: the newest ``l_min`` window dotted with every window."""
+        view = self._qt[: self._n - self.l_min + 1]
+        view.flags.writeable = False
+        return view

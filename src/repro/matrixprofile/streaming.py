@@ -7,13 +7,15 @@ it improve existing entries.  Total cost per append is O(n) with the
 incremental dot-product update — the same recurrence STOMP uses, rotated
 90 degrees.
 
-All per-append state lives in hoisted, amortized-doubling scratch
-buffers (series, window statistics, trailing QT, profile/index): an
-append allocates nothing beyond the distance row, and the window
-statistics are extended with one exact O(l) computation instead of a
-per-append context rebuild.  The ``streaming.buffer.regrows`` counter
-proves the amortization (log₂ growths over any run) and
-``stats.cache.misses`` stays flat across appends.
+The window, its statistics and the trailing dot-product row live in a
+:class:`~repro.kernels.streaming_stats.StreamingSeriesStats`, the same
+streaming core :class:`~repro.matrixprofile.streaming_valmod.StreamingValmod`
+uses: amortized-doubling buffers, one exact O(l) stats computation per
+append instead of a per-append context rebuild, and the STAMPI
+recurrence re-anchored exactly on a drift schedule.  The
+``streaming.buffer.regrows`` counter proves the amortization (log₂
+growths over any run) and ``stats.cache.misses`` stays flat across
+appends.
 
 With ``max_points=`` the engine keeps a sliding window: the oldest
 points are retired after each append, surviving rows whose recorded
@@ -29,7 +31,6 @@ the variable-length generalization lives in
 
 from __future__ import annotations
 
-import math
 from typing import Optional, Sequence
 
 import numpy as np
@@ -37,12 +38,12 @@ import numpy as np
 from repro import obs
 from repro.distance.profile import apply_exclusion_zone, distance_profile_from_qt
 from repro.distance.znorm import as_series
-from repro.kernels.context import ensure_context
 from repro.exceptions import (
     InvalidParameterError,
     NotComputedError,
     WindowTooSmallError,
 )
+from repro.kernels.streaming_stats import StreamingSeriesStats
 from repro.lint.contracts import optional, positive_int, require, series_like
 from repro.matrixprofile.exclusion import exclusion_zone_half_width
 from repro.matrixprofile.index import MatrixProfile
@@ -95,59 +96,29 @@ class StreamingMatrixProfile:
                 )
         self._max_points = max_points
         self._start = 0
-        self._n = t.size
-        self._cap = 64
-        while self._cap < 2 * t.size:
-            self._cap *= 2
-        self._buf = np.empty(self._cap, dtype=np.float64)
-        self._buf[: t.size] = t
-        self._mu = np.empty(self._cap, dtype=np.float64)
-        self._sigma = np.empty(self._cap, dtype=np.float64)
-        self._qt = np.empty(self._cap, dtype=np.float64)
-        self._qt_tmp = np.empty(self._cap, dtype=np.float64)
-        self._profile: Optional[np.ndarray] = None
-        self._index: Optional[np.ndarray] = None
-        self._rebuild()
-        if self._max_points is not None and self._n > self._max_points:
-            self._evict(self._n - self._max_points)
-
-    def _rebuild(self) -> None:
-        t = self._buf[: self._n]
-        n_subs = self._n - self.length + 1
+        self._window = StreamingSeriesStats(t, self.length, self.length)
         from repro.matrixprofile.stomp import stomp
 
-        ctx = ensure_context(t.copy())
-        mp = stomp(ctx.series, self.length, context=ctx)
-        profile = np.full(self._cap, np.inf, dtype=np.float64)
-        index = np.full(self._cap, -1, dtype=np.int64)
-        profile[:n_subs] = mp.profile
-        index[:n_subs] = mp.index
-        self._profile = profile
-        self._index = index
-        mu, sigma = ctx.moving_mean_std(self.length)
-        self._mu[:n_subs] = mu
-        self._sigma[:n_subs] = sigma
-        # Dot products of the LAST subsequence against all others; the
-        # append recurrence extends this vector in O(n).
-        self._qt[:n_subs] = ctx.sliding_dot_product(ctx.series[n_subs - 1 :])
-
-    def _grow(self) -> None:
-        obs.add("streaming.buffer.regrows")
-        new_cap = self._cap * 2
-        for name in ("_buf", "_mu", "_sigma", "_qt", "_qt_tmp",
-                     "_profile", "_index"):
-            old = getattr(self, name)
-            new = np.empty(new_cap, dtype=old.dtype)
-            new[: self._cap] = old
-            setattr(self, name, new)
-        self._cap = new_cap
+        mp = stomp(t, self.length)
+        # profile/index share the window's capacity and grow with it
+        n_subs = self.n_subsequences
+        self._profile: Optional[np.ndarray] = np.empty(
+            self._window.capacity, dtype=np.float64
+        )
+        self._index: Optional[np.ndarray] = np.empty(
+            self._window.capacity, dtype=mp.index.dtype
+        )
+        self._profile[:n_subs] = mp.profile
+        self._index[:n_subs] = mp.index
+        if self._max_points is not None and t.size > self._max_points:
+            self._evict(t.size - self._max_points)
 
     def __len__(self) -> int:
-        return self._n
+        return self._window.n_points
 
     @property
     def n_subsequences(self) -> int:
-        return self._n - self.length + 1
+        return self._window.n_points - self.length + 1
 
     @property
     def window_start(self) -> int:
@@ -166,46 +137,27 @@ class StreamingMatrixProfile:
         with obs.span("streaming.append"):
             obs.add("streaming.appends")
             self._append(float(value))
-            if self._max_points is not None and self._n > self._max_points:
-                self._evict(self._n - self._max_points)
+            if self._max_points is not None and len(self) > self._max_points:
+                self._evict(len(self) - self._max_points)
 
     def _append(self, value: float) -> None:
-        if self._n + 1 > self._cap:
-            self._grow()
-        self._buf[self._n] = value
-        self._n += 1
-        n = self._n
+        window = self._window
+        window.append(value)
         length = self.length
-        t = self._buf[:n]
-        n_subs = n - length + 1
+        mu, sigma = window.mean_std(length)
+        n_subs = mu.size
         new = n_subs - 1  # offset of the subsequence that just appeared
-
-        # Window statistics: one exact O(l) computation for the newest
-        # window — identical precision to the batch "suspicious window"
-        # recompute path, so no per-append context rebuild is needed.
-        window = t[n - length : n]
-        mu_new = float(window.mean())
-        sigma_new = math.sqrt(max(float(window.var()), 0.0))
-        self._mu[new] = mu_new
-        self._sigma[new] = sigma_new
-
-        # Extend the trailing-QT vector: QT_new[j] relates to the
-        # previous last subsequence's QT by the STOMP recurrence run
-        # backwards along the new row.  Ping-pong between two hoisted
-        # buffers (the recurrence reads all previous entries).
-        prev_qt = self._qt[: n_subs - 1]
-        qt = self._qt_tmp
-        qt[1:n_subs] = (
-            prev_qt
-            - t[: n_subs - 1] * t[new - 1]
-            + t[length : length + n_subs - 1] * t[n - 1]
-        )
-        qt[0] = float(np.dot(t[:length], t[new:]))
-        self._qt, self._qt_tmp = self._qt_tmp, self._qt
-
+        cap = window.capacity
+        if self._profile.size < cap:
+            # the window just doubled (counted in streaming.buffer.regrows)
+            for name in ("_profile", "_index"):
+                old = getattr(self, name)
+                grown = np.empty(cap, dtype=old.dtype)
+                grown[: old.size] = old
+                setattr(self, name, grown)
         row = distance_profile_from_qt(
-            qt[:n_subs], length, mu_new, sigma_new,
-            self._mu[:n_subs], self._sigma[:n_subs],
+            window.trailing_qt(), length, float(mu[new]), float(sigma[new]),
+            mu, sigma,
         )
         lo = max(0, new - self._zone + 1)
         row[lo:] = np.inf
@@ -225,20 +177,17 @@ class StreamingMatrixProfile:
     def _evict(self, count: int) -> None:
         """Retire the ``count`` oldest points and repair orphaned rows."""
         length = self.length
-        remaining = self._n - count
+        remaining = len(self) - count
         if remaining < 2 * length:
             raise WindowTooSmallError(
                 f"evicting {count} points would leave {remaining} < "
                 f"{2 * length} needed for length {length}"
             )
         obs.add("streaming.entries.evicted", count)
-        n_subs_old = self._n - length + 1
-        n_subs = n_subs_old - count
-        self._buf[:remaining] = self._buf[count : self._n]
-        self._n = remaining
+        n_subs = self.n_subsequences - count
+        self._window.evict(count)
         self._start += count
-        for name in ("_mu", "_sigma", "_qt", "_profile", "_index"):
-            arr = getattr(self, name)
+        for arr in (self._profile, self._index):
             arr[:n_subs] = arr[count : count + n_subs]
         profile = self._profile
         index = self._index
@@ -253,9 +202,8 @@ class StreamingMatrixProfile:
         stale = np.flatnonzero(had_neighbor & (idx < 0))
         if stale.size:
             obs.add("streaming.rows.repaired", int(stale.size))
-            t = self._buf[: self._n]
-            mu = self._mu[:n_subs]
-            sigma = self._sigma[:n_subs]
+            t = self._window.series()
+            mu, sigma = self._window.mean_std(length)
             for j in stale:
                 j = int(j)
                 qt_row = np.correlate(t, t[j : j + length], mode="valid")
@@ -289,4 +237,4 @@ class StreamingMatrixProfile:
 
     def series(self) -> np.ndarray:
         """A copy of the current series window."""
-        return self._buf[: self._n].copy()
+        return self._window.series().copy()

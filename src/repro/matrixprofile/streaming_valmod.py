@@ -5,14 +5,15 @@
 paper's whole length range ``[l_min, l_max]``, with optional sliding-
 window eviction (``max_points=``).  It is built as two layers:
 
-**Eager layer (per append, O(L·n) vector work).**  One trailing QT row
-is maintained at ``l_min`` by the STAMPI recurrence (re-anchored exactly
-on a drift schedule) and advanced across lengths by the VALMOD shift-add
-``QT_{l+1}[j] = QT_l[j+1] + t[j]·t[n-l-1]``.  From each per-length
-distance row of the *newest* subsequence the layer maintains:
+**Eager layer (per append, O(L·n) vector work).**  The streaming window
+(:class:`~repro.kernels.streaming_stats.StreamingSeriesStats`, shared
+with :class:`~repro.matrixprofile.streaming.StreamingMatrixProfile`)
+maintains the trailing QT row at ``l_min`` by the STAMPI recurrence,
+re-anchored exactly on a drift schedule; it is advanced across lengths
+by the VALMOD shift-add ``QT_{l+1}[j] = QT_l[j+1] + t[j]·t[n-l-1]``.
+From each per-length distance row of the *newest* subsequence the layer
+maintains:
 
-* best-so-far VALMP entries (normalized distance / length / neighbor
-  per position) merged exactly as Algorithm 2 does;
 * per-length *discord upper bounds* ``U_l`` — the MAD machinery of
   :mod:`repro.core.discords_variable` flipped online: each position's
   nearest-neighbor distance only shrinks under appends, so the running
@@ -33,15 +34,16 @@ the *streaming-vs-batch differential wall* — is anchored here:
   cell values would differ at the last bit from a fresh batch run;
   materializing through the batch code path is what makes the wall
   hold bitwise.)
-* :meth:`discords` runs a warm-start pruned sweep: lengths whose
-  maintained bound (inflated by :data:`STREAMING_UB_SLACK`) falls
-  strictly below the running k-th threshold are skipped; every other
-  length is recomputed on the current window with the same registered
-  engine the batch driver uses.  By the certification argument of
-  ``docs/DISCORDS.md`` the selection is bitwise identical to
-  :func:`~repro.core.discords_variable.find_discords_pruned` — pruning
-  with valid bounds affects cost, never output.  Cold starts seed the
-  bounds from the same listDP store the batch driver builds.
+* :meth:`discords` runs the batch driver's certification fixpoint,
+  seeded with the lengths of the previous selection and fed the
+  maintained bounds (inflated by :data:`STREAMING_UB_SLACK`): lengths
+  whose bound falls strictly below the k-th threshold are skipped;
+  every other length is recomputed on the current window with the same
+  registered engine the batch driver uses.  By the certification
+  argument of ``docs/DISCORDS.md`` the selection is bitwise identical
+  to :func:`~repro.core.discords_variable.find_discords_pruned` —
+  pruning with valid bounds affects cost, never output.  Cold starts
+  take the bounds from the batch driver's own bound pass.
 
 Coordinates: positions in materialized results are window-relative
 (identical to a batch run on :meth:`series`); :attr:`window_start`
@@ -57,14 +59,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import obs
-from repro.core.compute_mp import compute_matrix_profile
-from repro.core.discords import (  # repro-lint: ignore[R009] - streaming engine composes motif+discord maintenance by design; the façade wraps it
-    Discord,
-    per_length_candidates,
-    select_top_k,
-)
-from repro.core.discords_variable import length_upper_bound  # repro-lint: ignore[R009] - shares the MAD bound machinery with the batch driver
-from repro.core.valmod import DEFAULT_P, Valmod, ValmodResult
+from repro.core.discords import Discord, per_length_candidates
+from repro.core.discords_variable import _bound_pass, _certify
+from repro.core.valmod import DEFAULT_P, Valmod, ValmodResult  # repro-lint: ignore[R009] - streaming engine composes motif+discord maintenance by design; the façade wraps it
 from repro.distance.profile import distance_profile_from_qt
 from repro.distance.znorm import as_series
 from repro.exceptions import (
@@ -94,14 +91,6 @@ __all__ = ["StreamingValmod", "StreamEvent", "STREAMING_UB_SLACK"]
 #: batch listDP dot products.  Inflating only ever converts a prune
 #: into a recompute — exactness never depends on this value.
 STREAMING_UB_SLACK = 1e-6
-
-#: recompute the trailing QT row exactly every this many appends.
-_ANCHOR_EVERY = 64
-
-#: a single appended value this many times larger than anything seen in
-#: the window forces an immediate exact re-anchor (the recurrence's
-#: cancellation error scales with the squared magnitude).
-_MAGNITUDE_ANCHOR_FACTOR = 1e3
 
 #: retained change events; the oldest are dropped (and counted) beyond.
 _EVENT_QUEUE_MAX = 4096
@@ -201,14 +190,6 @@ class StreamingValmod:
             length: math.sqrt(length) for length in lengths
         }
 
-        # trailing QT row at l_min (dots of the newest subsequence
-        # against every window), extended by the STAMPI recurrence.
-        self._last_qt = np.correlate(
-            t, t[t.size - self.l_min :], mode="valid"
-        ).astype(np.float64)
-        self._since_anchor = 0
-        self._scale = max(1.0, float(np.abs(t).max()))
-
         # per-length eager state (+inf == unknown / not prunable)
         self._discord_ub: Dict[int, float] = {length: math.inf for length in lengths}
         self._ub_support: Dict[int, int] = {length: -1 for length in lengths}
@@ -216,16 +197,6 @@ class StreamingValmod:
         self._motif_members: Dict[int, Optional[Tuple[int, int]]] = {
             length: None for length in lengths
         }
-
-        # eager VALMP arrays (window-relative positions, absolute neighbors)
-        count = t.size - self.l_min + 1
-        self._vl_cap = 1
-        while self._vl_cap < 2 * count:
-            self._vl_cap *= 2
-        self._vl_norm = np.full(self._vl_cap, np.inf, dtype=np.float64)
-        self._vl_raw = np.full(self._vl_cap, np.inf, dtype=np.float64)
-        self._vl_len = np.zeros(self._vl_cap, dtype=np.int64)
-        self._vl_nbr = np.full(self._vl_cap, -1, dtype=np.int64)
 
         self._events: List[StreamEvent] = []
         self._motif_cache: Optional[Tuple[int, ValmodResult]] = None
@@ -310,40 +281,12 @@ class StreamingValmod:
             self.append(value)
 
     def _ingest(self, value: float) -> None:
-        force_anchor = abs(value) > _MAGNITUDE_ANCHOR_FACTOR * self._scale
-        self._scale = max(self._scale, abs(value))
         self._stats.append(value)
         self._total += 1
         t = self._stats.series()
         n = t.size
         l_min = self.l_min
-        n_subs = n - l_min + 1
-
-        self._since_anchor += 1
-        if force_anchor or self._since_anchor >= _ANCHOR_EVERY:
-            qt = np.correlate(t, t[n - l_min :], mode="valid").astype(np.float64)
-            obs.add("streaming.qt.reanchors")
-            self._since_anchor = 0
-        else:
-            prev = self._last_qt
-            new = n_subs - 1
-            qt = np.empty(n_subs, dtype=np.float64)
-            qt[1:] = (
-                prev
-                - t[: n_subs - 1] * t[new - 1]
-                + t[l_min : l_min + n_subs - 1] * t[n - 1]
-            )
-            qt[0] = float(np.dot(t[:l_min], t[new:]))
-        self._last_qt = qt
-
-        self._grow_valmp(n_subs)
-        # the new l_min position starts unknown
-        self._vl_norm[n_subs - 1] = np.inf
-        self._vl_raw[n_subs - 1] = np.inf
-        self._vl_len[n_subs - 1] = 0
-        self._vl_nbr[n_subs - 1] = -1
-
-        qt_l = qt
+        qt_l = self._stats.trailing_qt()
         updated = 0
         for length in range(l_min, self.l_max + 1):
             if length > l_min:
@@ -385,35 +328,7 @@ class StreamingValmod:
                         f"pair ({self._start + j}, {self._start + owner}) "
                         f"at normalized distance {norm_d:.6f}",
                     )
-            # Algorithm 2 merge of this row into the eager VALMP
-            norm_row = row * math.sqrt(1.0 / length)
-            prefix = row.size
-            improved = norm_row < self._vl_norm[:prefix]
-            if improved.any():
-                self._vl_norm[:prefix][improved] = norm_row[improved]
-                self._vl_raw[:prefix][improved] = row[improved]
-                self._vl_len[:prefix][improved] = length
-                self._vl_nbr[:prefix][improved] = self._start + owner
-            if norm_d < self._vl_norm[owner]:
-                self._vl_norm[owner] = norm_d
-                self._vl_raw[owner] = d
-                self._vl_len[owner] = length
-                self._vl_nbr[owner] = self._start + j
         obs.add("streaming.lengths.updated", updated)
-
-    def _grow_valmp(self, count: int) -> None:
-        if count <= self._vl_cap:
-            return
-        obs.add("streaming.buffer.regrows")
-        new_cap = self._vl_cap
-        while new_cap < count:
-            new_cap *= 2
-        for name in ("_vl_norm", "_vl_raw", "_vl_len", "_vl_nbr"):
-            old = getattr(self, name)
-            new = np.empty(new_cap, dtype=old.dtype)
-            new[: self._vl_cap] = old
-            setattr(self, name, new)
-        self._vl_cap = new_cap
 
     def _evict(self, count: int) -> None:
         remaining = self._stats.n_points - count
@@ -425,16 +340,6 @@ class StreamingValmod:
         obs.add("streaming.entries.evicted", count)
         self._stats.evict(count)
         self._start += count
-        self._last_qt = self._last_qt[count:]
-        vl_count = self._stats.n_points - self.l_min + 1
-        for arr in (self._vl_norm, self._vl_raw, self._vl_len, self._vl_nbr):
-            arr[:vl_count] = arr[count : count + vl_count]
-        stale = self._vl_nbr[:vl_count] < self._start
-        if stale.any():
-            self._vl_norm[:vl_count][stale] = np.inf
-            self._vl_raw[:vl_count][stale] = np.inf
-            self._vl_len[:vl_count][stale] = 0
-            self._vl_nbr[:vl_count][stale] = -1
         for length in range(self.l_min, self.l_max + 1):
             support = self._ub_support[length]
             if support >= 0 and support < self._start:
@@ -444,7 +349,6 @@ class StreamingValmod:
             if members is not None and min(members) < self._start:
                 self._motif_best[length] = math.inf
                 self._motif_members[length] = None
-        self._scale = max(1.0, float(np.abs(self._stats.series()).max()))
         self._emit(
             "window-evicted",
             0,
@@ -518,15 +422,6 @@ class StreamingValmod:
                 self._start + pair.a,
                 self._start + pair.b,
             )
-        valmp = result.valmp
-        count = valmp.n_profiles
-        self._grow_valmp(count)
-        self._vl_norm[:count] = valmp.norm_distances
-        self._vl_raw[:count] = valmp.distances
-        self._vl_len[:count] = valmp.lengths
-        known = valmp.indices >= 0
-        nbr = np.where(known, valmp.indices + self._start, -1)
-        self._vl_nbr[:count] = nbr
         best = result.best_motif_pair()
         sig = (best.length, self._start + best.a, self._start + best.b,
                best.distance)
@@ -578,7 +473,6 @@ class StreamingValmod:
     ) -> List[Discord]:
         scan = list(range(self.l_min, self.l_max + 1))
         k = self.k_discords
-        computed: Dict[int, List[Discord]] = {}
 
         def candidates_at(length: int) -> List[Discord]:
             with obs.span("discords.profile"):
@@ -594,67 +488,33 @@ class StreamingValmod:
                 self._ub_support[length] = -1
             return per_length_candidates(mp.profile, length, k)
 
-        def selection_of() -> List[Discord]:
-            pool = [c for length in sorted(computed) for c in computed[length]]
-            return select_top_k(pool, k)
-
+        computed: Dict[int, List[Discord]] = {}
         if all(math.isinf(self._discord_ub[length]) for length in scan):
-            # Cold start: one base profile + the listDP pass, exactly
-            # like the batch driver, recording the bounds it derives.
-            base = scan[0]
-            computed[base] = candidates_at(base)
-            if len(scan) > 1:
-                with obs.span("discords.listdp"):
-                    _, store = compute_matrix_profile(
-                        t, base, self.p, n_jobs=self._n_jobs, context=ctx
-                    )
-                for length in range(base + 1, scan[-1] + 1):
-                    with obs.span("discords.advance"):
-                        store.advance_to(length, t)
-                    if length in computed:
-                        continue
-                    upper = length_upper_bound(
-                        store.neighbor, store.qt, ctx, length
-                    )
-                    self._discord_ub[length] = upper
-                    self._ub_support[length] = self._listdp_support(
-                        store.neighbor, t.size, length, upper
-                    )
-
-        for length in sorted(set(self._warm_lengths) & set(scan)):
+            # Cold start: the batch driver's base profile and bound pass,
+            # recording the bounds it derives.
+            computed[scan[0]] = candidates_at(scan[0])
+            for length, upper, neighbor in _bound_pass(
+                t, ctx, scan, self.p, self._n_jobs
+            ):
+                self._discord_ub[length] = upper
+                self._ub_support[length] = self._listdp_support(
+                    neighbor, t.size, length, upper
+                )
+        for length in self._warm_lengths:
             if length not in computed:
                 computed[length] = candidates_at(length)
 
-        while True:
-            selection = selection_of()
-            if len(selection) == k:
-                threshold = selection[k - 1].normalized_distance
-                violating = sorted(
-                    length
-                    for length in scan
-                    if length not in computed
-                    and self._discord_ub[length] * (1.0 + STREAMING_UB_SLACK)
-                    >= threshold
-                )
-            else:
-                violating = sorted(
-                    length for length in scan if length not in computed
-                )
-            if not violating:
-                break
-            for length in violating:
-                computed[length] = candidates_at(length)
-
-        selection = selection_of()
-        if obs.enabled():
-            obs.add("discords.lengths.swept", len(scan))
-            obs.add("discords.profiles.recomputed", len(computed))
-            obs.add("discords.profiles.pruned", len(scan) - len(computed))
-            for length in computed:
-                obs.add(f"discords.profiles.recomputed.l{length}")
-            for length in scan:
-                if length not in computed:
-                    obs.add(f"discords.profiles.pruned.l{length}")
+        bounds = {
+            length: self._discord_ub[length] * (1.0 + STREAMING_UB_SLACK)
+            for length in scan
+            if length not in computed
+        }
+        # Every bound is known up front, so there is no ascending pass:
+        # each unevaluated length starts pruned, and the fixpoint
+        # recomputes at once every one whose bound reaches the seed
+        # threshold.  Each recompute also tightens that length's
+        # maintained bound to the exact maximum for later refreshes.
+        selection = _certify(computed, bounds, candidates_at, k)
         self._warm_lengths = sorted({d.length for d in selection})
         return selection
 
@@ -675,28 +535,6 @@ class StreamingValmod:
         if valid.size == 0:
             return -1
         return self._start + int(valid.min())
-
-    # ------------------------------------------------------------------
-    # eager snapshots (approximate, no materialization)
-
-    def valmp_snapshot(self) -> Dict[str, np.ndarray]:
-        """Best-known VALMP state without materializing a batch run.
-
-        Entries are upper bounds on the exact VALMP of the current
-        window (exact immediately after :meth:`motifs`); neighbors are
-        window-relative, ``-1`` where unknown (e.g. after the neighbor
-        was evicted).
-        """
-        count = self._stats.n_points - self.l_min + 1
-        nbr = self._vl_nbr[:count].copy()
-        known = nbr >= 0
-        nbr[known] -= self._start
-        return {
-            "norm_distances": self._vl_norm[:count].copy(),
-            "distances": self._vl_raw[:count].copy(),
-            "lengths": self._vl_len[:count].copy(),
-            "neighbors": nbr,
-        }
 
     def discord_bounds(self) -> Dict[int, float]:
         """Maintained per-length normalized discord upper bounds."""

@@ -103,7 +103,7 @@ COUNTERS: Dict[str, str] = {
     "streaming.entries.evicted": "profile/VALMP entries retired by window eviction",
     "streaming.rows.repaired": "evicted-neighbor rows recomputed exactly after eviction",
     "streaming.buffer.regrows": "amortized capacity doublings of hoisted scratch buffers",
-    "streaming.qt.reanchors": "trailing QT rows recomputed exactly (drift schedule)",
+    "streaming.qt.reanchors": "trailing QT rows recomputed exactly by the shared streaming window (both streaming engines)",
     "streaming.events.dropped": "change events discarded because the event queue was full",
     # features façade / store
     "features.cache.hits": "feature-store lookups served from disk",

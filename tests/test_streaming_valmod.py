@@ -260,6 +260,64 @@ class TestEventsAndObs:
         # the maintained bounds must rule out most lengths on a warm pass
         assert warm_pruned > warm_recomputed
 
+    def test_cold_discords_evaluate_the_batch_lengths(self):
+        """A fresh stream's first discords() evaluates the batch's lengths.
+
+        Both run the same bound pass; the stream certifies from the base
+        length's threshold, the batch prunes against a running one, and
+        on this series the two evaluate the same 14 of 25 lengths.
+        """
+        n = 1000
+        rng = np.random.default_rng([1, 0])
+        series = np.sin(np.linspace(0.0, 0.02 * np.pi * n, n))
+        series += 0.05 * rng.standard_normal(n)
+        for q in (1, 3, 5):  # spikes at three sine phases
+            pos = (q * n) // 8 + 11 * q
+            series[pos : pos + 6] += np.hanning(6)
+
+        def evaluated(run):
+            with obs.tracing(True):
+                obs.reset()
+                run()
+                counters = dict(obs.snapshot()["counters"])
+            prefix = "discords.profiles.recomputed.l"
+            return sorted(
+                int(name[len(prefix):]) for name in counters if name.startswith(prefix)
+            )
+
+        stream = StreamingValmod(series, 36, 60, p=P, k_discords=3)
+        streamed = evaluated(stream.discords)
+        batch = evaluated(
+            lambda: find_discords_pruned(stream.series(), 36, 60, k=3, p=P)
+        )
+        assert streamed == batch
+        assert 36 in batch and len(batch) < 60 - 36 + 1  # some lengths pruned
+
+    def test_eviction_refresh_recomputes_every_reached_length(self, feed):
+        """Pins ``discord_bounds()`` after the eviction wall's refresh.
+
+        The refresh certifies from its seed threshold: every length whose
+        bound reaches it is recomputed at once -- here all seven -- so
+        each maintained bound becomes that length's exact profile maximum.
+        A sweep that pruned against a running threshold would skip
+        length 15 and leave its looser listDP bound in place.
+        """
+        from repro.matrixprofile.registry import compute_with
+
+        stream = StreamingValmod(
+            feed[:200], L_MIN, L_MAX, p=P, k_discords=K, max_points=240
+        )
+        stream.extend(feed[200:])
+        with obs.tracing(True):
+            obs.reset()
+            stream.discords()
+            counters = dict(obs.snapshot()["counters"])
+        assert counters["discords.profiles.recomputed"] == L_MAX - L_MIN + 1
+        window = stream.series()
+        for length, bound in stream.discord_bounds().items():
+            profile = compute_with(DEFAULT_ENGINE, window, length).profile
+            assert bound == float(profile.max()) / math.sqrt(length)
+
     def test_bound_invariant_vs_batch_profiles(self, feed):
         """Maintained bounds are true upper bounds of the exact maxima."""
         from repro.matrixprofile.registry import compute_with
