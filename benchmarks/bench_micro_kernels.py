@@ -9,9 +9,13 @@ schedule (``micro_stomp_blocked_vs_rowwise``).
 The blocked-vs-rowwise comparison persists cells/second numbers to
 ``benchmarks/results/BENCH_micro_stomp_blocked_vs_rowwise.json``; CI
 runs it in smoke mode (``REPRO_BENCH_FAST=1``), the full n=16384/l=256
-measurement is committed alongside the kernel.
+measurement is committed alongside the kernel, next to short-window rows
+(n=2000 at l=32 and l=64) where ``blocked_stomp`` scores through its GEMM
+path.  Run it with one BLAS thread (``OPENBLAS_NUM_THREADS=1``) to match
+the benchmark of record.
 """
 
+import os
 import time
 
 import numpy as np
@@ -98,6 +102,9 @@ SMOKE_N, SMOKE_LENGTH = 3_072, 64
 #: floor for blocked-f64 over rowwise at the default block size (full mode).
 MIN_SPEEDUP = 2.0
 
+#: short windows, at or below DIRECT_DOT_MAX: blocked_stomp's GEMM path.
+SHORT_N, SHORT_LENGTHS = 2_000, (32, 64)
+
 
 def _best_seconds(fn, rounds):
     """Min-of-rounds wall clock: robust to scheduler noise on small boxes."""
@@ -146,6 +153,31 @@ def test_micro_stomp_blocked_vs_rowwise(benchmark):
         blocked_mp.profile, reference.profile, rtol=0.0, atol=1e-8
     )
 
+    short_series = bench_dataset("ECG", SHORT_N, seed=7)
+    short_ctx = SeriesContext(short_series)
+    short_rows = []
+    for short_length in SHORT_LENGTHS:
+        rowwise_mp = stomp(short_series, short_length, context=short_ctx)
+        np.testing.assert_allclose(
+            blocked_stomp(short_series, short_length, context=short_ctx).profile,
+            rowwise_mp.profile, rtol=0.0, atol=1e-8,
+        )
+        short_rowwise = _best_seconds(
+            lambda: stomp(short_series, short_length, context=short_ctx), 3
+        )
+        short_blocked = _best_seconds(
+            lambda: blocked_stomp(short_series, short_length, context=short_ctx), 3
+        )
+        short_rows.append(
+            {
+                "series_size": SHORT_N,
+                "length": short_length,
+                "rowwise_seconds": short_rowwise,
+                "blocked_seconds": short_blocked,
+                "speedup_vs_rowwise": short_rowwise / short_blocked,
+            }
+        )
+
     rowwise_seconds = rows[0][1]
     payload = {
         "bench": "micro_stomp_blocked_vs_rowwise",
@@ -155,7 +187,9 @@ def test_micro_stomp_blocked_vs_rowwise(benchmark):
         "cells": int(cells),
         "default_block_rows": int(DEFAULT_BLOCK_ROWS),
         "smoke": smoke,
+        "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
         "engines": [],
+        "short_windows": short_rows,
     }
     report_rows = []
     default_speedup = None
@@ -179,7 +213,18 @@ def test_micro_stomp_blocked_vs_rowwise(benchmark):
         format_table(
             ["engine", "seconds", "cells/second", "speedup vs rowwise"], report_rows
         )
-        + f"\nseries={series.size} length={length} cells={cells} smoke={smoke}",
+        + f"\nseries={series.size} length={length} cells={cells} smoke={smoke}\n"
+        + format_table(
+            ["series", "length", "rowwise s", "blocked s", "speedup vs rowwise"],
+            [
+                (
+                    str(row["series_size"]), str(row["length"]),
+                    f"{row['rowwise_seconds']:.4f}", f"{row['blocked_seconds']:.4f}",
+                    f"{row['speedup_vs_rowwise']:.2f}x",
+                )
+                for row in short_rows
+            ],
+        ),
     )
     save_result_json("BENCH_micro_stomp_blocked_vs_rowwise", payload)
 

@@ -1,4 +1,4 @@
-"""Blocked diagonal STOMP: the QT recurrence vectorized over row blocks.
+"""Blocked STOMP: the matrix profile scored a block of rows at a time.
 
 Serial STOMP (:mod:`repro.matrixprofile.stomp`) pays one Python iteration
 per row, and inside it roughly a dozen full-row NumPy temporaries: the
@@ -8,49 +8,63 @@ single core the run is memory-bound — the distance work streams several
 freshly allocated row-sized arrays per row.
 
 This kernel restructures the work around blocks of ``B = block_rows``
-rows.  In *sheared* coordinates the rolling update loses its column
-shift: with ``S[k, m] = QT[r0 + k][m + k]`` the recurrence
+rows.  A block's dot products come from one of two sources, cut at
+``DIRECT_DOT_MAX`` (the cut the one-row sliding dot product and the
+partial recompute's GEMM already make):
 
-    QT[i][j] = QT[i-1][j-1] - t[i-1] t[j-1] + t[i+l-1] t[j+l-1]
+* **Short windows** (``l <= DIRECT_DOT_MAX``): one GEMM per block over
+  the z-normalised windows.  ``Z = (W - mu) / sigma`` is built once per
+  call, with the rows of constant windows zeroed, and ``Z[r0:r1] @ Z.T``
+  is ``l * corr`` for the whole block.  There is no recurrence and
+  nothing to re-anchor: the arithmetic is the brute-force oracle's
+  (z-normalise each window, then take dot products), batched.  The GEMM
+  costs ``O(n l)`` per row against the recurrence's ``O(n)``;
+  docs/ENGINES.md gives the measurements behind the cut.
+* **Long windows**: the QT recurrence in *sheared* coordinates, where
+  the rolling update loses its column shift: with
+  ``S[k, m] = QT[r0 + k][m + k]`` the recurrence
 
-reads ``S[k] = S[k-1] + delta_k`` where every ``delta_k`` is a plain
-window of the (padded) series times two scalars — zero-copy sliding
-windows shared by the whole block.  Per block the kernel therefore:
+      QT[i][j] = QT[i-1][j-1] - t[i-1] t[j-1] + t[i+l-1] t[j+l-1]
 
-* builds each increment row with two full-width multiplies of the
-  block's shared window views (no shifted reads, no per-row slicing
-  arithmetic), seeds the diagonal entering at column 0 from
-  ``qt_first``, and accumulates it onto its predecessor while both rows
-  are cache-resident — the block-chained cumulative sum of the shear;
-* scores each accumulated row against per-column factors computed once
-  per call, in *ranking* space: ``rank_j = QT_j / sigma_j - mu_i l
-  mu_j / sigma_j`` equals ``corr_ij * l * sigma_i``, a positive per-row
-  multiple of the correlation, so its argmax is the row's nearest
-  neighbor and only the B winning cells ever pay the clip/sqrt of
-  Eq. 3.  All scratch buffers are preallocated once per call.
+  reads ``S[k] = S[k-1] + delta_k`` where every ``delta_k`` is a plain
+  window of the (padded) series times two scalars — zero-copy sliding
+  windows shared by the whole block.  Each increment row is built with
+  two full-width multiplies, seeded with the diagonal entering at
+  column 0 from ``qt_first``, and accumulated onto its predecessor while
+  both rows are cache-resident.  Each accumulated row is scored in
+  *ranking* space: ``rank_j = QT_j / sigma_j - mu_i l mu_j / sigma_j``
+  equals ``corr_ij * l * sigma_i``, a positive per-row multiple of the
+  correlation, so its argmax is the row's nearest neighbor.
+
+Both paths end every block in one epilogue (:func:`_finish_block`): the
+rows' winning ``l * corr`` values pay Eq. 3's clip and sqrt in one
+vectorised pass.  All scratch buffers are preallocated once per call.
 
 Numerical behavior:
 
-* The QT recurrence stays in float64 and the re-anchoring schedule of
-  :func:`repro.matrixprofile.stomp.stomp_reanchor_rows` is honored by
-  force-starting a new block (with an exactly summed row) at every anchor
-  row, so the drift bound of the serial engine applies per block chain.
-  Within a block the sheared accumulation groups the additions
-  differently than the serial per-row update, so results agree with
-  serial STOMP to rounding (and with ``brute`` within the differential
-  harness tolerance), not bitwise.
+* The short path matches the oracle to rounding, large DC offsets
+  included: it never forms ``QT - l mu_i mu_j``.
+* On the long path the QT recurrence stays in float64 and the
+  re-anchoring schedule of :func:`repro.matrixprofile.stomp.stomp_reanchor_rows`
+  is honored by force-starting a new block (with an exactly summed row)
+  at every anchor row, so the drift bound of the serial engine applies
+  per block chain.  Within a block the sheared accumulation groups the
+  additions differently than the serial per-row update, so results
+  agree with serial STOMP to rounding (and with ``brute`` within the
+  differential harness tolerance), not bitwise.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from repro import obs
-from repro.types import FloatArray
+from repro.types import BoolArray, FloatArray, IntArray
 
-from repro.distance.sliding import validate_subsequence_length
+from repro.distance.sliding import DIRECT_DOT_MAX, validate_subsequence_length
 from repro.distance.znorm import CONSTANT_EPS
 from repro.exceptions import InvalidParameterError
 from repro.kernels.context import SeriesContext
@@ -68,17 +82,206 @@ __all__ = ["blocked_stomp", "DEFAULT_BLOCK_ROWS"]
 DEFAULT_BLOCK_ROWS = 64
 
 
-def _finish_value(
-    profile: FloatArray, index: np.ndarray, i: int, corr: float, j: int, length: int
+def _finish_block(
+    profile: FloatArray,
+    index: IntArray,
+    rows: slice,
+    lcorr: FloatArray,
+    nbr: IntArray,
+    length: int,
 ) -> None:
-    """Write one profile entry from the winning correlation."""
-    if not np.isfinite(corr):
-        profile[i] = np.inf
-        index[i] = -1
-        return
-    c = min(max(corr, -1.0), 1.0)
-    profile[i] = (max(2.0 * length * (1.0 - c), 0.0)) ** 0.5
-    index[i] = j
+    """Write a block's profile entries from each row's winning ``l * corr``.
+
+    A row whose every column is excluded carries ``-inf`` and reports no
+    neighbor.  Clipping to ``[-l, l]`` keeps ``l - lcorr`` non-negative.
+    """
+    found = np.isfinite(lcorr)
+    np.clip(lcorr, -length, length, out=lcorr)
+    profile[rows] = np.where(found, np.sqrt(2.0 * (length - lcorr)), np.inf)
+    index[rows] = np.where(found, nbr, -1)
+
+
+def _gemm_blocks(
+    t: FloatArray,
+    length: int,
+    mu: FloatArray,
+    sigma: FloatArray,
+    window_const: BoolArray,
+    zone: int,
+    block_rows: int,
+    profile: FloatArray,
+    index: IntArray,
+) -> int:
+    """Short-window path: score each block from one GEMM; returns blocks."""
+    n_subs = mu.size
+    z = sliding_window_view(t, length) - mu[:, None]
+    z /= np.maximum(sigma, CONSTANT_EPS)[:, None]
+    z[window_const] = 0.0
+    const_cols = np.flatnonzero(window_const)
+    half = 0.5 * length
+
+    # Each scores row is one row's l*corr with ``pad`` columns of -inf on
+    # either side, so the exclusion band of local row k starts at column
+    # r0 + k and the whole band is one sheared view.
+    pad = zone - 1
+    scores = np.full((min(block_rows, n_subs), n_subs + 2 * pad), -np.inf)
+    row_step, col_step = scores.strides
+    blocks = 0
+    for r0 in range(0, n_subs, block_rows):
+        r1 = min(r0 + block_rows, n_subs)
+        b_rows = r1 - r0
+        g = scores[:b_rows]
+        lcorr = g[:, pad : pad + n_subs]
+        np.matmul(z[r0:r1], z.T, out=lcorr)
+        if const_cols.size:
+            # Constant windows: distance 0 to each other, sqrt(l) to
+            # everything else, i.e. l*corr of l and l/2.
+            lcorr[:, const_cols] = half
+            own = np.flatnonzero(window_const[r0:r1])
+            lcorr[own] = half
+            lcorr[np.ix_(own, const_cols)] = length
+        band = as_strided(
+            g[0, r0:], shape=(b_rows, 2 * zone - 1), strides=(row_step + col_step, col_step)
+        )
+        band.fill(-np.inf)
+        j = g.argmax(axis=1)
+        best = g[np.arange(b_rows), j]
+        _finish_block(profile, index, slice(r0, r1), best, j - pad, length)
+        blocks += 1
+    return blocks
+
+
+def _sheared_blocks(
+    t: FloatArray,
+    length: int,
+    mu: FloatArray,
+    sigma: FloatArray,
+    window_const: BoolArray,
+    zone: int,
+    block_rows: int,
+    qt_first: FloatArray,
+    profile: FloatArray,
+    index: IntArray,
+) -> Tuple[int, int]:
+    """Long-window path: the sheared recurrence; returns (blocks, anchors)."""
+    # Engines live in repro.matrixprofile, above this package at import
+    # time (stomp imports SeriesContext); resolve them at call time.
+    from repro.matrixprofile.stomp import exact_qt_row, stomp_reanchor_rows
+
+    n = t.size
+    n_subs = mu.size
+    anchor_list = [int(a) for a in stomp_reanchor_rows(t, length, sigma)]
+    anchor_set = frozenset(anchor_list)
+
+    # Per-column ranking factors, computed once per call:
+    #   rank[i, j] = QT[i, j] * c1[j] - mu_i * c2[j] = corr_ij * l * sigma_i
+    # and lc_scale[i] takes a row's winning rank to l * corr.  Constant
+    # query rows are scored in l * corr directly (scale 1).
+    invsig = 1.0 / np.maximum(sigma, CONSTANT_EPS)
+    c1 = invsig
+    c2 = length * mu * invsig
+    lc_scale = np.where(window_const, 1.0, invsig)
+    any_window_const = bool(window_const.any())
+
+    # Padded series: tp[x + pad] == t[x], zeros outside.  Lets the sheared
+    # increment rows be plain windows even where they cover out-of-range
+    # diagonals (those cells only pollute rows that are never extracted).
+    pad = min(block_rows, n_subs)
+    tp = np.zeros(n + 2 * pad, dtype=np.float64)
+    tp[pad : pad + n] = t
+
+    # Scratch, allocated once per call and reused by every block.
+    width_max = n_subs + pad - 1
+    block = np.empty((pad, width_max), dtype=np.float64)
+    tmprow = np.empty(width_max, dtype=np.float64)
+    buf = np.empty(n_subs, dtype=np.float64)
+    buf2 = np.empty(n_subs, dtype=np.float64)
+    best = np.empty(pad, dtype=np.float64)
+    nbr = np.empty(pad, dtype=np.int64)
+
+    heads = t[: n_subs - 1]
+    tails = t[length : length + n_subs - 1]
+
+    carry: Optional[FloatArray] = None
+    blocks = 0
+    r0 = 0
+    next_anchor = 0
+    while r0 < n_subs:
+        r1 = min(r0 + block_rows, n_subs)
+        # The drift schedule is respected at block boundaries: every
+        # anchor row starts a new block with an exactly summed row.
+        while next_anchor < len(anchor_list) and anchor_list[next_anchor] <= r0:
+            next_anchor += 1
+        if next_anchor < len(anchor_list) and anchor_list[next_anchor] < r1:
+            r1 = anchor_list[next_anchor]
+        b_rows = r1 - r0
+        width = n_subs + b_rows - 1
+        blocks += 1
+
+        # --- row r0 of the block: full QT via the serial update --------
+        if r0 == 0:
+            row0 = qt_first
+        elif r0 in anchor_set:
+            row0 = exact_qt_row(t, r0, length)
+            row0[0] = qt_first[r0]
+        else:
+            # carry is always set here: every non-anchor r0 > 0 follows
+            # a completed block that stored its last QT row.
+            np.subtract(carry[:-1], heads * t[r0 - 1], out=buf2[1:])
+            buf2[1:] += tails * t[r0 + length - 1]
+            buf2[0] = qt_first[r0]
+            row0 = buf2
+        s = block[:b_rows, :width]
+        s[0, : b_rows - 1] = 0.0
+        s[0, b_rows - 1 :] = row0[:n_subs]
+
+        # Shared zero-copy window views for the block's increments.
+        if b_rows > 1:
+            base = pad - b_rows
+            m1 = sliding_window_view(tp, width)[base + 1 : base + b_rows]
+            m2 = sliding_window_view(tp[length:], width)[base + 1 : base + b_rows]
+            a_coef = t[r0 : r1 - 1]
+            b_coef = t[r0 + length : r1 + length - 1]
+
+        # --- build, accumulate and score row by row --------------------
+        # Each row is materialized, chained onto its predecessor and
+        # scored while both stay cache-hot; the shear keeps every
+        # operation a full-width contiguous vector op.
+        for k in range(b_rows):
+            i = r0 + k
+            shift = b_rows - 1 - k
+            if k > 0:
+                row = s[k]
+                np.multiply(m1[k - 1], -a_coef[k - 1], out=row)
+                np.multiply(m2[k - 1], b_coef[k - 1], out=tmprow[:width])
+                row += tmprow[:width]
+                # Seed the diagonal entering at column 0, zero the
+                # j < 0 cells, then advance the sheared cumsum.
+                row[:shift] = 0.0
+                row[shift] = qt_first[i]
+                row += s[k - 1]
+            lo = max(0, i - zone + 1)
+            hi = min(n_subs, i + zone)
+            if window_const[i]:
+                # Constant query: distance 0 to constant windows,
+                # sqrt(l) to everything else (scale-free ranking).
+                buf.fill(0.5 * length)
+                buf[window_const] = length
+            else:
+                np.multiply(s[k, shift : shift + n_subs], c1, out=buf)
+                np.multiply(c2, mu[i], out=buf2)
+                buf -= buf2
+                if any_window_const:
+                    buf[window_const] = 0.5 * length * sigma[i]
+            buf[lo:hi] = -np.inf
+            j = int(np.argmax(buf))
+            best[k] = buf[j]
+            nbr[k] = j
+        lcorr = best[:b_rows] * lc_scale[r0:r1]
+        _finish_block(profile, index, slice(r0, r1), lcorr, nbr[:b_rows], length)
+        carry = np.array(s[b_rows - 1, :n_subs])
+        r0 = r1
+    return blocks, len(anchor_list)
 
 
 @require(series=series_like(min_length=4), length=positive_int())
@@ -94,19 +297,16 @@ def blocked_stomp(
     Parameters
     ----------
     block_rows:
-        Rows advanced per sheared block (``B``).  ``B=1`` degenerates to
-        a rowwise schedule; any ``B`` larger than the number of
-        subsequences processes everything in one block.  All block sizes
-        produce the same profile up to rounding.
+        Rows scored per block (``B``).  ``B=1`` degenerates to a rowwise
+        schedule; any ``B`` larger than the number of subsequences
+        processes everything in one block.  All block sizes produce the
+        same profile up to rounding.
     context:
         Optional :class:`SeriesContext`; pass one to reuse cached window
         statistics and the cached series FFT across calls and lengths.
     """
-    # Engines live in repro.matrixprofile, above this package at import
-    # time (stomp imports SeriesContext); resolve them at call time.
     from repro.matrixprofile.exclusion import contributing_cells, exclusion_zone_half_width
     from repro.matrixprofile.index import MatrixProfile
-    from repro.matrixprofile.stomp import exact_qt_row, stomp_reanchor_rows
 
     if block_rows < 1:
         raise InvalidParameterError(
@@ -114,136 +314,34 @@ def blocked_stomp(
         )
     ctx = SeriesContext.ensure(series, context, min_length=4)
     t = ctx.series
-    n = t.size
-    n_subs = validate_subsequence_length(n, length)
+    n_subs = validate_subsequence_length(t.size, length)
     mu, sigma = ctx.moving_mean_std(length)
     zone = exclusion_zone_half_width(length)
-    qt_first = ctx.sliding_dot_product(t[:length])
-    anchors = stomp_reanchor_rows(t, length, sigma)
-    anchor_list = [int(a) for a in anchors]
-    anchor_set = frozenset(anchor_list)
-
-    # Per-column ranking factors, computed once per call:
-    #   rank[i, j] = QT[i, j] * c1[j] - mu_i * c2[j] = corr_ij * l * sigma_i
-    invsig = 1.0 / np.maximum(sigma, CONSTANT_EPS)
-    c1 = invsig
-    lmu = length * mu
-    c2 = lmu * invsig
     window_const = sigma < CONSTANT_EPS
-    any_window_const = bool(window_const.any())
-    inv_l = 1.0 / length
+    gemm = length <= DIRECT_DOT_MAX
 
     if obs.enabled():
         obs.add("engine.rows", n_subs)
         obs.add("engine.cells", contributing_cells(n_subs, zone))
-        obs.add("kernel.reanchor_rows", len(anchor_list))
         obs.gauge("kernel.block_rows", block_rows)
-
-    # Padded series: tp[x + pad] == t[x], zeros outside.  Lets the sheared
-    # increment rows be plain windows even where they cover out-of-range
-    # diagonals (those cells only pollute rows that are never extracted).
-    pad = min(block_rows, n_subs)
-    tp = np.zeros(n + 2 * pad, dtype=np.float64)
-    tp[pad : pad + n] = t
-    win = np.lib.stride_tricks.sliding_window_view
-
-    # Scratch, allocated once per call and reused by every block.
-    width_max = n_subs + pad - 1
-    block = np.empty((pad, width_max), dtype=np.float64)
-    tmprow = np.empty(width_max, dtype=np.float64)
-    buf = np.empty(n_subs, dtype=np.float64)
-    buf2 = np.empty(n_subs, dtype=np.float64)
 
     profile = np.empty(n_subs, dtype=np.float64)
     index = np.empty(n_subs, dtype=np.int64)
-    heads = t[: n_subs - 1]
-    tails = t[length : length + n_subs - 1]
-
-    carry: Optional[FloatArray] = None
-    blocks = 0
     with obs.span("engine.blocked_stomp"):
-        r0 = 0
-        next_anchor = 0
-        while r0 < n_subs:
-            r1 = min(r0 + block_rows, n_subs)
-            # The drift schedule is respected at block boundaries: every
-            # anchor row starts a new block with an exactly summed row.
-            while next_anchor < len(anchor_list) and anchor_list[next_anchor] <= r0:
-                next_anchor += 1
-            if next_anchor < len(anchor_list) and anchor_list[next_anchor] < r1:
-                r1 = anchor_list[next_anchor]
-            b_rows = r1 - r0
-            width = n_subs + b_rows - 1
-            blocks += 1
-
-            # --- row r0 of the block: full QT via the serial update ----
-            if r0 == 0:
-                row0 = qt_first
-            elif r0 in anchor_set:
-                row0 = exact_qt_row(t, r0, length)
-                row0[0] = qt_first[r0]
-            else:
-                # carry is always set here: every non-anchor r0 > 0 follows
-                # a completed block that stored its last QT row.
-                np.subtract(carry[:-1], heads * t[r0 - 1], out=buf2[1:])
-                buf2[1:] += tails * t[r0 + length - 1]
-                buf2[0] = qt_first[r0]
-                row0 = buf2
-            s = block[:b_rows, :width]
-            s[0, : b_rows - 1] = 0.0
-            s[0, b_rows - 1 :] = row0[:n_subs]
-
-            # Shared zero-copy window views for the block's increments.
-            if b_rows > 1:
-                base = pad - b_rows
-                m1 = win(tp, width)[base + 1 : base + b_rows]
-                m2 = win(tp[length:], width)[base + 1 : base + b_rows]
-                a_coef = t[r0 : r1 - 1]
-                b_coef = t[r0 + length : r1 + length - 1]
-
-            # --- build, accumulate and score row by row ----------------
-            # Each row is materialized, chained onto its predecessor and
-            # scored while both stay cache-hot; the shear keeps every
-            # operation a full-width contiguous vector op.
-            for k in range(b_rows):
-                i = r0 + k
-                shift = b_rows - 1 - k
-                if k > 0:
-                    row = s[k]
-                    np.multiply(m1[k - 1], -a_coef[k - 1], out=row)
-                    np.multiply(m2[k - 1], b_coef[k - 1], out=tmprow[:width])
-                    row += tmprow[:width]
-                    # Seed the diagonal entering at column 0, zero the
-                    # j < 0 cells, then advance the sheared cumsum.
-                    row[:shift] = 0.0
-                    row[shift] = qt_first[i]
-                    row += s[k - 1]
-                qt_row = s[k, shift : shift + n_subs]
-                lo = max(0, i - zone + 1)
-                hi = min(n_subs, i + zone)
-                if window_const[i]:
-                    # Constant query: distance 0 to constant windows,
-                    # sqrt(l) to everything else (scale-free ranking).
-                    buf.fill(0.5)
-                    if any_window_const:
-                        buf[window_const] = 1.0
-                    buf[lo:hi] = -np.inf
-                    j = int(np.argmax(buf))
-                    _finish_value(profile, index, i, float(buf[j]), j, length)
-                    continue
-                np.multiply(qt_row, c1, out=buf)
-                np.multiply(c2, mu[i], out=buf2)
-                buf -= buf2
-                if any_window_const:
-                    buf[window_const] = 0.5 * length * sigma[i]
-                buf[lo:hi] = -np.inf
-                j = int(np.argmax(buf))
-                _finish_value(
-                    profile, index, i, float(buf[j]) * invsig[i] * inv_l, j, length
-                )
-            carry = np.array(s[b_rows - 1, :n_subs])
-            r0 = r1
+        if gemm:
+            blocks = _gemm_blocks(
+                t, length, mu, sigma, window_const, zone, block_rows, profile, index
+            )
+            anchors = 0
+        else:
+            blocks, anchors = _sheared_blocks(
+                t, length, mu, sigma, window_const, zone, block_rows,
+                ctx.sliding_dot_product(t[:length]), profile, index,
+            )
 
     if obs.enabled():
         obs.add("kernel.blocks", blocks)
+        obs.add("kernel.reanchor_rows", anchors)
+        if gemm:
+            obs.add("kernel.gemm_rows", n_subs)
     return MatrixProfile(profile=profile, index=index, length=length)

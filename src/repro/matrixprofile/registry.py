@@ -133,5 +133,8 @@ register_engine(
 register_engine(
     "blocked-stomp",
     lambda series, length, context: blocked_stomp(series, length, context=context),
-    description="cache-blocked diagonal STOMP kernel (default, fastest exact engine)",
+    description=(
+        "blocked STOMP kernel: GEMM over z-normalised windows up to 64 points, "
+        "sheared recurrence above (default, fastest exact engine)"
+    ),
 )

@@ -57,8 +57,9 @@ COUNTERS: Dict[str, str] = {
     "stamp.mass_rows": "rows computed via full MASS calls",
     "scrimp.diagonals": "diagonals visited by the SCRIMP schedule",
     # blocked kernel
-    "kernel.blocks": "sheared blocks processed by blocked_stomp",
+    "kernel.blocks": "row blocks processed by blocked_stomp",
     "kernel.reanchor_rows": "anchor rows that force-started a new block",
+    "kernel.gemm_rows": "rows blocked_stomp scored by GEMM over z-normalised windows",
     # series-context caches
     "stats.cache.hits": "moving mean/std lookups served from the context cache",
     "stats.cache.misses": "moving mean/std lookups computed fresh",

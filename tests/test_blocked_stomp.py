@@ -1,16 +1,19 @@
-"""Differential tests for the blocked diagonal STOMP kernel.
+"""Differential tests for the blocked STOMP kernel.
 
-The blocked backend (``repro.kernels.blocked``) restates the QT
-recurrence as a sheared block cumulative sum; these tests pin it to the
-brute-force oracle across the full block-size spectrum — ``B=1`` (the
-rowwise degenerate), interior sizes, the default, and ``B`` larger than
-the number of subsequences (one giant block).
+The blocked backend (``repro.kernels.blocked``) scores windows of at most
+``DIRECT_DOT_MAX`` points from a GEMM over z-normalised windows and
+longer ones from the QT recurrence as a sheared block cumulative sum;
+these tests pin both paths to the brute-force oracle across the full
+block-size spectrum — ``B=1`` (the rowwise degenerate), interior sizes,
+the default, and ``B`` larger than the number of subsequences (one giant
+block).  The ``-long`` fixtures sit above the cut, on the recurrence.
 """
 
 import numpy as np
 import pytest
 
 from repro import obs
+from repro.distance.sliding import DIRECT_DOT_MAX
 from repro.distance.znorm import znormalized_distance
 from repro.exceptions import InvalidParameterError
 from repro.kernels import DEFAULT_BLOCK_ROWS, SeriesContext, blocked_stomp
@@ -46,11 +49,25 @@ def _short_series():
     return rng.standard_normal(20), 10
 
 
+def _random_walk_long():
+    rng = np.random.default_rng(43)
+    return rng.standard_normal(500).cumsum(), 80
+
+
+def _constant_segment_long():
+    rng = np.random.default_rng(14)
+    series = rng.standard_normal(500).cumsum()
+    series[150:330] = series[150]
+    return series, 96
+
+
 FIXTURES = {
     "random-walk": _random_walk,
     "planted-motif": _planted_motif,
     "constant-segment": _constant_segment,
     "short": _short_series,
+    "random-walk-long": _random_walk_long,
+    "constant-segment-long": _constant_segment_long,
 }
 
 #: B=1 degenerates to rowwise, 7 is coprime with every anchor spacing,
@@ -132,6 +149,65 @@ class TestBlockedVsBrute:
         np.testing.assert_array_equal(mp.index, rowwise.index)
 
 
+    def test_reanchor_schedule_is_exercised_above_the_cut(self):
+        """The same drifting series at l > DIRECT_DOT_MAX, where the
+        sheared recurrence runs and must re-anchor mid-profile."""
+        rng = np.random.default_rng(3)
+        series = rng.standard_normal(800).cumsum() + 5e3
+        length = 96
+        assert length > DIRECT_DOT_MAX
+        _, sigma = SeriesContext(series).moving_mean_std(length)
+        anchors = stomp_reanchor_rows(series, length, sigma)
+        assert len(anchors) > 1, "fixture must actually trigger reanchoring"
+        reference = brute_force_matrix_profile(series, length)
+        with obs.tracing(True):
+            obs.reset()
+            mp = blocked_stomp(series, length)
+            counters = obs.snapshot()["counters"]
+        obs.reset()
+        obs.disable()
+        assert counters["kernel.reanchor_rows"] == len(anchors)
+        np.testing.assert_allclose(
+            mp.profile, reference.profile, atol=1e-6, rtol=0.0
+        )
+        rowwise = stomp(series, length)
+        np.testing.assert_allclose(
+            mp.profile, rowwise.profile, atol=1e-6, rtol=0.0
+        )
+        np.testing.assert_array_equal(mp.index, rowwise.index)
+
+    @pytest.mark.parametrize("length", [DIRECT_DOT_MAX, DIRECT_DOT_MAX + 1])
+    def test_both_sides_of_the_cut_match_brute(self, length):
+        """At the cut the GEMM path runs; one point above, the recurrence."""
+        rng = np.random.default_rng(21)
+        series = rng.standard_normal(400).cumsum()
+        series[200:300] = series[200]
+        reference = brute_force_matrix_profile(series, length)
+        with obs.tracing(True):
+            obs.reset()
+            mp = blocked_stomp(series, length, block_rows=7)
+            counters = obs.snapshot()["counters"]
+        obs.reset()
+        obs.disable()
+        n_subs = series.size - length + 1
+        if length <= DIRECT_DOT_MAX:
+            assert counters["kernel.gemm_rows"] == n_subs
+            assert counters["kernel.reanchor_rows"] == 0
+        else:
+            assert "kernel.gemm_rows" not in counters
+        _assert_matches_oracle(series, length, mp, reference)
+
+    def test_short_path_is_exact_on_a_large_offset(self):
+        """l <= DIRECT_DOT_MAX never forms QT - l*mu_i*mu_j, so a 1e8 DC
+        offset costs no accuracy against the oracle."""
+        series = np.random.default_rng(1).standard_normal(400) + 1e8
+        reference = brute_force_matrix_profile(series, 20)
+        mp = blocked_stomp(series, 20)
+        np.testing.assert_allclose(
+            mp.profile, reference.profile, atol=1e-9, rtol=0.0
+        )
+
+
 class TestContextIntegration:
     def test_shared_context_is_bitwise_neutral(self):
         series, length = _planted_motif()
@@ -155,6 +231,7 @@ class TestContextIntegration:
         assert counters["engine.rows"] == n_subs
         assert counters["kernel.blocks"] >= n_subs // 32
         assert snap["gauges"]["kernel.block_rows"] == 32
+        assert counters["kernel.gemm_rows"] == n_subs
 
 
 class TestValidation:

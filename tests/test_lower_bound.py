@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.lower_bound import (
     lower_bound_base,
@@ -79,21 +79,58 @@ class TestAdmissibility:
                 assert lb[j] <= true + 1e-7
 
 
+#: relative tolerance of the rank-preservation tie rule, on profiles
+#: scaled to their maximum.
+RANK_RTOL = 1e-9
+
+
+def _horizon_profiles(seed):
+    """Eq. 2 profiles of one owner at horizons k = 1 and k = 24."""
+    t = np.random.default_rng(seed).standard_normal(200)
+    owner, length = 40, 16
+    k_far = 24
+    n_target = t.size - (length + k_far) + 1
+    lb1 = lower_bound_profile(t, owner, length, 1)[:n_target]
+    lb2 = lower_bound_profile(t, owner, length, k_far)[:n_target]
+    return lb1, lb2
+
+
+def assert_same_ranking(lb1, lb2):
+    """``lb2`` orders the positions as ``lb1`` does, up to near-ties.
+
+    The horizons differ by a per-profile constant factor, so both are
+    scaled to their maximum first: the tie rule is then the same at every
+    horizon.  Walking ``lb1``'s order, ``lb2`` may never step down by more
+    than ``RANK_RTOL``.
+    """
+    a = lb1 / lb1.max()
+    b = lb2 / lb2.max()
+    steps = np.diff(b[np.argsort(a, kind="stable")])
+    assert steps.min() >= -RANK_RTOL, f"rank inversion of {-steps.min():.3g}"
+
+
 class TestRankPreservation:
     @given(st.integers(0, 2**31 - 1))
+    @example(1438454)
     @settings(max_examples=25, deadline=None)
     def test_lb_ordering_is_k_invariant(self, seed):
-        rng = np.random.default_rng(seed)
-        t = rng.standard_normal(200)
-        owner, length = 40, 16
-        k_far = 24
-        n_target = t.size - (length + k_far) + 1
-        lb1 = lower_bound_profile(t, owner, length, 1)[:n_target]
-        lb2 = lower_bound_profile(t, owner, length, k_far)[:n_target]
-        # argsort with a stable tiebreak must give identical permutations
-        order1 = np.lexsort((np.arange(n_target), np.round(lb1, 10)))
-        order2 = np.lexsort((np.arange(n_target), np.round(lb2, 10)))
-        np.testing.assert_array_equal(order1, order2)
+        assert_same_ranking(*_horizon_profiles(seed))
+
+    def test_rank_check_catches_an_inversion(self):
+        """The tie rule is not a loophole: two positions whose bounds differ
+        by far more than the tolerance, swapped at one horizon, fail."""
+        lb1, lb2 = _horizon_profiles(1438454)
+        order = np.argsort(lb2, kind="stable")
+        values = lb2[order]
+        gaps = np.diff(values) / lb2.max()
+        # the closest pair of adjacent ranks that is still well apart
+        real = np.flatnonzero(gaps > 1e3 * RANK_RTOL)
+        rank = real[np.argmin(gaps[real])]
+        inverted = lb2.copy()
+        inverted[order[rank]], inverted[order[rank + 1]] = values[rank + 1], values[rank]
+        assert_same_ranking(lb1, lb2)
+        with pytest.raises(AssertionError, match="rank inversion"):
+            assert_same_ranking(lb1, inverted)
 
     def test_scaling_between_horizons_is_constant(self):
         t = random_series(3, 300)
