@@ -16,7 +16,8 @@ from scratch on the identical window.  Results are asserted identical
 chunk by chunk (the differential wall, riding along in the benchmark).
 
 Persists ``benchmarks/results/BENCH_streaming_valmod.json`` with
-per-chunk cell counts for both drivers.  Committed full-mode baselines
+per-chunk cell counts for both drivers and the streaming append
+latency (p50 / p99 in microseconds, traced: the counters are on).  Committed full-mode baselines
 must show (a) the streaming total strictly below the batch total and
 (b) a warm-chunk cell ratio below ``MAX_WARM_RATIO`` — the amortized
 per-append cost flattens once the maintained bounds are warm, while
@@ -93,13 +94,17 @@ def test_streaming_vs_batch_recompute(benchmark):
             )
             stream_seconds = 0.0
             batch_seconds = 0.0
+            append_us = []
             for start in range(init, init + n_stream, chunk_size):
                 end = min(start + chunk_size, init + n_stream)
                 window = series[:end]
 
                 before = dict(obs.get_tracer().counters())
                 t0 = time.perf_counter()
-                stream.extend(series[start:end])
+                for value in series[start:end]:
+                    t1 = time.perf_counter()
+                    stream.append(value)
+                    append_us.append(1e6 * (time.perf_counter() - t1))
                 s_motifs = stream.motifs()
                 s_discords = stream.discords()
                 stream_seconds += time.perf_counter() - t0
@@ -125,9 +130,9 @@ def test_streaming_vs_batch_recompute(benchmark):
                         "batch_cells": _cells(mid, after),
                     }
                 )
-        return chunks, stream_seconds, batch_seconds
+        return chunks, stream_seconds, batch_seconds, append_us
 
-    chunks, stream_seconds, batch_seconds = benchmark.pedantic(
+    chunks, stream_seconds, batch_seconds, append_us = benchmark.pedantic(
         run, iterations=1, rounds=1
     )
 
@@ -158,6 +163,8 @@ def test_streaming_vs_batch_recompute(benchmark):
         "streaming_cells_per_append": streaming_total / appends_total,
         "batch_cells_per_append": batch_total / appends_total,
         "warm_cell_ratio": warm_ratio,
+        "append_p50_us": float(np.percentile(append_us, 50)),
+        "append_p99_us": float(np.percentile(append_us, 99)),
         "chunks": chunks,
     }
     save_report(
@@ -172,7 +179,9 @@ def test_streaming_vs_batch_recompute(benchmark):
         )
         + f"\ntotals: streaming {streaming_total} vs batch {batch_total} "
         f"cells over {appends_total} appends "
-        f"(warm ratio {warm_ratio:.2f}) smoke={smoke}",
+        f"(warm ratio {warm_ratio:.2f}) smoke={smoke}\n"
+        f"append latency: p50 {payload['append_p50_us']:.0f} us, "
+        f"p99 {payload['append_p99_us']:.0f} us",
     )
     save_result_json("BENCH_streaming_valmod", payload)
 

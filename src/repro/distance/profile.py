@@ -13,13 +13,21 @@ Constant windows are handled with the conventions documented in
 
 from __future__ import annotations
 
+from typing import Union
+
 import numpy as np
 
-from repro.types import FloatArray
+from repro.types import FloatArray, IntArray
 
 from repro.distance.znorm import CONSTANT_EPS, znormalized_distance
 from repro.exceptions import InvalidParameterError
-from repro.lint.contracts import int_at_least, positive_int, require, series_like
+from repro.lint.contracts import (
+    int_at_least,
+    positive_int,
+    positive_lengths,
+    require,
+    series_like,
+)
 
 __all__ = [
     "correlation_from_qt",
@@ -29,12 +37,12 @@ __all__ = [
 ]
 
 
-@require(length=positive_int())
+@require(length=positive_lengths())
 def correlation_from_qt(
     qt: FloatArray,
-    length: int,
-    mu_q: float,
-    sigma_q: float,
+    length: Union[int, IntArray],
+    mu_q: Union[float, FloatArray],
+    sigma_q: Union[float, FloatArray],
     mu: FloatArray,
     sigma: FloatArray,
 ) -> FloatArray:
@@ -44,21 +52,23 @@ def correlation_from_qt(
     ``mu_q`` / ``sigma_q`` the query statistics, ``mu`` / ``sigma`` the
     per-window statistics.  Windows where either side is constant get
     correlation 0 here; the distance kernel overrides them explicitly.
+    Broadcasts over rows like :func:`distance_profile_from_qt`.
     """
-    denom = length * sigma_q * sigma[: qt.size]
+    cols = qt.shape[-1]
+    denom = length * sigma_q * sigma[..., :cols]
     with np.errstate(divide="ignore", invalid="ignore"):
-        corr = (qt - length * mu_q * mu[: qt.size]) / denom
+        corr = (qt - length * mu_q * mu[..., :cols]) / denom
     corr[~np.isfinite(corr)] = 0.0
     np.clip(corr, -1.0, 1.0, out=corr)
     return corr
 
 
-@require(length=positive_int())
+@require(length=positive_lengths())
 def distance_profile_from_qt(
     qt: FloatArray,
-    length: int,
-    mu_q: float,
-    sigma_q: float,
+    length: Union[int, IntArray],
+    mu_q: Union[float, FloatArray],
+    sigma_q: Union[float, FloatArray],
     mu: FloatArray,
     sigma: FloatArray,
 ) -> FloatArray:
@@ -66,21 +76,27 @@ def distance_profile_from_qt(
 
     Applies the constant-window conventions: distance 0 when both the
     query and the window are constant, ``sqrt(l)`` when exactly one is.
+
+    Broadcasts over rows: with a ``(rows, n)`` stack of dot-product
+    rows, pass ``length``, ``mu_q`` and ``sigma_q`` as ``(rows, 1)``
+    columns and ``mu`` / ``sigma`` as ``(rows, >= n)`` stacks; each row
+    is then bitwise the 1-D profile of its own query.
     """
-    if length <= 0:
+    if np.asarray(length).min() <= 0:
         raise InvalidParameterError(f"length must be positive, got {length}")
-    sig = sigma[: qt.size]
-    query_const = sigma_q < CONSTANT_EPS
-    window_const = sig < CONSTANT_EPS
-    corr = correlation_from_qt(qt, length, mu_q, max(sigma_q, CONSTANT_EPS), mu, sigma)
-    dist_sq = 2.0 * length * (1.0 - corr)
-    np.maximum(dist_sq, 0.0, out=dist_sq)
-    profile = np.sqrt(dist_sq)
-    if query_const:
-        profile = np.where(window_const, 0.0, np.sqrt(length))
-        return np.asarray(profile, dtype=np.float64)
-    profile[window_const] = np.sqrt(length)
-    return profile
+    # A constant query's row is all conventions, so its sigma needs no
+    # floor: whatever the division leaves there is overwritten here.  The
+    # conventions are set as correlations, which the exact arithmetic
+    # below turns into distances: 1 gives 0 (both sides constant), 1/2
+    # gives 2l·(1 - 1/2) = l, so sqrt(l) (exactly one side constant).
+    corr = correlation_from_qt(qt, length, mu_q, sigma_q, mu, sigma)
+    window_const = sigma[..., : qt.shape[-1]] < CONSTANT_EPS
+    corr[window_const] = 1.0
+    corr[window_const != (sigma_q < CONSTANT_EPS)] = 0.5
+    profile = np.subtract(1.0, corr, out=corr)
+    profile *= 2.0 * length
+    np.maximum(profile, 0.0, out=profile)
+    return np.sqrt(profile, out=profile)
 
 
 @require(series=series_like(), start=int_at_least(0), length=positive_int())

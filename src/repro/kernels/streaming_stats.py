@@ -5,9 +5,12 @@
 streaming engine would have to rebuild that context (and recompute every
 window) on each append.  :class:`StreamingSeriesStats` is the streaming
 counterpart: it owns an amortized-growth buffer of the current window
-and, for every length in ``[l_min, l_max]``, per-window mean/std arrays
-that are *extended in place* — one exact O(l) window computation per
-length per append, never a full recompute.
+and two ``(L, capacity)`` tables of per-window means and standard
+deviations, ``L = l_max - l_min + 1``, row ``r`` holding length
+``l_min + r`` indexed by window start.  An append extends every row in
+place from the last ``l_max`` points in one batched O(L·l_max) pass —
+never a full recompute — and eviction or regrowth moves both tables
+with one 2-D slice copy each.
 
 It also owns the trailing dot-product row at ``l_min`` (the newest
 window against every window), extended per append by the STAMPI
@@ -18,14 +21,17 @@ when a value jumps the window's magnitude by
 scales with the squared magnitude).  ``streaming.qt.reanchors`` counts
 the scheduled recomputes.
 
-Numerical contract: every per-window value is computed directly on the
-window slice (``window.mean()`` / ``window.var()``), which is exactly
-the "suspicious window" recompute path ``moving_mean_std`` falls back to
-when prefix-sum cancellation bites (PR 1's noise-floor fix).  Streaming
-values therefore agree with the batch statistics to rounding error even
-on high-magnitude shelves — close enough for the eager bound layer,
-whose comparisons carry an explicit slack; the materialization paths
-recompute batch statistics on the window and never read these arrays.
+Numerical contract: the newest windows' statistics are computed directly
+on the window values, centred, in two passes — the L means from one
+suffix sum of the last ``l_max`` points, then each variance as the mean
+squared deviation from its own window mean — never as ``E[x²] - E[x]²``,
+whose prefix-sum cancellation is what forces ``moving_mean_std`` onto
+its "suspicious window" recompute path. Streaming values therefore agree
+with ``window.mean()`` / ``window.var()`` to rounding error — within a
+few ``eps·l·max|x|`` — even on high-magnitude shelves: close enough for
+the eager bound layer, whose comparisons carry an explicit slack; the
+materialization paths recompute batch statistics on the window and never
+read these tables.
 """
 
 from __future__ import annotations
@@ -66,10 +72,10 @@ def _capacity_for(n: int) -> int:
 class StreamingSeriesStats:
     """Growing window buffer, per-length window statistics, trailing QT row.
 
-    Supports :meth:`append` (O(sum of lengths) exact window stats plus an
-    O(n) row update), :meth:`evict` (slide the retained window left), and
-    zero-copy :meth:`mean_std` / :meth:`trailing_qt` views.  All arrays
-    are float64.
+    Supports :meth:`append` (one batched O(L·l_max) statistics pass plus
+    an O(n) row update), :meth:`evict` (slide the retained window left),
+    and zero-copy :meth:`mean_std` / :meth:`window_stats` /
+    :meth:`trailing_qt` views.  All arrays are float64.
     """
 
     @require(series=series_like(), l_min=positive_int(), l_max=positive_int())
@@ -89,16 +95,21 @@ class StreamingSeriesStats:
         self._cap = _capacity_for(t.size)
         self._buf = np.empty(self._cap, dtype=np.float64)
         self._buf[: self._n] = t
-        self._mu: dict = {}
-        self._sigma: dict = {}
-        for length in range(self.l_min, self.l_max + 1):
+        lengths = np.arange(self.l_min, self.l_max + 1)
+        self._lengths = lengths.astype(np.float64)
+        self._rows = np.arange(lengths.size)
+        # _in_window[r, c]: point c of the last l_max lies in the newest
+        # window of length l_min + r
+        self._in_window = (
+            np.arange(self.l_max) >= (self.l_max - lengths)[:, None]
+        ).astype(np.float64)
+        # zero-filled: entries past a row's last window stay finite
+        self._mu = np.zeros((lengths.size, self._cap), dtype=np.float64)
+        self._sigma = np.zeros((lengths.size, self._cap), dtype=np.float64)
+        for row, length in enumerate(range(self.l_min, self.l_max + 1)):
             mu, sigma = moving_mean_std(t, length)
-            mu_buf = np.empty(self._cap, dtype=np.float64)
-            sigma_buf = np.empty(self._cap, dtype=np.float64)
-            mu_buf[: mu.size] = mu
-            sigma_buf[: sigma.size] = sigma
-            self._mu[length] = mu_buf
-            self._sigma[length] = sigma_buf
+            self._mu[row, : mu.size] = mu
+            self._sigma[row, : sigma.size] = sigma
         self._qt = np.empty(self._cap, dtype=np.float64)
         self._qt_tmp = np.empty(self._cap, dtype=np.float64)
         self._qt[: t.size - self.l_min + 1] = self._exact_qt()
@@ -128,19 +139,19 @@ class StreamingSeriesStats:
         new_buf = np.empty(self._cap, dtype=np.float64)
         new_buf[: self._n] = self._buf[: self._n]
         self._buf = new_buf
-        for length in range(self.l_min, self.l_max + 1):
-            count = max(0, self._n - length + 1)
-            for table in (self._mu, self._sigma):
-                new = np.empty(self._cap, dtype=np.float64)
-                new[:count] = table[length][:count]
-                table[length] = new
+        width = self._n - self.l_min + 1
+        mu = np.zeros((self._rows.size, self._cap), dtype=np.float64)
+        sigma = np.zeros((self._rows.size, self._cap), dtype=np.float64)
+        mu[:, :width] = self._mu[:, :width]
+        sigma[:, :width] = self._sigma[:, :width]
+        self._mu, self._sigma = mu, sigma
         qt = np.empty(self._cap, dtype=np.float64)
-        qt[: self._n - self.l_min + 1] = self._qt[: self._n - self.l_min + 1]
+        qt[:width] = self._qt[:width]
         self._qt = qt
         self._qt_tmp = np.empty(self._cap, dtype=np.float64)
 
     def append(self, value: float) -> None:
-        """Ingest one point, extending every stats array and the trailing row."""
+        """Ingest one point, extending every stats row and the trailing row."""
         if not math.isfinite(value):
             raise InvalidParameterError(
                 f"appended value must be finite, got {value}"
@@ -154,14 +165,16 @@ class StreamingSeriesStats:
         self._buf[self._n] = value
         self._n += 1
         n = self._n
-        for length in range(self.l_min, self.l_max + 1):
-            if n < length:
-                continue
-            window = self._buf[n - length : n]
-            mu = float(window.mean())
-            sigma = math.sqrt(max(float(window.var()), 0.0))
-            self._mu[length][n - length] = mu
-            self._sigma[length][n - length] = sigma
+        # the newest window of every length ends at the new point; the
+        # window never holds fewer than l_max points, so all L exist
+        tail = self._buf[n - self.l_max : n]
+        mu = np.cumsum(tail[::-1])[self.l_min - 1 :] / self._lengths
+        dev = tail - mu[:, None]
+        dev *= self._in_window
+        var = np.einsum("ij,ij->i", dev, dev) / self._lengths
+        starts = n - self.l_min - self._rows
+        self._mu[self._rows, starts] = mu
+        self._sigma[self._rows, starts] = np.sqrt(np.maximum(var, 0.0))
 
         self._since_anchor += 1
         rows = n - self.l_min + 1
@@ -203,15 +216,10 @@ class StreamingSeriesStats:
         # 1), so it only moves when an evicted point attains it
         rescale = float(np.abs(self._buf[:count]).max()) >= self._scale
         self._buf[: n - count] = self._buf[count:n]
-        for length in range(self.l_min, self.l_max + 1):
-            windows = n - length + 1
-            if windows <= count:
-                continue
-            for table in (self._mu, self._sigma):
-                arr = table[length]
-                arr[: windows - count] = arr[count:windows]
-        rows = n - self.l_min + 1
-        self._qt[: rows - count] = self._qt[count:rows]
+        width = n - self.l_min + 1
+        self._mu[:, : width - count] = self._mu[:, count:width]
+        self._sigma[:, : width - count] = self._sigma[:, count:width]
+        self._qt[: width - count] = self._qt[count:width]
         self._n = n - count
         if rescale:
             self._scale = max(1.0, float(np.abs(self._buf[: self._n]).max()))
@@ -227,7 +235,18 @@ class StreamingSeriesStats:
             raise InvalidParameterError(
                 f"window of {self._n} points has no length-{length} subsequences"
             )
-        return self._mu[length][:count], self._sigma[length][:count]
+        row = length - self.l_min
+        return self._mu[row, :count], self._sigma[row, :count]
+
+    def window_stats(self) -> tuple:
+        """(mu, sigma) views of shape ``(L, n - l_min + 1)``, every length at once.
+
+        Row ``r`` holds length ``l_min + r`` by window start; its last
+        ``r`` entries lie past the row's final window and hold stale
+        finite values a caller must mask.
+        """
+        width = self._n - self.l_min + 1
+        return self._mu[:, :width], self._sigma[:, :width]
 
     def trailing_qt(self) -> FloatArray:
         """Read-only view: the newest ``l_min`` window dotted with every window."""

@@ -43,6 +43,7 @@ __all__ = [
     "float64_array",
     "finite_array",
     "positive_int",
+    "positive_lengths",
     "int_at_least",
     "number_in",
     "instance_of",
@@ -151,6 +152,22 @@ def positive_int() -> Predicate:
             return f"expected an int, got {type(value).__name__}"
         if int(value) <= 0:
             return f"expected a positive int, got {int(value)}"
+        return None
+
+    return check
+
+
+def positive_lengths() -> Predicate:
+    """A positive int, or an integer array of them (one length per row)."""
+    single = positive_int()
+
+    def check(value: Any) -> Optional[str]:
+        if not isinstance(value, np.ndarray):
+            return single(value)
+        if not np.issubdtype(value.dtype, np.integer):
+            return f"expected integer lengths, got dtype {value.dtype}"
+        if value.size and int(value.min()) <= 0:
+            return f"expected positive lengths, got {int(value.min())}"
         return None
 
     return check

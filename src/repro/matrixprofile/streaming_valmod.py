@@ -5,14 +5,22 @@
 paper's whole length range ``[l_min, l_max]``, with optional sliding-
 window eviction (``max_points=``).  It is built as two layers:
 
-**Eager layer (per append, O(L·n) vector work).**  The streaming window
+**Eager layer (per append, O(L·n) vector work in blocks of rows).**  The
+streaming window
 (:class:`~repro.kernels.streaming_stats.StreamingSeriesStats`, shared
 with :class:`~repro.matrixprofile.streaming.StreamingMatrixProfile`)
-maintains the trailing QT row at ``l_min`` by the STAMPI recurrence,
-re-anchored exactly on a drift schedule; it is advanced across lengths
-by the VALMOD shift-add ``QT_{l+1}[j] = QT_l[j+1] + t[j]·t[n-l-1]``.
-From each per-length distance row of the *newest* subsequence the layer
-maintains:
+extends the ``(L, capacity)`` window-statistics tables of every length
+at once and maintains the trailing QT row at ``l_min`` by the STAMPI
+recurrence, re-anchored exactly on a drift schedule.  The layer writes
+the VALMOD shift-add ``QT_{l+1}[j] = QT_l[j+1] + t[j]·t[n-l-1]`` into a
+``(rows, n - l_min + 1)`` table (one ``np.add`` per length), scores the
+newest subsequence of each of those lengths with one broadcast Eq. 3,
+masks each row's exclusion zone and invalid tail with one compare, and
+takes the row minima with one ``argmin``.  A block holds as many whole
+rows as fit :data:`_EAGER_BLOCK_CELLS` (at least one): a short window
+is one 2-D pass over all L lengths, a long one a pass per length, so
+the scratch holds 2^15 cells or one row, whichever is larger.  From those minima it maintains, in
+arrays indexed by ``length - l_min``:
 
 * per-length *discord upper bounds* ``U_l`` — the MAD machinery of
   :mod:`repro.core.discords_variable` flipped online: each position's
@@ -53,8 +61,9 @@ maps them to absolute stream offsets.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -94,6 +103,11 @@ STREAMING_UB_SLACK = 1e-6
 
 #: retained change events; the oldest are dropped (and counted) beyond.
 _EVENT_QUEUE_MAX = 4096
+
+#: cells (lengths x columns) per block of the eager pass: a block holds
+#: as many whole rows as fit (at least one), 256 KiB per float64 scratch
+#: array, so a long window does not hold all L rows at once.
+_EAGER_BLOCK_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -182,23 +196,25 @@ class StreamingValmod:
         self._start = 0
         self._total = t.size
         self._version = 0
-        lengths = range(self.l_min, self.l_max + 1)
-        self._zones: Dict[int, int] = {
-            length: exclusion_zone_half_width(length) for length in lengths
-        }
-        self._sqrt: Dict[int, float] = {
-            length: math.sqrt(length) for length in lengths
-        }
+        # per-length state, indexed by length - l_min
+        lengths = np.arange(self.l_min, self.l_max + 1)
+        self._lengths = lengths
+        self._rows = np.arange(lengths.size)
+        self._sqrt = np.sqrt(lengths)
+        zones = np.array(
+            [exclusion_zone_half_width(int(length)) for length in lengths]
+        )
+        # column j of row r is trivial or past the row's last window when
+        # j >= n - _masked_from[r] (the newest window's exclusion zone)
+        self._masked_from = (lengths + zones - 1)[:, None]
 
-        # per-length eager state (+inf == unknown / not prunable)
-        self._discord_ub: Dict[int, float] = {length: math.inf for length in lengths}
-        self._ub_support: Dict[int, int] = {length: -1 for length in lengths}
-        self._motif_best: Dict[int, float] = {length: math.inf for length in lengths}
-        self._motif_members: Dict[int, Optional[Tuple[int, int]]] = {
-            length: None for length in lengths
-        }
+        # eager bookkeeping (+inf == unknown / not prunable, -1 == none)
+        self._discord_ub = np.full(lengths.size, math.inf, dtype=np.float64)
+        self._ub_support = np.full(lengths.size, -1, dtype=np.int64)
+        self._motif_best = np.full(lengths.size, math.inf, dtype=np.float64)
+        self._motif_members = np.full((lengths.size, 2), -1, dtype=np.int64)
 
-        self._events: List[StreamEvent] = []
+        self._events: Deque[StreamEvent] = deque(maxlen=_EVENT_QUEUE_MAX)
         self._motif_cache: Optional[Tuple[int, ValmodResult]] = None
         self._discord_cache: Optional[Tuple[int, List[Discord]]] = None
         self._window_cache: Optional[Tuple[int, FloatArray, SeriesContext]] = None
@@ -281,54 +297,87 @@ class StreamingValmod:
             self.append(value)
 
     def _ingest(self, value: float) -> None:
-        self._stats.append(value)
+        stats = self._stats
+        stats.append(value)
         self._total += 1
-        t = self._stats.series()
+        t = stats.series()
         n = t.size
-        l_min = self.l_min
-        qt_l = self._stats.trailing_qt()
-        updated = 0
-        for length in range(l_min, self.l_max + 1):
-            if length > l_min:
-                qt_l = qt_l[1:] + t[: n - length + 1] * t[n - length]
-            owner = n - length  # newest subsequence of this length
-            mu, sigma = self._stats.mean_std(length)
-            row = distance_profile_from_qt(
-                qt_l, length, float(mu[owner]), float(sigma[owner]), mu, sigma
+        width = n - self.l_min + 1
+        rows = self._rows
+        owners = n - self._lengths  # newest subsequence of each length
+        mu, sigma = stats.window_stats()
+        lengths = self._lengths[:, None]
+        mu_q = mu[rows, owners][:, None]
+        sigma_q = sigma[rows, owners][:, None]
+        d = np.empty(rows.size, dtype=np.float64)
+        nearest = np.empty(rows.size, dtype=np.int64)
+        masked_from = n - self._masked_from
+        # the table runs in blocks of whole rows, as many as fit the
+        # cell budget (at least one)
+        per_block = max(1, _EAGER_BLOCK_CELLS // width)
+        previous = stats.trailing_qt()  # QT at l_min, where the chain starts
+        for r0 in range(0, rows.size, per_block):
+            r1 = min(r0 + per_block, rows.size)
+            # the VALMOD shift-add QT_{l+1}[j] = QT_l[j+1] + t[j]·t[n-l-1];
+            # row r is valid on its first width - r columns
+            qt = np.empty((r1 - r0, width), dtype=np.float64)
+            products = np.multiply.outer(t[owners[r0:r1]], t[:width])
+            if r0 == 0:
+                qt[0] = previous
+            for r in range(max(r0, 1), r1):
+                valid = width - r
+                row = qt[r - r0]
+                np.add(
+                    previous[1 : valid + 1], products[r - r0, :valid], out=row[:valid]
+                )
+                row[valid:] = 0.0  # past the row's last window; masked below
+                previous = row
+            block = distance_profile_from_qt(
+                qt,
+                lengths[r0:r1],
+                mu_q[r0:r1],
+                sigma_q[r0:r1],
+                mu[r0:r1],
+                sigma[r0:r1],
             )
-            lo = max(0, owner - self._zones[length] + 1)
-            row[lo:] = np.inf
-            updated += 1
-            j = int(np.argmin(row))
-            d = float(row[j])
-            if not math.isfinite(d):
-                # the new position has no non-trivial candidate: nothing
-                # bounds it, so the whole length becomes non-prunable.
-                self._discord_ub[length] = math.inf
-                self._ub_support[length] = -1
-                continue
-            norm_d = d / self._sqrt[length]
-            if math.isfinite(self._discord_ub[length]):
-                if norm_d > self._discord_ub[length]:
-                    self._discord_ub[length] = norm_d
-                self._ub_support[length] = min(
-                    self._ub_support[length], self._start + j
-                )
-            if d < self._motif_best[length]:
-                had_baseline = math.isfinite(self._motif_best[length])
-                self._motif_best[length] = d
-                self._motif_members[length] = (
-                    self._start + j,
-                    self._start + owner,
-                )
-                if had_baseline:
-                    self._emit(
-                        "motif-improved",
-                        length,
-                        f"pair ({self._start + j}, {self._start + owner}) "
-                        f"at normalized distance {norm_d:.6f}",
-                    )
-        obs.add("streaming.lengths.updated", updated)
+            # each row's exclusion zone and invalid tail, masked at once;
+            # both lie at or right of the block's first masked column
+            tail = int(masked_from[r0:r1].min())
+            np.putmask(
+                block[:, tail:],
+                np.arange(tail, width) >= masked_from[r0:r1],
+                math.inf,
+            )
+            at = block.argmin(axis=1)
+            nearest[r0:r1] = at
+            d[r0:r1] = block[np.arange(r1 - r0), at]
+        obs.add("streaming.lengths.updated", int(self._rows.size))
+
+        # A length whose newest position has no non-trivial candidate has
+        # nothing bounding it: the whole length becomes non-prunable.  An
+        # unknown bound (+inf) has no support (-1), and both stay so.
+        found = np.isfinite(d)
+        norm_d = d / self._sqrt
+        neighbor = self._start + nearest
+        ub = np.maximum(self._discord_ub, norm_d)
+        self._discord_ub = np.where(found, ub, math.inf)
+        self._ub_support = np.where(
+            found, np.minimum(self._ub_support, neighbor), -1
+        )
+
+        improved = d < self._motif_best
+        announce = improved & np.isfinite(self._motif_best)
+        self._motif_best[improved] = d[improved]
+        members = self._motif_members
+        members[improved, 0] = neighbor[improved]
+        members[improved, 1] = self._start + owners[improved]
+        for r in np.flatnonzero(announce):
+            a, b = members[r]
+            self._emit(
+                "motif-improved",
+                self.l_min + int(r),
+                f"pair ({a}, {b}) at normalized distance {norm_d[r]:.6f}",
+            )
 
     def _evict(self, count: int) -> None:
         remaining = self._stats.n_points - count
@@ -340,15 +389,12 @@ class StreamingValmod:
         obs.add("streaming.entries.evicted", count)
         self._stats.evict(count)
         self._start += count
-        for length in range(self.l_min, self.l_max + 1):
-            support = self._ub_support[length]
-            if support >= 0 and support < self._start:
-                self._discord_ub[length] = math.inf
-                self._ub_support[length] = -1
-            members = self._motif_members[length]
-            if members is not None and min(members) < self._start:
-                self._motif_best[length] = math.inf
-                self._motif_members[length] = None
+        lost = (self._ub_support >= 0) & (self._ub_support < self._start)
+        self._discord_ub[lost] = math.inf
+        self._ub_support[lost] = -1
+        gone = self._motif_members.min(axis=1) < self._start
+        self._motif_best[gone] = math.inf
+        self._motif_members[gone] = -1
         self._emit(
             "window-evicted",
             0,
@@ -359,8 +405,8 @@ class StreamingValmod:
     # events
 
     def _emit(self, kind: str, length: int, detail: str) -> None:
-        if len(self._events) >= _EVENT_QUEUE_MAX:
-            del self._events[0]
+        if len(self._events) == _EVENT_QUEUE_MAX:
+            # the bounded deque drops its oldest event on this append
             obs.add("streaming.events.dropped")
         self._events.append(
             StreamEvent(kind=kind, at_point=self._total, length=length,
@@ -369,8 +415,8 @@ class StreamingValmod:
 
     def drain_events(self) -> List[StreamEvent]:
         """Return and clear the accumulated change events."""
-        events = self._events
-        self._events = []
+        events = list(self._events)
+        self._events.clear()
         return events
 
     # ------------------------------------------------------------------
@@ -417,11 +463,9 @@ class StreamingValmod:
 
     def _refresh_from_motifs(self, result: ValmodResult) -> None:
         for length, pair in result.motif_pairs.items():
-            self._motif_best[length] = pair.distance
-            self._motif_members[length] = (
-                self._start + pair.a,
-                self._start + pair.b,
-            )
+            row = length - self.l_min
+            self._motif_best[row] = pair.distance
+            self._motif_members[row] = (self._start + pair.a, self._start + pair.b)
         best = result.best_motif_pair()
         sig = (best.length, self._start + best.a, self._start + best.b,
                best.distance)
@@ -478,26 +522,25 @@ class StreamingValmod:
             with obs.span("discords.profile"):
                 mp = compute_with(self._engine, t, length, context=ctx)
             # exact refresh of the maintained bound for this window
+            row = length - self.l_min
             if np.isfinite(mp.profile).all() and (mp.index >= 0).all():
-                self._discord_ub[length] = (
-                    float(mp.profile.max()) / self._sqrt[length]
-                )
-                self._ub_support[length] = self._start + int(mp.index.min())
+                self._discord_ub[row] = float(mp.profile.max()) / self._sqrt[row]
+                self._ub_support[row] = self._start + int(mp.index.min())
             else:
-                self._discord_ub[length] = math.inf
-                self._ub_support[length] = -1
+                self._discord_ub[row] = math.inf
+                self._ub_support[row] = -1
             return per_length_candidates(mp.profile, length, k)
 
         computed: Dict[int, List[Discord]] = {}
-        if all(math.isinf(self._discord_ub[length]) for length in scan):
+        if np.isinf(self._discord_ub).all():
             # Cold start: the batch driver's base profile and bound pass,
             # recording the bounds it derives.
             computed[scan[0]] = candidates_at(scan[0])
             for length, upper, neighbor in _bound_pass(
                 t, ctx, scan, self.p, self._n_jobs
             ):
-                self._discord_ub[length] = upper
-                self._ub_support[length] = self._listdp_support(
+                self._discord_ub[length - self.l_min] = upper
+                self._ub_support[length - self.l_min] = self._listdp_support(
                     neighbor, t.size, length, upper
                 )
         for length in self._warm_lengths:
@@ -505,7 +548,8 @@ class StreamingValmod:
                 computed[length] = candidates_at(length)
 
         bounds = {
-            length: self._discord_ub[length] * (1.0 + STREAMING_UB_SLACK)
+            length: float(self._discord_ub[length - self.l_min])
+            * (1.0 + STREAMING_UB_SLACK)
             for length in scan
             if length not in computed
         }
@@ -538,4 +582,7 @@ class StreamingValmod:
 
     def discord_bounds(self) -> Dict[int, float]:
         """Maintained per-length normalized discord upper bounds."""
-        return dict(self._discord_ub)
+        return {
+            self.l_min + row: float(bound)
+            for row, bound in enumerate(self._discord_ub)
+        }

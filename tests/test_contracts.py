@@ -32,6 +32,7 @@ from repro.lint.contracts import (
     number_in,
     optional,
     positive_int,
+    positive_lengths,
     require,
     series_like,
 )
@@ -65,6 +66,13 @@ class TestPredicates:
         assert positive_int()(-1) is not None
         assert positive_int()(2.0) is not None
         assert positive_int()(True) is not None  # bools are not lengths
+
+    def test_positive_lengths(self):
+        assert positive_lengths()(3) is None
+        assert positive_lengths()(np.array([[4], [5]])) is None
+        assert positive_lengths()(0) is not None
+        assert positive_lengths()(np.array([3, 0])) is not None
+        assert positive_lengths()(np.array([3.0])) is not None  # not integers
 
     def test_int_at_least(self):
         assert int_at_least(0)(0) is None

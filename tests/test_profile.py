@@ -56,6 +56,38 @@ class TestDistanceProfileFromQt:
         with pytest.raises(InvalidParameterError):
             distance_profile_from_qt(np.zeros(3), 0, 0.0, 1.0, np.zeros(3), np.ones(3))
 
+    def test_row_stack_is_bitwise_the_1d_rows(self, rng):
+        """One row per query, each with its own length and statistics."""
+        t = rng.standard_normal(90)
+        t[30:52] = 3.0  # constant queries and constant windows
+        starts, lengths = [0, 33, 5, 60], [8, 9, 10, 12]
+        width = t.size - min(lengths) + 1
+        qt = np.zeros((len(starts), width))
+        mu = np.zeros((len(starts), width))
+        sigma = np.zeros((len(starts), width))
+        expected = []
+        for row, (start, length) in enumerate(zip(starts, lengths)):
+            m, s = moving_mean_std(t, length)
+            q = sliding_dot_product(t[start : start + length], t)
+            qt[row, : q.size], mu[row, : m.size], sigma[row, : s.size] = q, m, s
+            expected.append(
+                distance_profile_from_qt(
+                    q, length, float(m[start]), float(s[start]), m, s
+                )
+            )
+        column = np.array(lengths)[:, None]
+        picks = (np.arange(len(starts)), starts)
+        stack = distance_profile_from_qt(
+            qt, column, mu[picks][:, None], sigma[picks][:, None], mu, sigma
+        )
+        assert sigma[1, 33] == 0.0  # the constant query is exercised
+        for row, profile in enumerate(expected):
+            np.testing.assert_array_equal(stack[row, : profile.size], profile)
+        with pytest.raises(InvalidParameterError):
+            distance_profile_from_qt(
+                qt, column - 8, mu[picks][:, None], sigma[picks][:, None], mu, sigma
+            )
+
     @given(st.integers(0, 2**31 - 1), st.integers(4, 24))
     @settings(max_examples=25, deadline=None)
     def test_matches_naive_property(self, seed, length):
