@@ -30,7 +30,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.baselines.sax import sax_words
-from repro.kernels.context import ensure_context
+from repro.kernels.context import SeriesContext
 from repro.distance.znorm import CONSTANT_EPS, as_series
 from repro.exceptions import InvalidParameterError
 from repro.matrixprofile.exclusion import exclusion_zone_half_width
@@ -84,7 +84,7 @@ def grammar_motif_per_length(
     groups: Dict[int, List[int]] = defaultdict(list)
     for position, word in enumerate(words):
         groups[int(word)].append(position)
-    mu, sigma = ensure_context(t).moving_mean_std(length)
+    mu, sigma = SeriesContext(t).moving_mean_std(length)
     best: Optional[Tuple[int, int, float]] = None
     for members in groups.values():
         if len(members) < 2:

@@ -27,7 +27,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.distance.mass import mass_with_stats
 from repro.distance.profile import apply_exclusion_zone
-from repro.kernels.context import ensure_context
+from repro.kernels.context import SeriesContext
 from repro.distance.znorm import CONSTANT_EPS, as_series
 from repro.exceptions import InvalidParameterError
 from repro.matrixprofile.exclusion import exclusion_zone_half_width
@@ -71,7 +71,7 @@ def mk_motif(
     if rng is None:
         rng = np.random.default_rng(0)
     zone = exclusion_zone_half_width(length)
-    mu, sigma = ensure_context(t).moving_mean_std(length)
+    mu, sigma = SeriesContext(t).moving_mean_std(length)
     windows = sliding_window_view(t, length)
 
     # Reference distance profiles; best-so-far from their own minima.

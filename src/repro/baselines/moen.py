@@ -45,7 +45,7 @@ import numpy as np
 
 from repro.distance.mass import mass_with_stats
 from repro.distance.profile import apply_exclusion_zone
-from repro.kernels.context import ensure_context
+from repro.kernels.context import SeriesContext
 from repro.distance.znorm import CONSTANT_EPS, znormalized_distance
 from repro.exceptions import BudgetExceededError, InvalidParameterError
 from repro.matrixprofile.exclusion import exclusion_zone_half_width
@@ -94,7 +94,7 @@ def moen(
     ``deadline`` (absolute ``time.perf_counter()`` value) aborts slow
     runs with :class:`BudgetExceededError` for DNF reporting.
     """
-    ctx = ensure_context(series, min_length=8)
+    ctx = SeriesContext(series, min_length=8)
     t = ctx.series
     if l_min > l_max:
         raise InvalidParameterError(f"l_min ({l_min}) must not exceed l_max ({l_max})")

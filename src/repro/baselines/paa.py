@@ -22,7 +22,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.distance.sliding import prefix_sums
-from repro.kernels.context import ensure_context
+from repro.kernels.context import SeriesContext
 from repro.distance.znorm import CONSTANT_EPS
 from repro.exceptions import InvalidParameterError
 
@@ -58,7 +58,7 @@ def paa_transform(series: np.ndarray, length: int, width: int) -> np.ndarray:
         )
     seg = length // width
     cumsum, _ = prefix_sums(t)
-    mu, sigma = ensure_context(t).moving_mean_std(length)
+    mu, sigma = SeriesContext(t).moving_mean_std(length)
     starts = np.arange(n_subs)
     summaries = np.empty((n_subs, width), dtype=np.float64)
     for k in range(width):

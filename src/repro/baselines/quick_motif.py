@@ -31,7 +31,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.baselines.paa import paa_lower_bound_factor, paa_transform
 from repro.baselines.rtree import MBRIndex
-from repro.kernels.context import ensure_context
+from repro.kernels.context import SeriesContext
 from repro.distance.znorm import CONSTANT_EPS, as_series, znormalized_distance
 from repro.exceptions import BudgetExceededError, InvalidParameterError
 from repro.matrixprofile.exclusion import exclusion_zone_half_width
@@ -88,7 +88,7 @@ def quick_motif_single(
     summaries = paa_transform(t, length, effective_width)
     scale = paa_lower_bound_factor(length, effective_width)
     index = MBRIndex(summaries, leaf_capacity=leaf_capacity, scale=scale)
-    mu, sigma = ensure_context(t).moving_mean_std(length)
+    mu, sigma = SeriesContext(t).moving_mean_std(length)
     windows = sliding_window_view(t, length)
 
     bsf = np.inf

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.core.valmp import VALMP
 from repro.exceptions import BudgetExceededError, InvalidParameterError
-from repro.kernels.context import ensure_context
+from repro.kernels.context import SeriesContext
 from repro.matrixprofile.stomp import stomp
 from repro.types import MotifPair
 
@@ -36,7 +36,7 @@ def stomp_range(
     ``deadline`` (absolute ``time.perf_counter()`` value) turns slow runs
     into :class:`BudgetExceededError` for the harness's DNF reporting.
     """
-    ctx = ensure_context(series, min_length=8)
+    ctx = SeriesContext(series, min_length=8)
     t = ctx.series
     if l_min > l_max:
         raise InvalidParameterError(f"l_min ({l_min}) must not exceed l_max ({l_max})")

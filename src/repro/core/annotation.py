@@ -22,9 +22,8 @@ from repro.types import FloatArray
 
 from repro.distance.znorm import as_series
 from repro.exceptions import InvalidParameterError
-from repro.kernels.context import ensure_context
+from repro.kernels.context import SeriesContext
 from repro.matrixprofile.index import MatrixProfile
-from repro.lint.contracts import finite_array, positive_int, require, series_like
 
 __all__ = [
     "apply_annotation",
@@ -33,7 +32,6 @@ __all__ = [
 ]
 
 
-@require(annotation=finite_array())
 def apply_annotation(mp: MatrixProfile, annotation: FloatArray) -> MatrixProfile:
     """The corrected matrix profile ``CMP = MP + (1 - AV) * max(MP)``."""
     av = np.asarray(annotation, dtype=np.float64)
@@ -54,7 +52,6 @@ def apply_annotation(mp: MatrixProfile, annotation: FloatArray) -> MatrixProfile
     )
 
 
-@require(series=series_like(), length=positive_int())
 def variance_annotation(series: FloatArray, length: int) -> FloatArray:
     """AV favoring lively regions: per-window std rescaled to [0, 1].
 
@@ -62,14 +59,13 @@ def variance_annotation(series: FloatArray, length: int) -> FloatArray:
     spurious near-zero-distance motifs; this annotation suppresses them.
     """
     t = as_series(series, min_length=4)
-    _, sigma = ensure_context(t).moving_mean_std(length)
+    _, sigma = SeriesContext(t).moving_mean_std(length)
     span = sigma.max() - sigma.min()
     if span < 1e-12:
         return np.ones_like(sigma)
     return (sigma - sigma.min()) / span
 
 
-@require(n_subsequences=positive_int())
 def interval_annotation(
     n_subsequences: int, suppressed: Iterable[Tuple[int, int]]
 ) -> FloatArray:

@@ -26,7 +26,6 @@ from repro.types import FloatArray, IntArray
 from repro.distance.znorm import as_series
 from repro.exceptions import InvalidParameterError
 from repro.matrixprofile.leftright import LeftRightProfiles, stomp_left_right
-from repro.lint.contracts import positive_int, require, series_like
 
 __all__ = ["Chain", "all_chains", "unanchored_chain"]
 
@@ -59,7 +58,6 @@ def _bidirectional_links(lr: LeftRightProfiles) -> IntArray:
     return link
 
 
-@require(series=series_like(), length=positive_int())
 def all_chains(series: FloatArray, length: int) -> List[Chain]:
     """Every maximal chain of the given subsequence length.
 
@@ -94,7 +92,6 @@ def all_chains(series: FloatArray, length: int) -> List[Chain]:
     return chains
 
 
-@require(series=series_like(), length=positive_int())
 def unanchored_chain(series: FloatArray, length: int) -> Chain:
     """The longest chain (the 'unanchored' chain of the original paper).
 

@@ -35,14 +35,8 @@ from repro.types import FloatArray, IntArray
 
 from repro.core.entries import EntryStore, rank_rows
 from repro.distance.sliding import validate_subsequence_length
+from repro.exceptions import InvalidParameterError
 from repro.kernels.context import SeriesContext
-from repro.lint.contracts import (
-    instance_of,
-    optional,
-    positive_int,
-    require,
-    series_like,
-)
 from repro.matrixprofile.index import MatrixProfile
 from repro.matrixprofile.stomp import iterate_stomp_qt
 
@@ -60,7 +54,6 @@ REPLAY_COST = 0.25
 FILL_BLOCK_ROWS = 16
 
 
-@require(n_jobs=optional(instance_of(int)))
 def resolve_n_jobs(n_jobs: Optional[int]) -> int:
     """Normalize an ``n_jobs`` request to a positive worker count.
 
@@ -68,6 +61,8 @@ def resolve_n_jobs(n_jobs: Optional[int]) -> int:
     negative values follow the joblib convention ``cpus + 1 + n_jobs``
     (so ``-1`` is all CPUs, ``-2`` all but one).
     """
+    if n_jobs is not None and (isinstance(n_jobs, bool) or not isinstance(n_jobs, int)):
+        raise InvalidParameterError(f"n_jobs must be an int or None, got {n_jobs!r}")
     cpus = os.cpu_count() or 1
     if n_jobs is None or n_jobs == 0:
         return cpus
@@ -84,11 +79,10 @@ def _preferred_context() -> BaseContext:
         return get_context()
 
 
-@require(n_rows=positive_int(), n_blocks=positive_int())
-def row_blocks(n_rows: int, n_blocks: int, replay_cost: float = REPLAY_COST) -> List[Tuple[int, int]]:
+def row_blocks(n_rows: int, n_blocks: int) -> List[Tuple[int, int]]:
     """Split ``[0, n_rows)`` into blocks with balanced replay-aware cost.
 
-    Block ``[s, e)`` costs ``replay_cost * s + (e - s)``: later blocks
+    Block ``[s, e)`` costs ``REPLAY_COST * s + (e - s)``: later blocks
     replay more rows before producing output, so equal-size blocks would
     leave early workers idle.  The recurrence ``s_{k+1} = (1 - r) s_k + C``
     with the closed-form target ``C = n r / (1 - (1 - r)^K)`` equalizes
@@ -99,7 +93,7 @@ def row_blocks(n_rows: int, n_blocks: int, replay_cost: float = REPLAY_COST) -> 
     n_blocks = max(1, min(n_blocks, n_rows))
     if n_blocks == 1:
         return [(0, n_rows)]
-    r = replay_cost
+    r = REPLAY_COST
     target = n_rows * r / (1.0 - (1.0 - r) ** n_blocks)
     bounds = [0]
     s = 0.0
@@ -169,7 +163,6 @@ def _block_worker(task):
     return (start, stop) + block + (obs.worker_snapshot(),)
 
 
-@require(series=series_like(min_length=4), length=positive_int(), p=positive_int())
 def compute_matrix_profile(
     series: FloatArray,
     length: int,

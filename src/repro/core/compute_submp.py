@@ -43,7 +43,6 @@ from repro.distance.znorm import CONSTANT_EPS
 from repro.exceptions import InvalidParameterError
 from repro.kernels.context import SeriesContext
 from repro.matrixprofile.exclusion import exclusion_zone_half_width
-from repro.lint.contracts import number_in, positive_int, require, series_like
 
 __all__ = ["SubMPResult", "compute_submp", "pairwise_entry_distances"]
 
@@ -108,7 +107,6 @@ class SubMPResult:
         return int(np.isfinite(self.sub_profile).sum())
 
 
-@require(length=positive_int())
 def pairwise_entry_distances(
     qt: FloatArray,
     nb: IntArray,
@@ -147,11 +145,6 @@ def pairwise_entry_distances(
     return np.where(usable, dist, np.inf)
 
 
-@require(
-    series=series_like(),
-    new_length=positive_int(),
-    recompute_fraction=number_in(0.0, 1.0),
-)
 def compute_submp(
     series: FloatArray,
     store: EntryStore,

@@ -35,7 +35,6 @@ import numpy as np
 from repro.distance.znorm import as_series
 from repro.exceptions import InvalidParameterError
 from repro.kernels.context import SeriesContext
-from repro.lint.contracts import instance_of, positive_int, require, series_like
 from repro.matrixprofile.exclusion import exclusion_zone_half_width
 from repro.matrixprofile.registry import DEFAULT_ENGINE, compute_with
 from repro.types import FloatArray, length_normalized
@@ -57,7 +56,6 @@ class Discord:
         return self.start + self.length
 
 
-@require(length=positive_int(), k=positive_int())
 def per_length_candidates(
     profile: FloatArray, length: int, k: int
 ) -> List[Discord]:
@@ -96,7 +94,6 @@ def per_length_candidates(
     return candidates
 
 
-@require(k=positive_int())
 def select_top_k(candidates: Sequence[Discord], k: int) -> List[Discord]:
     """Greedy cross-length selection: best-first, non-overlapping.
 
@@ -122,13 +119,6 @@ def select_top_k(candidates: Sequence[Discord], k: int) -> List[Discord]:
     return result
 
 
-@require(
-    series=series_like(min_length=8),
-    l_min=positive_int(),
-    l_max=positive_int(),
-    k=positive_int(),
-    engine=instance_of(str),
-)
 def find_discords(
     series: FloatArray,
     l_min: int,

@@ -65,7 +65,6 @@ from repro.core.valmod import DEFAULT_P
 from repro.distance.znorm import CONSTANT_EPS, as_series
 from repro.exceptions import InvalidParameterError
 from repro.kernels.context import SeriesContext
-from repro.lint.contracts import instance_of, positive_int, require, series_like
 from repro.matrixprofile.exclusion import exclusion_zone_half_width
 from repro.matrixprofile.registry import DEFAULT_ENGINE, compute_with
 from repro.types import FloatArray, IntArray
@@ -81,7 +80,6 @@ __all__ = ["find_discords_pruned", "length_upper_bound", "UB_RELATIVE_SLACK"]
 UB_RELATIVE_SLACK = 1e-9
 
 
-@require(length=positive_int())
 def length_upper_bound(
     store_neighbor: IntArray,
     store_qt: FloatArray,
@@ -134,14 +132,6 @@ def length_upper_bound(
     return float(min_dist.max()) / math.sqrt(length)
 
 
-@require(
-    series=series_like(min_length=8),
-    l_min=positive_int(),
-    l_max=positive_int(),
-    k=positive_int(),
-    p=positive_int(),
-    engine=instance_of(str),
-)
 def find_discords_pruned(
     series: FloatArray,
     l_min: int,

@@ -48,7 +48,6 @@ from repro.core.lower_bound import lower_bound_base
 from repro.distance.profile import apply_exclusion_zone
 from repro.distance.znorm import CONSTANT_EPS
 from repro.exceptions import InvalidParameterError
-from repro.lint.contracts import positive_int, require
 from repro.matrixprofile.exclusion import exclusion_zone_half_width
 
 __all__ = ["EntryStore", "RankedRows", "rank_rows"]
@@ -82,7 +81,6 @@ class RankedRows:
         )
 
 
-@require(length=positive_int(), p=positive_int())
 def rank_rows(
     qt_block: FloatArray,
     rows: IntArray,

@@ -39,10 +39,9 @@ import numpy as np
 from repro.types import FloatArray
 
 from repro.distance.profile import correlation_from_qt
-from repro.distance.znorm import CONSTANT_EPS
+from repro.distance.znorm import CONSTANT_EPS, as_series
 from repro.exceptions import InvalidParameterError
-from repro.kernels.context import ensure_context
-from repro.lint.contracts import finite_array, int_at_least, positive_int, require, series_like
+from repro.kernels.context import SeriesContext
 
 __all__ = [
     "lower_bound_base",
@@ -55,7 +54,6 @@ __all__ = [
 FloatOrArray = Union[float, FloatArray]
 
 
-@require(length=positive_int())
 def lower_bound_base(
     correlation: FloatOrArray, length: int, sigma_owner: FloatOrArray
 ) -> FloatOrArray:
@@ -81,7 +79,7 @@ def lower_bound_base(
     return result
 
 
-def lower_bound_from_base(  # repro-lint: ignore[R013] - listDP sentinel entries are +-inf by design
+def lower_bound_from_base(
     lb_base: FloatOrArray, sigma_owner_at_target: FloatOrArray
 ) -> FloatOrArray:
     """Eq. 2 evaluated at a target length: ``lb_base / sigma[j, l+k]``.
@@ -98,13 +96,6 @@ def lower_bound_from_base(  # repro-lint: ignore[R013] - listDP sentinel entries
     return lb
 
 
-@require(
-    series=series_like(),
-    i=int_at_least(0),
-    j=int_at_least(0),
-    length=positive_int(),
-    k=int_at_least(0),
-)
 def lower_bound_distance(
     series: FloatArray, i: int, j: int, length: int, k: int
 ) -> float:
@@ -114,9 +105,13 @@ def lower_bound_distance(
     of both subsequences plus ``sigma[j, l+k]``.  Used directly by tests
     and by the analysis modules; the engines use the factored form.
     """
-    t = np.asarray(series, dtype=np.float64)
+    t = as_series(series)
     if k < 0:
         raise InvalidParameterError(f"k must be non-negative, got {k}")
+    if min(i, j) < 0 or length <= 0:
+        raise InvalidParameterError(
+            f"need i, j >= 0 and length > 0, got i={i}, j={j}, length={length}"
+        )
     if j + length + k > t.size:
         raise InvalidParameterError(
             f"owner subsequence at {j} of length {length + k} exceeds the series"
@@ -137,12 +132,6 @@ def lower_bound_distance(
     return float(lower_bound_from_base(base, sig_owner_ext))
 
 
-@require(
-    series=series_like(),
-    owner=int_at_least(0),
-    length=positive_int(),
-    k=int_at_least(0),
-)
 def lower_bound_profile(
     series: FloatArray, owner: int, length: int, k: int
 ) -> FloatArray:
@@ -153,6 +142,8 @@ def lower_bound_profile(
     the *target* length).
     """
     t = np.asarray(series, dtype=np.float64)
+    if k < 0:
+        raise InvalidParameterError(f"k must be non-negative, got {k}")
     target = length + k
     n_target = t.size - target + 1
     if n_target <= 0:
@@ -163,7 +154,7 @@ def lower_bound_profile(
         raise InvalidParameterError(
             f"owner {owner} has no subsequence of target length {target}"
         )
-    ctx = ensure_context(t)
+    ctx = SeriesContext(t)
     mu, sigma = ctx.moving_mean_std(length)
     qt = ctx.sliding_dot_product(t[owner : owner + length])
     corr = correlation_from_qt(
@@ -180,7 +171,6 @@ def lower_bound_profile(
     return lb
 
 
-@require(lb=finite_array())
 def tightness_of_lower_bound(
     lb: FloatOrArray, true_distance: FloatOrArray
 ) -> FloatOrArray:
@@ -190,6 +180,8 @@ def tightness_of_lower_bound(
     TLB = 1 (the bound is exact there).
     """
     lb_arr = np.asarray(lb, dtype=np.float64)
+    if not np.isfinite(lb_arr).all():
+        raise InvalidParameterError("lower bounds contain NaN or infinite values")
     d_arr = np.asarray(true_distance, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
         tlb = np.where(d_arr <= 0.0, 1.0, lb_arr / np.where(d_arr <= 0.0, 1.0, d_arr))

@@ -23,8 +23,8 @@ import numpy as np
 from repro.core.valmp import PairRecord, PartialProfile
 from repro.distance.mass import mass
 from repro.distance.profile import apply_exclusion_zone
+from repro.distance.znorm import as_series
 from repro.exceptions import InvalidParameterError
-from repro.lint.contracts import number_in, positive_int, require, series_like
 from repro.matrixprofile.exclusion import exclusion_zone_half_width
 from repro.types import FloatArray, IntArray, MotifPair, MotifSet
 
@@ -78,10 +78,6 @@ def _greedy_non_trivial(
     return kept
 
 
-@require(
-    series=series_like(),
-    radius_factor=number_in(0.0, float("inf"), open_low=True),
-)
 def compute_motif_sets(
     series: FloatArray,
     pairs: List[PairRecord],
@@ -92,7 +88,7 @@ def compute_motif_sets(
         raise InvalidParameterError(
             f"radius factor D must be positive, got {radius_factor}"
         )
-    t = np.asarray(series, dtype=np.float64)
+    t = as_series(series)
     claimed: Set[Tuple[int, int]] = set()
     result: List[MotifSet] = []
     for record in sorted(pairs, key=lambda r: r.normalized_distance):
@@ -135,14 +131,6 @@ def compute_motif_sets(
     return result
 
 
-@require(
-    series=series_like(min_length=8),
-    l_min=positive_int(),
-    l_max=positive_int(),
-    k=positive_int(),
-    radius_factor=number_in(0.0, float("inf"), open_low=True),
-    p=positive_int(),
-)
 def find_motif_sets(
     series: FloatArray,
     l_min: int,
@@ -161,6 +149,8 @@ def find_motif_sets(
     """
     from repro.core.valmod import Valmod
 
+    if k <= 0:
+        raise InvalidParameterError(f"k must be positive, got {k}")
     result = Valmod(
         series, l_min, l_max, p=p, track_top_k=k, n_jobs=n_jobs
     ).run()

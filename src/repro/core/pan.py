@@ -42,7 +42,6 @@ from repro.matrixprofile.exclusion import exclusion_zone_half_width
 from repro.matrixprofile.index import MatrixProfile
 from repro.matrixprofile.stomp import stomp
 from repro.types import FloatArray, IntArray, MotifPair
-from repro.lint.contracts import number_in, positive_int, require, series_like
 
 __all__ = ["PanMatrixProfile", "compute_pan_matrix_profile"]
 
@@ -134,12 +133,6 @@ class PanMatrixProfile:
         return self.distances[:, position].copy()
 
 
-@require(
-    series=series_like(),
-    l_min=positive_int(),
-    l_max=positive_int(),
-    p=number_in(1, 100),
-)
 def compute_pan_matrix_profile(
     series: FloatArray,
     l_min: int,

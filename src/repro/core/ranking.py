@@ -26,7 +26,6 @@ from repro.core.discords import Discord
 from repro.exceptions import InvalidParameterError
 from repro.matrixprofile.exclusion import exclusion_zone_half_width
 from repro.types import MotifPair
-from repro.lint.contracts import int_at_least, optional, positive_int, require
 
 __all__ = [
     "rank_motif_pairs",
@@ -37,12 +36,11 @@ __all__ = [
 ]
 
 
-def rank_motif_pairs(pairs: Iterable[MotifPair]) -> List[MotifPair]:  # repro-lint: ignore[R013] - pure reordering of validated records
+def rank_motif_pairs(pairs: Iterable[MotifPair]) -> List[MotifPair]:
     """Sort motif pairs by length-normalized distance, best first."""
     return sorted(pairs)
 
 
-@require(min_length_gap=int_at_least(0))
 def deduplicate_pairs(
     pairs: Iterable[MotifPair], min_length_gap: int = 0
 ) -> List[MotifPair]:
@@ -77,7 +75,6 @@ def deduplicate_pairs(
     return kept
 
 
-@require(k=positive_int())
 def top_motifs_across_lengths(
     motif_pairs: Dict[int, MotifPair], k: int, deduplicate: bool = True
 ) -> List[MotifPair]:
@@ -113,7 +110,6 @@ class RankedEvent:
     starts: Tuple[int, ...]
 
 
-@require(k=optional(positive_int()))
 def unified_ranking(
     motif_pairs: Iterable[MotifPair],
     discords: Sequence[Discord],

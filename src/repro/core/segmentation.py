@@ -23,7 +23,6 @@ from repro.types import FloatArray, IntArray
 from repro.distance.znorm import as_series
 from repro.exceptions import InvalidParameterError
 from repro.matrixprofile.stomp import stomp
-from repro.lint.contracts import instance_of, int_at_least, positive_int, require, series_like
 
 __all__ = [
     "arc_curve",
@@ -34,7 +33,6 @@ __all__ = [
 ]
 
 
-@require(index=instance_of(np.ndarray))
 def arc_curve(index: IntArray) -> FloatArray:
     """Raw arc crossings per position from a matrix-profile index."""
     idx = np.asarray(index, dtype=np.int64)
@@ -49,7 +47,6 @@ def arc_curve(index: IntArray) -> FloatArray:
     return np.cumsum(delta[:n]).astype(np.float64)
 
 
-@require(index=instance_of(np.ndarray), length=positive_int())
 def corrected_arc_curve(index: IntArray, length: int) -> FloatArray:
     """The CAC: arcs normalized by the random-arc parabola, in [0, 1].
 
@@ -71,7 +68,6 @@ def corrected_arc_curve(index: IntArray, length: int) -> FloatArray:
     return cac
 
 
-@require(series=series_like(), length=positive_int())
 def fluss(series: FloatArray, length: int) -> FloatArray:
     """Corrected arc curve of a series (computes the MP internally)."""
     t = as_series(series, min_length=8)
@@ -79,7 +75,6 @@ def fluss(series: FloatArray, length: int) -> FloatArray:
     return corrected_arc_curve(mp.index, length)
 
 
-@require(length=positive_int(), n_regimes=int_at_least(1))
 def boundaries_from_cac(
     cac: FloatArray, length: int, n_regimes: int = 2
 ) -> List[int]:
@@ -107,7 +102,6 @@ def boundaries_from_cac(
     return sorted(boundaries)
 
 
-@require(series=series_like(), length=positive_int(), n_regimes=int_at_least(1))
 def regime_boundaries(
     series: FloatArray, length: int, n_regimes: int = 2
 ) -> List[int]:

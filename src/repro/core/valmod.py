@@ -30,14 +30,6 @@ from repro.distance.sliding import validate_subsequence_length
 from repro.distance.znorm import as_series
 from repro.exceptions import InvalidParameterError
 from repro.kernels.context import SeriesContext
-from repro.lint.contracts import (
-    instance_of,
-    int_at_least,
-    optional,
-    positive_int,
-    require,
-    series_like,
-)
 from repro.types import FloatArray, MotifPair
 
 __all__ = ["Valmod", "ValmodResult", "valmod", "DEFAULT_P"]
@@ -128,16 +120,6 @@ class Valmod:
         with or without a shared context.
     """
 
-    @require(
-        series=series_like(min_length=8),
-        l_min=positive_int(),
-        l_max=positive_int(),
-        p=positive_int(),
-        track_top_k=int_at_least(0),
-        n_jobs=optional(instance_of(int)),
-        trace=optional(instance_of(bool)),
-        stats_cache=instance_of(bool),
-    )
     def __init__(
         self,
         series: FloatArray,
@@ -162,6 +144,10 @@ class Valmod:
         validate_subsequence_length(self.series.size, l_max)
         if p <= 0:
             raise InvalidParameterError(f"p must be positive, got {p}")
+        if track_top_k < 0:
+            raise InvalidParameterError(
+                f"track_top_k must be non-negative, got {track_top_k}"
+            )
         self.l_min = int(l_min)
         self.l_max = int(l_max)
         self.p = int(p)
@@ -361,16 +347,6 @@ class Valmod:
         )
 
 
-@require(
-    series=series_like(min_length=8),
-    l_min=positive_int(),
-    l_max=positive_int(),
-    p=positive_int(),
-    track_top_k=int_at_least(0),
-    n_jobs=optional(instance_of(int)),
-    trace=optional(instance_of(bool)),
-    stats_cache=instance_of(bool),
-)
 def valmod(
     series: FloatArray,
     l_min: int,

@@ -23,7 +23,6 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.exceptions import InvalidParameterError, NotComputedError
-from repro.lint.contracts import int_at_least, positive_int, require
 from repro.types import BoolArray, FloatArray, IntArray, MotifPair
 
 __all__ = ["VALMP", "PairRecord", "PartialProfile"]
@@ -74,7 +73,6 @@ class VALMP:
         When positive, maintain the best-K pair heap of Algorithm 5.
     """
 
-    @require(n_profiles=positive_int(), track_top_k=int_at_least(0))
     def __init__(self, n_profiles: int, track_top_k: int = 0) -> None:
         if n_profiles <= 0:
             raise InvalidParameterError(

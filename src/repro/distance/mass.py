@@ -17,8 +17,8 @@ from repro.types import FloatArray
 
 from repro.distance.profile import distance_profile_from_qt
 from repro.distance.sliding import moving_mean_std, sliding_dot_product
+from repro.distance.znorm import as_series
 from repro.exceptions import InvalidParameterError
-from repro.lint.contracts import int_at_least, positive_int, require, series_like
 
 if TYPE_CHECKING:  # pragma: no cover - kernels sits above this layer
     from repro.kernels.context import SeriesContext
@@ -26,7 +26,6 @@ if TYPE_CHECKING:  # pragma: no cover - kernels sits above this layer
 __all__ = ["mass", "mass_with_stats"]
 
 
-@require(series=series_like(), start=int_at_least(0), length=positive_int())
 def mass(
     series: FloatArray,
     start: int,
@@ -39,7 +38,7 @@ def mass(
     (or pulls them from ``context`` when one for this series is passed);
     use :func:`mass_with_stats` inside loops that already have them.
     """
-    t = np.asarray(series, dtype=np.float64)
+    t = as_series(series)
     if context is not None and context.matches(t):
         mu, sigma = context.moving_mean_std(length)
     else:
@@ -47,7 +46,6 @@ def mass(
     return mass_with_stats(t, start, length, mu, sigma, context=context)
 
 
-@require(start=int_at_least(0), length=positive_int())
 def mass_with_stats(
     series: FloatArray,
     start: int,

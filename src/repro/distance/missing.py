@@ -29,7 +29,6 @@ import numpy as np
 from repro.types import BoolArray, FloatArray
 
 from repro.exceptions import InvalidParameterError, InvalidSeriesError
-from repro.lint.contracts import int_at_least, positive_int, require
 
 __all__ = [
     "admissible_distance",
@@ -40,12 +39,12 @@ __all__ = [
 _EPS = 1e-13
 
 
-def has_missing(series: FloatArray) -> bool:  # repro-lint: ignore[R013] - NaN-bearing input is the domain
+def has_missing(series: FloatArray) -> bool:
     """True when the series contains NaN gaps."""
     return bool(np.isnan(np.asarray(series, dtype=np.float64)).any())
 
 
-def admissible_distance(a: FloatArray, b: FloatArray) -> float:  # repro-lint: ignore[R013] - NaN-bearing input is the domain
+def admissible_distance(a: FloatArray, b: FloatArray) -> float:
     """Minimum achievable z-normalized distance given the NaN gaps.
 
     With no gaps this equals the exact z-normalized distance.  With
@@ -97,7 +96,6 @@ def admissible_distance(a: FloatArray, b: FloatArray) -> float:  # repro-lint: i
     return factor * math.sqrt(m) * sig_xo / sig_x_full
 
 
-@require(start=int_at_least(0), length=positive_int())
 def missing_aware_profile(
     series: FloatArray, start: int, length: int
 ) -> Tuple[FloatArray, BoolArray]:

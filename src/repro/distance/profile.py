@@ -19,15 +19,8 @@ import numpy as np
 
 from repro.types import FloatArray, IntArray
 
-from repro.distance.znorm import CONSTANT_EPS, znormalized_distance
+from repro.distance.znorm import CONSTANT_EPS, as_series, znormalized_distance
 from repro.exceptions import InvalidParameterError
-from repro.lint.contracts import (
-    int_at_least,
-    positive_int,
-    positive_lengths,
-    require,
-    series_like,
-)
 
 __all__ = [
     "correlation_from_qt",
@@ -37,7 +30,6 @@ __all__ = [
 ]
 
 
-@require(length=positive_lengths())
 def correlation_from_qt(
     qt: FloatArray,
     length: Union[int, IntArray],
@@ -63,7 +55,6 @@ def correlation_from_qt(
     return corr
 
 
-@require(length=positive_lengths())
 def distance_profile_from_qt(
     qt: FloatArray,
     length: Union[int, IntArray],
@@ -99,14 +90,13 @@ def distance_profile_from_qt(
     return np.sqrt(profile, out=profile)
 
 
-@require(series=series_like(), start=int_at_least(0), length=positive_int())
 def naive_distance_profile(series: FloatArray, start: int, length: int) -> FloatArray:
     """Reference distance profile by explicit re-normalization (O(n l)).
 
     Slow but obviously correct; used as ground truth in tests and by the
     brute-force engines.  No exclusion zone is applied.
     """
-    t = np.asarray(series, dtype=np.float64)
+    t = as_series(series)
     n_subs = t.size - length + 1
     if not 0 <= start < n_subs:
         raise InvalidParameterError(
@@ -119,7 +109,6 @@ def naive_distance_profile(series: FloatArray, start: int, length: int) -> Float
     return profile
 
 
-@require(center=int_at_least(0), exclusion=int_at_least(0))
 def apply_exclusion_zone(
     profile: FloatArray, center: int, exclusion: int, value: float = np.inf
 ) -> FloatArray:
@@ -129,18 +118,12 @@ def apply_exclusion_zone(
     query (Section 2); ``exclusion`` is that half-width.  Returns the
     profile for chaining.
     """
+    if center < 0 or exclusion < 0:
+        raise InvalidParameterError(
+            f"center and exclusion must be non-negative, got {center}, {exclusion}"
+        )
     lo = max(0, center - exclusion + 1)
     hi = min(profile.size, center + exclusion)
     profile[lo:hi] = value
     return profile
 
-
-def exclusion_half_width(length: int) -> int:
-    """Deprecated alias for the central exclusion-zone helper.
-
-    Kept for backward compatibility; the one source of truth for the
-    half-width rule is :mod:`repro.matrixprofile.exclusion` (R004).
-    """
-    from repro.matrixprofile.exclusion import exclusion_zone_half_width
-
-    return exclusion_zone_half_width(length)

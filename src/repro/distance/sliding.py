@@ -23,9 +23,8 @@ import numpy as np
 from repro import obs
 from repro.types import ComplexArray, FloatArray
 
-from repro.exceptions import InvalidParameterError
+from repro.exceptions import InvalidParameterError, InvalidSeriesError
 from repro.distance.znorm import CONSTANT_EPS, as_series
-from repro.lint.contracts import finite_array, int_at_least, positive_int, require
 
 __all__ = [
     "DIRECT_DOT_MAX",
@@ -43,7 +42,6 @@ __all__ = [
 DIRECT_DOT_MAX = 64
 
 
-@require(n=positive_int(), m=positive_int())
 def fft_plan_size(n: int, m: int) -> int:
     """Zero-padded FFT length used for an ``(n, m)`` sliding dot product.
 
@@ -54,7 +52,6 @@ def fft_plan_size(n: int, m: int) -> int:
     return 1 << int(np.ceil(np.log2(n + m)))
 
 
-@require(query=finite_array())
 def sliding_dot_product(
     query: FloatArray,
     series: FloatArray,
@@ -74,6 +71,8 @@ def sliding_dot_product(
     in its inputs).  Ignored on the direct-correlation path.
     """
     q = np.asarray(query, dtype=np.float64)
+    if not np.isfinite(q).all():
+        raise InvalidSeriesError("query contains NaN or infinite values")
     t = np.asarray(series, dtype=np.float64)
     m = q.size
     n = t.size
@@ -103,7 +102,6 @@ def sliding_dot_product(
     return conv[m - 1 : n]
 
 
-@require(window=positive_int())
 def moving_mean_std(series: FloatArray, window: int) -> Tuple[FloatArray, FloatArray]:
     """Mean and std of every length-``window`` subsequence, in O(n).
 
@@ -146,7 +144,6 @@ def moving_mean_std(series: FloatArray, window: int) -> Tuple[FloatArray, FloatA
     return mu, sigma
 
 
-@require(series=finite_array())
 def prefix_sums(series: FloatArray) -> Tuple[FloatArray, FloatArray]:
     """Cumulative sum and cumulative squared sum, each with a leading zero.
 
@@ -154,6 +151,8 @@ def prefix_sums(series: FloatArray) -> Tuple[FloatArray, FloatArray]:
     ``c[i + l] - c[i]`` and squared sum ``c2[i + l] - c2[i]``.
     """
     t = np.asarray(series, dtype=np.float64)
+    if not np.isfinite(t).all():
+        raise InvalidSeriesError("series contains NaN or infinite values")
     cumsum = np.empty(t.size + 1, dtype=np.float64)
     cumsum[0] = 0.0
     np.cumsum(t, out=cumsum[1:])
@@ -163,7 +162,6 @@ def prefix_sums(series: FloatArray) -> Tuple[FloatArray, FloatArray]:
     return cumsum, cumsum_sq
 
 
-@require(start=int_at_least(0), length=positive_int())
 def window_sums_at(
     cumsum: FloatArray, cumsum_sq: FloatArray, start: int, length: int
 ) -> Tuple[float, float]:
@@ -175,11 +173,14 @@ def window_sums_at(
     )
 
 
-@require(start=int_at_least(0), length=positive_int())
 def window_mean_std_at(
     cumsum: FloatArray, cumsum_sq: FloatArray, start: int, length: int
 ) -> Tuple[float, float]:
     """Mean and std of the window at ``start`` of ``length`` in O(1)."""
+    if start < 0 or length <= 0:
+        raise InvalidParameterError(
+            f"need start >= 0 and length > 0, got start={start}, length={length}"
+        )
     s, ss = window_sums_at(cumsum, cumsum_sq, start, length)
     mu = s / length
     variance = max(ss / length - mu * mu, 0.0)

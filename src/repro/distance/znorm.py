@@ -24,7 +24,6 @@ import numpy as np
 from repro.types import FloatArray
 
 from repro.exceptions import InvalidParameterError, InvalidSeriesError
-from repro.lint.contracts import positive_int, require, series_like
 
 __all__ = [
     "as_series",
@@ -42,13 +41,14 @@ CONSTANT_EPS = 1e-13
 ArrayLike = Union[FloatArray, list, tuple]
 
 
-@require(min_length=positive_int())
 def as_series(data: ArrayLike, min_length: int = 2) -> FloatArray:
     """Validate and convert input to a 1-D float64 array.
 
     Raises :class:`InvalidSeriesError` for non-1-D input, series shorter
     than ``min_length``, or non-finite values.
     """
+    if min_length < 1:
+        raise InvalidParameterError(f"min_length must be positive, got {min_length}")
     series = np.asarray(data, dtype=np.float64)
     if series.ndim != 1:
         raise InvalidSeriesError(f"expected a 1-D series, got ndim={series.ndim}")
@@ -61,7 +61,6 @@ def as_series(data: ArrayLike, min_length: int = 2) -> FloatArray:
     return series
 
 
-@require(subsequence=series_like(min_length=1))
 def znormalize(subsequence: ArrayLike) -> FloatArray:
     """Return the z-normalized copy ``(x - mean) / std`` of a subsequence.
 
@@ -71,6 +70,8 @@ def znormalize(subsequence: ArrayLike) -> FloatArray:
     x = np.asarray(subsequence, dtype=np.float64)
     if x.ndim != 1 or x.size == 0:
         raise InvalidSeriesError("znormalize expects a non-empty 1-D array")
+    if not np.isfinite(x).all():
+        raise InvalidSeriesError("subsequence contains NaN or infinite values")
     mu = x.mean()
     sigma = x.std()
     if sigma < CONSTANT_EPS:
@@ -78,7 +79,6 @@ def znormalize(subsequence: ArrayLike) -> FloatArray:
     return (x - mu) / sigma
 
 
-@require(a=series_like(min_length=1), b=series_like(min_length=1))
 def znormalized_distance(a: ArrayLike, b: ArrayLike) -> float:
     """Exact z-normalized Euclidean distance between two subsequences.
 
@@ -101,7 +101,6 @@ def znormalized_distance(a: ArrayLike, b: ArrayLike) -> float:
     return float(np.linalg.norm(znormalize(x) - znormalize(y)))
 
 
-@require(length=positive_int())
 def pearson_to_distance(correlation: float, length: int) -> float:
     """Convert Pearson correlation to z-normalized Euclidean distance.
 
@@ -115,7 +114,6 @@ def pearson_to_distance(correlation: float, length: int) -> float:
     return math.sqrt(2.0 * length * (1.0 - q))
 
 
-@require(length=positive_int())
 def distance_to_pearson(distance: float, length: int) -> float:
     """Inverse of :func:`pearson_to_distance`: ``q = 1 - dist^2 / (2l)``."""
     if length <= 0:

@@ -16,8 +16,6 @@ __all__ = [
     "NotComputedError",
     "WindowTooSmallError",
     "BudgetExceededError",
-    "ContractViolationError",
-    "SeriesContractViolationError",
 ]
 
 
@@ -56,25 +54,3 @@ class BudgetExceededError(ReproError, RuntimeError):
     by passing a deadline to the baselines and catching this error.
     """
 
-
-class ContractViolationError(InvalidParameterError, TypeError):
-    """A runtime contract (:mod:`repro.lint.contracts`) was violated.
-
-    Raised only when contracts are enabled via ``REPRO_CONTRACTS=1``.
-    Derives from :class:`InvalidParameterError` (and hence
-    :class:`ValueError`) because a contract catches the same misuse the
-    in-function validation would — code testing for either type must
-    behave identically in both modes — and from :class:`TypeError` for
-    callers treating API misuse as a typing problem.
-    """
-
-
-class SeriesContractViolationError(ContractViolationError, InvalidSeriesError):
-    """A contract on a series-shaped parameter was violated.
-
-    The series predicates (``series_like``, ``float64_array``,
-    ``finite_array``) police the same domain in-function validation
-    reports as :class:`InvalidSeriesError`, so their violations derive
-    from it too — an ``except InvalidSeriesError`` written against the
-    ordinary validation keeps working when contracts are enabled.
-    """

@@ -3,7 +3,7 @@
 Public surface (see ``docs/FEATURES.md``):
 
 :func:`extract_features` / :func:`extract_features_batch`
-    One typed, contract-checked entry point per series (or batch): runs
+    One typed, validated entry point per series (or batch): runs
     VALMOD once, fans out into motif sets, discords, chains,
     segmentation and annotation on demand, and returns a frozen
     :class:`SeriesFeatures`.

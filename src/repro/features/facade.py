@@ -37,14 +37,6 @@ from repro.features.result import AnnotationSummary, SeriesFeatures
 from repro.features.serialize import features_from_dict, features_to_dict
 from repro.features.store import FeatureStore, feature_cache_key, resolve_store
 from repro.kernels.context import SeriesContext
-from repro.lint.contracts import (
-    instance_of,
-    int_at_least,
-    number_in,
-    positive_int,
-    require,
-    series_like,
-)
 from repro.matrixprofile.registry import DEFAULT_ENGINE, engine_names
 from repro.types import MotifSet, SeriesLike
 
@@ -83,18 +75,6 @@ def _canonical_include(include: Iterable[str]) -> Tuple[str, ...]:
     return tuple(name for name in INCLUDE_OPTIONS if name in requested)
 
 
-@require(
-    series=series_like(min_length=8),
-    l_min=positive_int(),
-    l_max=positive_int(),
-    p=positive_int(),
-    top_k=positive_int(),
-    motif_set_k=positive_int(),
-    radius_factor=number_in(0.0, float("inf"), open_low=True),
-    k_discords=positive_int(),
-    n_regimes=int_at_least(2),
-    engine=instance_of(str),
-)
 def extract_features(
     series: SeriesLike,
     l_min: int,
@@ -335,7 +315,6 @@ def _compute(
     )
 
 
-@require(l_min=positive_int(), l_max=positive_int())
 def extract_features_batch(
     series_list: Sequence[SeriesLike],
     l_min: int,

@@ -23,7 +23,6 @@ from repro.core.discords import Discord
 from repro.exceptions import InvalidParameterError
 from repro.features.result import AnnotationSummary, SeriesFeatures
 from repro.types import MotifPair, MotifSet
-from repro.lint.contracts import instance_of, require
 
 __all__ = ["features_from_dict", "features_to_dict", "save_features_json"]
 
@@ -48,7 +47,6 @@ def _pair_from_dict(data: Mapping[str, Any]) -> MotifPair:
     )
 
 
-@require(features=instance_of(SeriesFeatures))
 def features_to_dict(features: SeriesFeatures) -> Dict[str, Any]:
     """Flatten a features object into a JSON-serializable dict."""
     return {
@@ -121,7 +119,6 @@ def features_to_dict(features: SeriesFeatures) -> Dict[str, Any]:
     }
 
 
-@require(data=instance_of(dict))
 def features_from_dict(data: Mapping[str, Any]) -> SeriesFeatures:
     """Rebuild a features object; raises on malformed payloads."""
     try:
@@ -205,7 +202,6 @@ def features_from_dict(data: Mapping[str, Any]) -> SeriesFeatures:
         ) from exc
 
 
-@require(path=instance_of(str), features=instance_of(SeriesFeatures))
 def save_features_json(path: str, features: SeriesFeatures) -> None:
     """Write a features object to ``path`` as indented JSON."""
     with open(path, "w", encoding="utf-8") as handle:

@@ -30,7 +30,6 @@ import numpy as np
 
 from repro import obs
 from repro.exceptions import InvalidParameterError
-from repro.lint.contracts import instance_of, optional, positive_int, require
 from repro.kernels import KERNEL_SCHEMA_VERSION
 
 __all__ = [
@@ -66,7 +65,7 @@ def _canonical_json(value: Any) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
-def feature_cache_key(series: Any, params: Mapping[str, Any]) -> str:  # repro-lint: ignore[R013] - hashes arbitrary series-like input
+def feature_cache_key(series: Any, params: Mapping[str, Any]) -> str:
     """Content address of one ``extract_features`` query.
 
     ``series`` is hashed as its raw buffer plus dtype and shape, so a
@@ -110,10 +109,6 @@ class FeatureStore:
         ``features.cache.evictions``.
     """
 
-    @require(
-        root=instance_of(str, Path),
-        max_entries=optional(positive_int()),
-    )
     def __init__(
         self,
         root: Union[str, Path],
@@ -236,7 +231,7 @@ class FeatureStore:
         return removed
 
 
-def resolve_store(  # repro-lint: ignore[R013] - pure dispatch over a union type
+def resolve_store(
     store: Union[FeatureStore, str, Path, bool, None],
 ) -> Optional[FeatureStore]:
     """Normalize the façade's ``store`` argument.

@@ -24,14 +24,9 @@ import numpy as np
 
 from repro.core.valmod import DEFAULT_P, ValmodResult
 from repro.core.discords import Discord
+from repro.exceptions import InvalidParameterError
 from repro.features.facade import DEFAULT_INCLUDE, StoreLike, extract_features
 from repro.features.result import SeriesFeatures
-from repro.lint.contracts import (
-    optional,
-    positive_int,
-    require,
-    series_like,
-)
 from repro.matrixprofile.registry import DEFAULT_ENGINE
 from repro.matrixprofile.streaming_valmod import StreamEvent, StreamingValmod
 from repro.types import FloatArray
@@ -56,16 +51,6 @@ class StreamingFeatures:
     is what the ``store=`` argument makes resumable across restarts.
     """
 
-    @require(
-        series=series_like(min_length=8),
-        l_min=positive_int(),
-        l_max=positive_int(),
-        p=positive_int(),
-        top_k=positive_int(),
-        motif_set_k=positive_int(),
-        k_discords=positive_int(),
-        max_points=optional(positive_int()),
-    )
     def __init__(
         self,
         series: FloatArray,
@@ -83,6 +68,9 @@ class StreamingFeatures:
         max_points: Optional[int] = None,
         store: StoreLike = None,
     ) -> None:
+        for name, value in (("top_k", top_k), ("motif_set_k", motif_set_k)):
+            if value <= 0:
+                raise InvalidParameterError(f"{name} must be positive, got {value}")
         self._stream = StreamingValmod(
             series,
             l_min,

@@ -19,7 +19,7 @@ and the foundation modules at import time (engine types are resolved
 lazily), so engines above it can import :class:`SeriesContext` freely.
 """
 
-from repro.kernels.context import SeriesContext, ensure_context
+from repro.kernels.context import SeriesContext
 from repro.kernels.blocked import DEFAULT_BLOCK_ROWS, blocked_stomp
 from repro.kernels.streaming_stats import StreamingSeriesStats
 
@@ -35,7 +35,6 @@ __all__ = [
     "KERNEL_SCHEMA_VERSION",
     "SeriesContext",
     "StreamingSeriesStats",
-    "ensure_context",
     "DEFAULT_BLOCK_ROWS",
     "blocked_stomp",
 ]

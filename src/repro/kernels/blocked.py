@@ -68,7 +68,6 @@ from repro.distance.sliding import DIRECT_DOT_MAX, validate_subsequence_length
 from repro.distance.znorm import CONSTANT_EPS
 from repro.exceptions import InvalidParameterError
 from repro.kernels.context import SeriesContext
-from repro.lint.contracts import ensure, no_nan_profile, positive_int, require, series_like
 
 if TYPE_CHECKING:  # pragma: no cover - engines sit above this layer
     from repro.matrixprofile.index import MatrixProfile
@@ -284,8 +283,6 @@ def _sheared_blocks(
     return blocks, len(anchor_list)
 
 
-@require(series=series_like(min_length=4), length=positive_int())
-@ensure(no_nan_profile)
 def blocked_stomp(
     series: FloatArray,
     length: int,

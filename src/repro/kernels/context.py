@@ -49,9 +49,8 @@ from repro.distance.sliding import (
     sliding_dot_product,
 )
 from repro.distance.znorm import as_series
-from repro.lint.contracts import positive_int, require
 
-__all__ = ["SeriesContext", "ensure_context"]
+__all__ = ["SeriesContext"]
 
 
 class SeriesContext:
@@ -69,7 +68,6 @@ class SeriesContext:
 
     __slots__ = ("series", "_stats", "_ffts", "_prefix")
 
-    @require(min_length=positive_int())
     def __init__(self, series: SeriesLike, min_length: int = 2) -> None:
         self.series: FloatArray = as_series(series, min_length=min_length)
         self._stats: Dict[int, Tuple[FloatArray, FloatArray]] = {}
@@ -210,12 +208,3 @@ class SeriesContext:
             f"ffts={list(self.cached_fft_sizes)})"
         )
 
-
-@require(min_length=positive_int())
-def ensure_context(
-    series: SeriesLike,
-    context: Optional[SeriesContext] = None,
-    min_length: int = 2,
-) -> SeriesContext:
-    """Module-level alias of :meth:`SeriesContext.ensure`."""
-    return SeriesContext.ensure(series, context, min_length=min_length)

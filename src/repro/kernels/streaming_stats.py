@@ -44,7 +44,6 @@ from repro import obs
 from repro.distance.sliding import moving_mean_std
 from repro.distance.znorm import as_series
 from repro.exceptions import InvalidParameterError
-from repro.lint.contracts import positive_int, require, series_like
 from repro.types import FloatArray
 
 __all__ = ["StreamingSeriesStats"]
@@ -78,7 +77,6 @@ class StreamingSeriesStats:
     :meth:`trailing_qt` views.  All arrays are float64.
     """
 
-    @require(series=series_like(), l_min=positive_int(), l_max=positive_int())
     def __init__(self, series: FloatArray, l_min: int, l_max: int) -> None:
         t = as_series(series, min_length=2)
         if l_min < 2 or l_min > l_max:

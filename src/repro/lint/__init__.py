@@ -1,22 +1,22 @@
-"""`repro.lint`: whole-project static analyzer for the numerical core.
+"""`repro.lint`: whole-project static analyzer for the invariants no test sees.
 
-The exactness guarantees of the matrix-profile family rest on a handful of
-numerical invariants — clip before ``sqrt``, guard every division by a
-window deviation, centralize the exclusion-zone arithmetic, keep parallel
-reductions deterministic.  This package encodes them as AST-based rules
-(R001–R013; R012 is retired) that run over the source tree and fail CI
-on violations::
+The behavioural walls (oracle differentials, rejection tests) back the
+numerical claims; this package keeps only the rules whose violation
+those walls let through: guarded divisions in kernels (R002), the
+observability and façade layering (R007, R009), stats/FFT access
+through ``SeriesContext`` (R008), the obs-name registry (R010), and
+stale suppressions (R011).  They run as AST checks over the source tree
+and fail CI on violations::
 
     python -m repro.lint src/
 
-Beyond the per-file syntactic rules, the analyzer builds a whole-project
-view (:class:`~repro.lint.graph.ProjectContext`: module table, import
-graph, observability emission sites) for the cross-file rules — R010
-checks every emitted obs name against :mod:`repro.obs.registry`.
+Beyond the per-file rules, the analyzer builds a whole-project view
+(:class:`~repro.lint.graph.ProjectContext`: module table, observability
+emission sites) for R010, which checks every emitted obs name against
+:mod:`repro.obs.registry`.
 
-See ``docs/LINTING.md`` for the rule catalog and the historical bug each
-rule would have caught.  Runtime shape/dtype/finiteness contracts (enabled
-with ``REPRO_CONTRACTS=1``) live in :mod:`repro.lint.contracts`.
+See ``docs/LINTING.md`` for the rule catalog and for the mutation audit
+that decided which rules stay.
 """
 
 from __future__ import annotations

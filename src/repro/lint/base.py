@@ -3,7 +3,7 @@
 A :class:`FileContext` wraps one parsed source file: its AST, the raw
 lines, the ``# repro-lint:`` pragmas, and lazily computed per-scope guard
 information (clip/floor assignments, comparison guards, ``np.errstate``
-spans) that several rules consult.  Rules subclass :class:`Rule` and yield
+spans) that R002 consults.  Rules subclass :class:`Rule` and yield
 :class:`Diagnostic` objects; they run in one of three phases:
 
 * ``file`` rules check one :class:`FileContext` at a time (and may read
@@ -39,7 +39,6 @@ __all__ = [
     "imported_names",
     "name_tokens",
     "is_guard_call",
-    "iter_calls",
 ]
 
 #: directories whose modules count as numerical-kernel code.
@@ -48,7 +47,7 @@ KERNEL_DIRS = frozenset({"distance", "matrixprofile", "core"})
 _PRAGMA_RE = re.compile(r"#\s*repro-lint:\s*ignore\[([A-Z0-9,\s]+)\]")
 _SKIP_FILE_RE = re.compile(r"#\s*repro-lint:\s*skip-file")
 
-#: calls that clamp a value into a safe domain (guards for R001/R002).
+#: calls that clamp a value into a safe domain (R002's guards).
 GUARD_CALLS = frozenset(
     {"np.maximum", "np.clip", "numpy.maximum", "numpy.clip", "max", "min"}
 )
@@ -101,12 +100,6 @@ def is_guard_call(node: ast.AST) -> bool:
 def contains_guard_call(node: ast.AST) -> bool:
     """True when any call in the subtree is a clamp/clip call."""
     return any(is_guard_call(sub) for sub in ast.walk(node))
-
-
-def iter_calls(node: ast.AST) -> Iterator[ast.Call]:
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Call):
-            yield sub
 
 
 def imported_names(tree: ast.AST) -> Iterator[Tuple[ast.stmt, str]]:
@@ -303,26 +296,18 @@ class FileContext:
 
         Black-style formatting regularly splits a flagged call over
         several lines with the pragma trailing the closing parenthesis;
-        the diagnostic anchors at the statement's first line.  Function
-        signatures get the same treatment (the def line through the line
-        before the body) so R013 pragmas may trail a wrapped signature.
+        the diagnostic anchors at the statement's first line.
         """
         for node in ast.walk(self.tree):
             start = getattr(node, "lineno", None)
             end = getattr(node, "end_lineno", None)
             if start is None or end is None:
                 continue
-            if isinstance(node, _SIMPLE_STMTS):
-                span_end = end
-            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                span_end = node.body[0].lineno - 1 if node.body else end
-            else:
+            if not isinstance(node, _SIMPLE_STMTS) or end <= start:
                 continue
-            if span_end <= start:
-                continue
-            span = range(start, span_end + 1)
+            span = range(start, end + 1)
             for record in self.pragmas:
-                if start < record.line <= span_end:
+                if start < record.line <= end:
                     record.covered.update(span)
 
     @property
@@ -347,25 +332,6 @@ class FileContext:
         """Module lives in a numerical-kernel package (distance/matrixprofile/core)."""
         return any(part in KERNEL_DIRS for part in self.module_parts[:-1])
 
-    @property
-    def is_exclusion_module(self) -> bool:
-        return self.module_parts[-1] == "exclusion"
-
-    @property
-    def is_worker_module(self) -> bool:
-        """Module that ships work to processes/threads (R005 scope)."""
-        for node in ast.walk(self.tree):
-            if isinstance(node, ast.Import):
-                if any(
-                    alias.name.split(".")[0] in ("multiprocessing", "concurrent")
-                    for alias in node.names
-                ):
-                    return True
-            elif isinstance(node, ast.ImportFrom) and node.module:
-                if node.module.split(".")[0] in ("multiprocessing", "concurrent"):
-                    return True
-        return False
-
     # -- scopes ------------------------------------------------------------
 
     @property
@@ -386,28 +352,8 @@ class FileContext:
             self._scopes = scopes
         return self._scopes
 
-    def scope_of(self, node: ast.AST) -> Scope:
-        """The innermost scope whose span contains ``node``."""
-        line = getattr(node, "lineno", 0)
-        best = self.scopes[0]
-        best_span = float("inf")
-        for scope in self.scopes[1:]:
-            lo = getattr(scope.node, "lineno", 0)
-            hi = _end_line(scope.node)
-            if lo <= line <= hi and (hi - lo) < best_span:
-                best = scope
-                best_span = hi - lo
-        return best
-
-    def ignored(self, line: int, rule_id: str) -> bool:
-        """True when a pragma suppresses ``rule_id`` on ``line`` (read-only)."""
-        return any(
-            rule_id in record.rule_ids and line in record.covered
-            for record in self.pragmas
-        )
-
     def consume(self, line: int, rule_id: str) -> bool:
-        """Like :meth:`ignored`, but records the suppression as *used*.
+        """True when a pragma suppresses ``rule_id`` on ``line``; records it as *used*.
 
         The runner calls this while filtering; the usage marks feed the
         stale-pragma rule (R011).

@@ -24,7 +24,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro.lint",
         description=(
             "Whole-project static analyzer for the repro numerical core "
-            "(rules R001-R013; see docs/LINTING.md)."
+            "(rules R002, R007-R011; see docs/LINTING.md)."
         ),
     )
     parser.add_argument(

@@ -1,11 +1,11 @@
 """Whole-project analysis context for :mod:`repro.lint`.
 
 The per-file rules see one :class:`~repro.lint.base.FileContext` at a
-time; cross-file rules (R010 obs-name-registry, R013 contract-coverage)
-need the *project*: every parsed file, a module table keyed by dotted
-name, the import graph, per-module export lists, and the observability
-emission sites.  :class:`ProjectContext` parses the input set once and
-exposes those views; rules receive it alongside the file context.
+time; the cross-file rule (R010 obs-name-registry) needs the *project*:
+every parsed file, a module table keyed by dotted name, and the
+observability emission sites.  :class:`ProjectContext` parses the
+input set once and exposes those views; rules receive it alongside the
+file context.
 
 A "project" is simply the set of files handed to one lint invocation —
 linting a single file builds a one-file project, so every rule runs
@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
-from repro.lint.base import FileContext, call_name, imported_names
+from repro.lint.base import FileContext, call_name
 
 __all__ = [
     "ObsEmission",
@@ -172,7 +172,6 @@ class ProjectContext:
         self.active_rule_ids: Set[str] = set()
         #: the full known rule-id universe (for unknown-id pragma checks).
         self.known_rule_ids: Set[str] = set()
-        self._imports: Optional[Dict[str, Set[str]]] = None
         self._emissions: Optional[List[ObsEmission]] = None
         self._registry: Optional[RegistryDeclarations] = None
         self._registry_resolved = False
@@ -192,65 +191,6 @@ class ProjectContext:
         (single files, fixture directories).
         """
         return "repro" in self.by_module
-
-    # -- import graph --------------------------------------------------
-
-    @property
-    def imports(self) -> Dict[str, Set[str]]:
-        """module name -> set of absolute dotted names it imports."""
-        if self._imports is None:
-            graph: Dict[str, Set[str]] = {}
-            for ctx in self.files:
-                edges = graph.setdefault(ctx.module_name, set())
-                for _node, name in imported_names(ctx.tree):
-                    edges.add(name)
-            self._imports = graph
-        return self._imports
-
-    def importers_of(self, dotted: str) -> List[FileContext]:
-        """Files importing ``dotted`` (or a symbol from it)."""
-        found: List[FileContext] = []
-        prefix = dotted + "."
-        for ctx in self.files:
-            names = self.imports.get(ctx.module_name, set())
-            if any(name == dotted or name.startswith(prefix) for name in names):
-                found.append(ctx)
-        return found
-
-    # -- symbols -------------------------------------------------------
-
-    def exported_names(self, ctx: FileContext) -> Optional[List[str]]:
-        """The literal ``__all__`` of a module, or None when absent/dynamic."""
-        for stmt in ctx.tree.body:
-            if isinstance(stmt, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets
-            ):
-                try:
-                    value = ast.literal_eval(stmt.value)
-                except ValueError:
-                    return None
-                if isinstance(value, (list, tuple)) and all(
-                    isinstance(item, str) for item in value
-                ):
-                    return list(value)
-                return None
-        return None
-
-    def top_level_functions(self, ctx: FileContext) -> Dict[str, ast.FunctionDef]:
-        """Module-level function definitions, by name."""
-        return {
-            stmt.name: stmt
-            for stmt in ctx.tree.body
-            if isinstance(stmt, ast.FunctionDef)
-        }
-
-    def top_level_classes(self, ctx: FileContext) -> Dict[str, ast.ClassDef]:
-        """Module-level class definitions, by name."""
-        return {
-            stmt.name: stmt
-            for stmt in ctx.tree.body
-            if isinstance(stmt, ast.ClassDef)
-        }
 
     # -- observability -------------------------------------------------
 

@@ -36,6 +36,13 @@ _ALLOWED_PARTS = frozenset({"distance", "kernels"})
 #: the modules whose ``moving_mean_std`` is the raw recomputation.
 _STATS_MODULES = frozenset({"repro.distance.sliding", "repro.distance"})
 
+#: the fix a raw stats call is pointed at.
+_RAW_STATS_MESSAGE = (
+    "raw moving_mean_std call outside the distance/kernels layer; use "
+    "SeriesContext.ensure(series, context).moving_mean_std(length) so the "
+    "stats cache is shared"
+)
+
 
 def _collect_bindings(tree: ast.AST):
     """Names bound to numpy, to stats modules, and to moving_mean_std."""
@@ -122,20 +129,8 @@ class ContextStatsRule(Rule):
             elif isinstance(node, ast.Call):
                 name = call_name(node)
                 if name in stats_names:
-                    yield from emit(
-                        node,
-                        "raw moving_mean_std call outside the distance/"
-                        "kernels layer; use ensure_context(series)"
-                        ".moving_mean_std(length) so the stats cache is "
-                        "shared",
-                    )
+                    yield from emit(node, _RAW_STATS_MESSAGE)
                 elif "." in name:
                     base, last = name.rsplit(".", 1)
                     if last == "moving_mean_std" and base in stats_modules:
-                        yield from emit(
-                            node,
-                            "raw moving_mean_std call outside the distance/"
-                            "kernels layer; use ensure_context(series)"
-                            ".moving_mean_std(length) so the stats cache "
-                            "is shared",
-                        )
+                        yield from emit(node, _RAW_STATS_MESSAGE)

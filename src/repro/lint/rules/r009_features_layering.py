@@ -20,8 +20,7 @@ is aggregation, not composition.
 
 from __future__ import annotations
 
-import ast
-from typing import TYPE_CHECKING, Dict, Iterator, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, Optional
 
 from repro.lint.base import Diagnostic, FileContext, Rule, imported_names
 

@@ -23,7 +23,6 @@ the declared-name tables so the emission-side check still works.
 
 from __future__ import annotations
 
-import ast
 from typing import TYPE_CHECKING, Dict, Iterator, Set
 
 from repro.lint.base import Diagnostic, Rule

@@ -8,8 +8,8 @@ which rule ids actually consumed a diagnostic; this rule audits that
 accounting after the file and project phases ran.
 
 A pragma id is reported as stale only when its rule was active in the
-current invocation (a ``--select R001`` run cannot know whether an
-``ignore[R006]`` still earns its keep).  Ids that are not rules at all
+current invocation (a ``--select R002`` run cannot know whether an
+``ignore[R009]`` still earns its keep).  Ids that are not rules at all
 are always reported — they never suppress anything under any selection.
 """
 

@@ -15,13 +15,10 @@ from repro.distance.znorm import as_series, znormalized_distance
 from repro.distance.sliding import validate_subsequence_length
 from repro.matrixprofile.exclusion import exclusion_zone_half_width
 from repro.matrixprofile.index import MatrixProfile
-from repro.lint.contracts import ensure, no_nan_profile, positive_int, require, series_like
 
 __all__ = ["brute_force_matrix_profile"]
 
 
-@require(series=series_like(), length=positive_int())
-@ensure(no_nan_profile)
 def brute_force_matrix_profile(series: FloatArray, length: int) -> MatrixProfile:
     """Compute the matrix profile by exhaustive pairwise comparison."""
     t = as_series(series, min_length=4)

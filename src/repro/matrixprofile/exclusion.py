@@ -12,12 +12,10 @@ from __future__ import annotations
 import math
 
 from repro.exceptions import InvalidParameterError
-from repro.lint.contracts import int_at_least, positive_int, require
 
 __all__ = ["contributing_cells", "exclusion_zone_half_width", "is_trivial_match"]
 
 
-@require(length=positive_int())
 def exclusion_zone_half_width(length: int) -> int:
     """Half-width of the trivial-match zone for subsequence length ``l``.
 
@@ -30,13 +28,13 @@ def exclusion_zone_half_width(length: int) -> int:
     return max(1, int(math.ceil(length / 2.0)))
 
 
-@require(i=int_at_least(0), j=int_at_least(0), length=positive_int())
 def is_trivial_match(i: int, j: int, length: int) -> bool:
     """True when windows ``i`` and ``j`` of length ``l`` trivially match."""
+    if i < 0 or j < 0:
+        raise InvalidParameterError(f"window starts must be non-negative, got {i}, {j}")
     return abs(i - j) < exclusion_zone_half_width(length)
 
 
-@require(n_subs=positive_int(), zone=int_at_least(0))
 def contributing_cells(n_subs: int, zone: int) -> int:
     """Number of ordered pairs ``(i, j)`` with ``|i - j| >= zone``.
 

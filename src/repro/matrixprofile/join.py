@@ -20,16 +20,13 @@ import numpy as np
 from repro.distance.profile import distance_profile_from_qt
 from repro.distance.znorm import as_series
 from repro.exceptions import InvalidParameterError
-from repro.kernels.context import ensure_context
+from repro.kernels.context import SeriesContext
 from repro.matrixprofile.index import MatrixProfile
 from repro.types import MotifPair
-from repro.lint.contracts import ensure, no_nan_profile, positive_int, require, series_like
 
 __all__ = ["stomp_ab_join", "ab_join_motif"]
 
 
-@require(series_a=series_like(), series_b=series_like(), length=positive_int())
-@ensure(no_nan_profile)
 def stomp_ab_join(
     series_a: np.ndarray, series_b: np.ndarray, length: int
 ) -> MatrixProfile:
@@ -48,8 +45,8 @@ def stomp_ab_join(
         )
     n_a = a.size - length + 1
     n_b = b.size - length + 1
-    ctx_b = ensure_context(b)
-    mu_a, sigma_a = ensure_context(a).moving_mean_std(length)
+    ctx_b = SeriesContext(b)
+    mu_a, sigma_a = SeriesContext(a).moving_mean_std(length)
     mu_b, sigma_b = ctx_b.moving_mean_std(length)
 
     profile = np.empty(n_a, dtype=np.float64)
@@ -71,7 +68,6 @@ def stomp_ab_join(
     return MatrixProfile(profile=profile, index=index, length=length)
 
 
-@require(series_a=series_like(), series_b=series_like(), length=positive_int())
 def ab_join_motif(
     series_a: np.ndarray, series_b: np.ndarray, length: int
 ) -> Tuple[MotifPair, MatrixProfile]:

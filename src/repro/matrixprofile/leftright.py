@@ -18,7 +18,6 @@ from repro.kernels.context import SeriesContext
 from repro.matrixprofile.exclusion import exclusion_zone_half_width
 from repro.matrixprofile.index import MatrixProfile
 from repro.matrixprofile.stomp import iterate_stomp_rows
-from repro.lint.contracts import positive_int, require, series_like
 
 __all__ = ["LeftRightProfiles", "stomp_left_right"]
 
@@ -55,7 +54,6 @@ class LeftRightProfiles:
         )
 
 
-@require(series=series_like(), length=positive_int())
 def stomp_left_right(
     series: np.ndarray, length: int, context: "SeriesContext | None" = None
 ) -> LeftRightProfiles:

@@ -22,17 +22,10 @@ import numpy as np
 from repro.distance.znorm import as_series
 from repro.exceptions import InvalidParameterError
 from repro.matrixprofile.join import stomp_ab_join
-from repro.lint.contracts import number_in, positive_int, require, series_like
 
 __all__ = ["mpdist"]
 
 
-@require(
-    series_a=series_like(),
-    series_b=series_like(),
-    length=positive_int(),
-    threshold=number_in(0.0, 1.0, open_low=True),
-)
 def mpdist(
     series_a: np.ndarray,
     series_b: np.ndarray,

@@ -22,7 +22,6 @@ from repro.types import FloatArray
 from repro.exceptions import InvalidParameterError
 from repro.kernels.blocked import blocked_stomp
 from repro.kernels.context import SeriesContext
-from repro.lint.contracts import instance_of, positive_int, require, series_like
 from repro.matrixprofile.brute import brute_force_matrix_profile
 from repro.matrixprofile.index import MatrixProfile
 from repro.matrixprofile.scrimp import scrimp
@@ -61,24 +60,22 @@ class EngineSpec:
 _REGISTRY: Dict[str, EngineSpec] = {}
 
 
-@require(name=instance_of(str))
 def register_engine(
     name: str, compute: ComputeFn, description: str = ""
 ) -> EngineSpec:
     """Register (or replace) an engine under ``name``."""
-    if not name:
-        raise InvalidParameterError("engine name must be non-empty")
+    if not isinstance(name, str) or not name:
+        raise InvalidParameterError(f"engine name must be a non-empty str, got {name!r}")
     spec = EngineSpec(name=name, compute=compute, description=description)
     _REGISTRY[name] = spec
     return spec
 
 
-def engine_names() -> Tuple[str, ...]:  # repro-lint: ignore[R013] - zero-argument accessor
+def engine_names() -> Tuple[str, ...]:
     """Registered engine names, in registration order."""
     return tuple(_REGISTRY)
 
 
-@require(name=instance_of(str))
 def get_engine(name: str) -> EngineSpec:
     """Look up an engine; raises with the valid choices on a miss."""
     spec = _REGISTRY.get(name)
@@ -90,11 +87,6 @@ def get_engine(name: str) -> EngineSpec:
     return spec
 
 
-@require(
-    name=instance_of(str),
-    series=series_like(min_length=4),
-    length=positive_int(),
-)
 def compute_with(
     name: str,
     series: FloatArray,

@@ -34,15 +34,6 @@ from repro.distance.sliding import validate_subsequence_length
 from repro.distance.znorm import CONSTANT_EPS
 from repro.exceptions import InvalidParameterError
 from repro.kernels.context import SeriesContext
-from repro.lint.contracts import (
-    ensure,
-    no_nan_profile,
-    number_in,
-    optional,
-    positive_int,
-    require,
-    series_like,
-)
 from repro.matrixprofile.exclusion import exclusion_zone_half_width
 from repro.matrixprofile.index import MatrixProfile
 
@@ -79,12 +70,6 @@ def _diagonal_distances(
     return np.where(i_const & j_const, 0.0, dist)
 
 
-@require(
-    series=series_like(min_length=4),
-    length=positive_int(),
-    fraction=number_in(0.0, 1.0, open_low=True),
-)
-@ensure(no_nan_profile)
 def scrimp(
     series: FloatArray,
     length: int,
@@ -140,12 +125,6 @@ def scrimp(
     return MatrixProfile(profile=profile, index=index, length=length)
 
 
-@require(
-    series=series_like(min_length=4),
-    length=positive_int(),
-    stride=optional(positive_int()),
-)
-@ensure(no_nan_profile)
 def pre_scrimp(
     series: FloatArray,
     length: int,
@@ -165,7 +144,7 @@ def pre_scrimp(
     if stride is None:
         # PRE-SCRIMP's published sampling stride happens to be l/2 but it
         # is a row-sampling rate, not a trivial-match zone.
-        stride = max(1, length // 2)  # repro-lint: ignore[R004]
+        stride = max(1, length // 2)
     if stride <= 0:
         raise InvalidParameterError(f"stride must be positive, got {stride}")
     mu, sigma = ctx.moving_mean_std(length)

@@ -21,26 +21,12 @@ from repro.distance.profile import apply_exclusion_zone
 from repro.distance.sliding import validate_subsequence_length
 from repro.exceptions import InvalidParameterError
 from repro.kernels.context import SeriesContext
-from repro.lint.contracts import (
-    ensure,
-    no_nan_profile,
-    optional,
-    positive_int,
-    require,
-    series_like,
-)
 from repro.matrixprofile.exclusion import exclusion_zone_half_width
 from repro.matrixprofile.index import MatrixProfile
 
 __all__ = ["stamp"]
 
 
-@require(
-    series=series_like(min_length=4),
-    length=positive_int(),
-    max_rows=optional(positive_int()),
-)
-@ensure(no_nan_profile)
 def stamp(
     series: FloatArray,
     length: int,

@@ -42,14 +42,6 @@ from repro.distance.sliding import sliding_dot_product, validate_subsequence_len
 from repro.distance.znorm import CONSTANT_EPS
 from repro.exceptions import InvalidParameterError
 from repro.kernels.context import SeriesContext
-from repro.lint.contracts import (
-    ensure,
-    int_at_least,
-    no_nan_profile,
-    positive_int,
-    require,
-    series_like,
-)
 from repro.matrixprofile.exclusion import contributing_cells, exclusion_zone_half_width
 from repro.matrixprofile.index import MatrixProfile
 
@@ -67,7 +59,6 @@ __all__ = [
 QT_DRIFT_TOL = 1e-9
 
 
-@require(series=series_like(), start=int_at_least(0), length=positive_int())
 def exact_qt_row(series: FloatArray, start: int, length: int) -> FloatArray:
     """Dot products of window ``start`` against every window, summed exactly.
 
@@ -78,7 +69,6 @@ def exact_qt_row(series: FloatArray, start: int, length: int) -> FloatArray:
     return np.correlate(series, series[start : start + length], mode="valid")
 
 
-@require(series=series_like(), length=positive_int())
 def stomp_reanchor_rows(
     series: FloatArray, length: int, sigma: FloatArray
 ) -> IntArray:
@@ -124,7 +114,6 @@ def stomp_reanchor_rows(
     return np.asarray(anchors, dtype=np.int64)
 
 
-@require(series=series_like(), length=positive_int())
 def iterate_stomp_qt(
     series: FloatArray,
     length: int,
@@ -176,7 +165,6 @@ def iterate_stomp_qt(
             yield i, qt
 
 
-@require(series=series_like(), length=positive_int())
 def iterate_stomp_rows(
     series: FloatArray,
     length: int,
@@ -205,8 +193,6 @@ def iterate_stomp_rows(
         yield i, qt, profile
 
 
-@require(series=series_like(min_length=4), length=positive_int())
-@ensure(no_nan_profile)
 def stomp(
     series: FloatArray,
     length: int,

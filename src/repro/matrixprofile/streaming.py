@@ -44,7 +44,6 @@ from repro.exceptions import (
     WindowTooSmallError,
 )
 from repro.kernels.streaming_stats import StreamingSeriesStats
-from repro.lint.contracts import optional, positive_int, require, series_like
 from repro.matrixprofile.exclusion import exclusion_zone_half_width
 from repro.matrixprofile.index import MatrixProfile
 
@@ -67,11 +66,6 @@ class StreamingMatrixProfile:
     from-scratch computation on the retained window.
     """
 
-    @require(
-        series=series_like(min_length=4),
-        length=positive_int(),
-        max_points=optional(positive_int()),
-    )
     def __init__(
         self,
         series: np.ndarray,

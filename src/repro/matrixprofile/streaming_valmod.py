@@ -79,13 +79,6 @@ from repro.exceptions import (
 )
 from repro.kernels.context import SeriesContext
 from repro.kernels.streaming_stats import StreamingSeriesStats
-from repro.lint.contracts import (
-    int_at_least,
-    optional,
-    positive_int,
-    require,
-    series_like,
-)
 from repro.matrixprofile.exclusion import exclusion_zone_half_width
 from repro.matrixprofile.registry import DEFAULT_ENGINE, compute_with
 from repro.types import FloatArray, IntArray
@@ -146,15 +139,6 @@ class StreamingValmod:
     changes.
     """
 
-    @require(
-        series=series_like(min_length=8),
-        l_min=positive_int(),
-        l_max=positive_int(),
-        p=positive_int(),
-        k_discords=positive_int(),
-        track_top_k=int_at_least(0),
-        max_points=optional(positive_int()),
-    )
     def __init__(
         self,
         series: FloatArray,
@@ -182,6 +166,10 @@ class StreamingValmod:
         if k_discords <= 0:
             raise InvalidParameterError(
                 f"k_discords must be positive, got {k_discords}"
+            )
+        if track_top_k < 0:
+            raise InvalidParameterError(
+                f"track_top_k must be non-negative, got {track_top_k}"
             )
         self.l_min = int(l_min)
         self.l_max = int(l_max)

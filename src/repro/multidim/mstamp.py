@@ -23,7 +23,7 @@ import numpy as np
 from repro.distance.mass import mass_with_stats
 from repro.distance.profile import apply_exclusion_zone
 from repro.exceptions import InvalidParameterError, InvalidSeriesError
-from repro.kernels.context import ensure_context
+from repro.kernels.context import SeriesContext
 from repro.matrixprofile.exclusion import exclusion_zone_half_width
 
 __all__ = ["MultidimMatrixProfile", "MultidimMotif", "mstamp", "multidim_motifs"]
@@ -130,7 +130,7 @@ def mstamp(series: np.ndarray, length: int) -> MultidimMatrixProfile:
     zone = exclusion_zone_half_width(length)
     # One context per dimension: each caches its stats and series FFT for
     # the whole query loop below.
-    contexts = [ensure_context(data[dim]) for dim in range(d)]
+    contexts = [SeriesContext(data[dim]) for dim in range(d)]
     stats = [ctx.moving_mean_std(length) for ctx in contexts]
 
     profile = np.full((d, n_subs), np.inf, dtype=np.float64)

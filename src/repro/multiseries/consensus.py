@@ -18,7 +18,7 @@ import numpy as np
 from repro.distance.profile import distance_profile_from_qt
 from repro.distance.znorm import as_series
 from repro.exceptions import InvalidParameterError
-from repro.kernels.context import SeriesContext, ensure_context
+from repro.kernels.context import SeriesContext
 from repro.matrixprofile.mpdist import mpdist
 
 __all__ = ["ConsensusMotif", "consensus_motif", "mpdist_matrix"]
@@ -66,7 +66,7 @@ def consensus_motif(
             raise InvalidParameterError(
                 f"length {length} invalid for a series of {s.size} points"
             )
-    contexts = [ensure_context(s) for s in data]
+    contexts = [SeriesContext(s) for s in data]
     all_stats = [ctx.moving_mean_std(length) for ctx in contexts]
 
     best_radius = np.inf

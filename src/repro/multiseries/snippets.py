@@ -25,7 +25,7 @@ import numpy as np
 from repro.distance.mass import mass_with_stats
 from repro.distance.znorm import as_series
 from repro.exceptions import InvalidParameterError
-from repro.kernels.context import SeriesContext, ensure_context
+from repro.kernels.context import SeriesContext
 
 __all__ = ["Snippet", "find_snippets"]
 
@@ -93,7 +93,7 @@ def find_snippets(
         raise InvalidParameterError(f"stride must be positive, got {stride}")
 
     sub = max(2, length // 2)
-    ctx = ensure_context(t)
+    ctx = SeriesContext(t)
     mu, sigma = ctx.moving_mean_std(sub)
     n_regions = t.size - length + 1
     candidates = list(range(0, n_regions, stride))

@@ -13,7 +13,6 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.distance.mass import mass
 from repro.distance.znorm import as_series, znormalized_distance
 from repro.exceptions import InvalidParameterError
 from repro.types import length_normalized
@@ -43,9 +42,9 @@ def series_to_shapelet_distance(series: np.ndarray, shapelet: np.ndarray) -> flo
     # MASS needs the query to come from the series; compute the profile
     # of the shapelet against the series directly instead.
     from repro.distance.profile import distance_profile_from_qt
-    from repro.kernels.context import ensure_context
+    from repro.kernels.context import SeriesContext
 
-    ctx = ensure_context(t)
+    ctx = SeriesContext(t)
     mu, sigma = ctx.moving_mean_std(s.size)
     qt = ctx.sliding_dot_product(s)
     profile = distance_profile_from_qt(

@@ -33,7 +33,7 @@ __all__ = [
     "SeriesLike",
 ]
 
-#: 1-D float64 buffer — the dtype every kernel is calibrated for (R006).
+#: 1-D float64 buffer — the dtype every kernel is calibrated for.
 FloatArray = NDArray[np.float64]
 #: int64 index buffer (profile indices, neighbor offsets).
 IntArray = NDArray[np.int64]

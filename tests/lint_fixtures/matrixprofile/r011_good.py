@@ -1,5 +1,5 @@
-"""Good: the pragma suppresses a real R004 diagnostic."""
+"""Good: the pragma suppresses a real R002 diagnostic."""
 
 
-def zone(length):
-    return length // 2  # repro-lint: ignore[R004]
+def scale(qt, sigma):
+    return qt / sigma  # repro-lint: ignore[R002]

@@ -1,13 +1,13 @@
 """R008 good fixture: statistics and FFTs flow through SeriesContext."""
 
-from repro.kernels.context import ensure_context
+from repro.kernels.context import SeriesContext
 
 
 def stats(series, length):
-    ctx = ensure_context(series)
+    ctx = SeriesContext(series)
     return ctx.moving_mean_std(length)
 
 
 def dots(series, query):
     # Cached series spectrum: no direct np.fft call needed.
-    return ensure_context(series).sliding_dot_product(query)
+    return SeriesContext(series).sliding_dot_product(query)

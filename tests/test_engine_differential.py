@@ -28,6 +28,14 @@ def _random_walk():
     return rng.standard_normal(500).cumsum(), 32
 
 
+def _odd_length():
+    # Every other fixture has an even length; at an odd length
+    # ``ceil(l / 2)`` and ``l // 2`` disagree, so this one checks each
+    # engine's exclusion zone against the oracle.
+    rng = np.random.default_rng(42)
+    return rng.standard_normal(500).cumsum(), 33
+
+
 def _planted_motif():
     rng = np.random.default_rng(7)
     series = rng.standard_normal(500) * 0.3
@@ -51,6 +59,7 @@ def _short_series():
 
 FIXTURES = {
     "random-walk": _random_walk,
+    "odd-length": _odd_length,
     "planted-motif": _planted_motif,
     "constant-segment": _constant_segment,
     "short": _short_series,

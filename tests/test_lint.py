@@ -22,48 +22,30 @@ FIXTURES = Path(__file__).parent / "lint_fixtures"
 SRC = Path(__file__).parent.parent / "src" / "repro"
 
 RULE_IDS = (
-    "R001",
     "R002",
-    "R003",
-    "R004",
-    "R005",
-    "R006",
     "R007",
     "R008",
     "R009",
     "R010",
     "R011",
-    "R013",
 )
 
 # rule id -> fixture path relative to FIXTURES, expected violation count
 BAD_FIXTURES = {
-    "R001": ("matrixprofile/r001_bad.py", 1),
     "R002": ("matrixprofile/r002_bad.py", 1),
-    "R003": ("r003_bad.py", 2),
-    "R004": ("matrixprofile/r004_bad.py", 1),
-    "R005": ("matrixprofile/r005_bad.py", 2),
-    "R006": ("matrixprofile/r006_bad.py", 2),
     "R007": ("obs/r007_bad.py", 2),
     "R008": ("r008_bad.py", 2),
     "R009": ("r009_bad.py", 2),
     "R010": ("r010_bad.py", 2),
     "R011": ("r011_bad.py", 2),
-    "R013": ("kernels/r013_bad.py", 2),
 }
 GOOD_FIXTURES = {
-    "R001": "matrixprofile/r001_good.py",
     "R002": "matrixprofile/r002_good.py",
-    "R003": "r003_good.py",
-    "R004": "matrixprofile/r004_good.py",
-    "R005": "matrixprofile/r005_good.py",
-    "R006": "matrixprofile/r006_good.py",
     "R007": "obs/r007_good.py",
     "R008": "r008_good.py",
     "R009": "r009_good.py",
     "R010": "r010_good.py",
     "R011": "matrixprofile/r011_good.py",
-    "R013": "kernels/r013_good.py",
 }
 
 
@@ -120,12 +102,12 @@ class TestSelfCheck:
 
 class TestSelection:
     def test_select_restricts_rules(self):
-        rel, _ = BAD_FIXTURES["R003"]
-        assert rule_ids(lint_paths([FIXTURES / rel], select=["R003"])) == [
-            "R003",
-            "R003",
+        rel, _ = BAD_FIXTURES["R009"]
+        assert rule_ids(lint_paths([FIXTURES / rel], select=["R009"])) == [
+            "R009",
+            "R009",
         ]
-        assert lint_paths([FIXTURES / rel], select=["R001"]) == []
+        assert lint_paths([FIXTURES / rel], select=["R002"]) == []
 
     def test_unknown_rule_id_raises(self):
         with pytest.raises(InvalidParameterError):
@@ -135,29 +117,29 @@ class TestSelection:
 class TestPragmas:
     def test_line_pragma_suppresses_one_rule(self):
         source = (
-            "def zone(length):\n"
-            "    return length // 2  # repro-lint: ignore[R004]\n"
+            "def scale(qt, sigma):\n"
+            "    return qt / sigma  # repro-lint: ignore[R002]\n"
         )
         assert lint_source(source, path="matrixprofile/fake.py") == []
 
     def test_line_pragma_is_rule_specific(self):
         source = (
-            "def zone(length):\n"
-            "    return length // 2  # repro-lint: ignore[R001]\n"
+            "def scale(qt, sigma):\n"
+            "    return qt / sigma  # repro-lint: ignore[R007]\n"
         )
-        # The R004 diagnostic still fires (the pragma names a different
-        # rule), and the R001 pragma — having suppressed nothing — is
+        # The R002 diagnostic still fires (the pragma names a different
+        # rule), and the R007 pragma — having suppressed nothing — is
         # itself reported stale by R011.
         assert sorted(rule_ids(lint_source(source, path="matrixprofile/fake.py"))) == [
-            "R004",
+            "R002",
             "R011",
         ]
 
     def test_skip_file_pragma(self):
         source = (
             "# repro-lint: skip-file\n"
-            "def zone(length):\n"
-            "    return length // 2\n"
+            "def scale(qt, sigma):\n"
+            "    return qt / sigma\n"
         )
         assert lint_source(source, path="matrixprofile/fake.py") == []
 
@@ -251,8 +233,8 @@ class TestFeaturesLayering:
 
 class TestScoping:
     def test_kernel_rules_ignore_non_kernel_paths(self):
-        source = "def zone(length):\n    return length // 2\n"
-        # Same code outside a kernel package: R004 does not apply.
+        source = "def scale(qt, sigma):\n    return qt / sigma\n"
+        # Same code outside a kernel package: R002 does not apply.
         assert lint_source(source, path="analysis/fake.py") == []
 
     def test_syntax_error_becomes_diagnostic(self, tmp_path):
@@ -264,14 +246,14 @@ class TestScoping:
 
 class TestCli:
     def test_main_exit_zero_on_clean_path(self, capsys):
-        assert main([str(FIXTURES / GOOD_FIXTURES["R001"])]) == 0
+        assert main([str(FIXTURES / GOOD_FIXTURES["R002"])]) == 0
 
     def test_main_exit_one_with_diagnostics(self, capsys):
-        rel, _ = BAD_FIXTURES["R001"]
+        rel, _ = BAD_FIXTURES["R002"]
         assert main([str(FIXTURES / rel)]) == 1
         out = capsys.readouterr().out
-        assert "R001" in out
-        assert "r001_bad.py" in out
+        assert "R002" in out
+        assert "r002_bad.py" in out
 
     def test_main_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
@@ -292,18 +274,18 @@ class TestCli:
     def test_module_entry_point(self):
         # the exact invocation CI uses: python -m repro.lint <path>
         proc = subprocess.run(
-            [sys.executable, "-m", "repro.lint", str(FIXTURES / "r003_bad.py")],
+            [sys.executable, "-m", "repro.lint", str(FIXTURES / "r009_bad.py")],
             capture_output=True,
             text=True,
         )
         assert proc.returncode == 1
-        assert "R003" in proc.stdout
+        assert "R009" in proc.stdout
         assert "violation(s) found" in proc.stderr
 
 
 class TestJsonFormat:
     def test_json_envelope_on_bad_fixture(self, capsys):
-        rel, expected = BAD_FIXTURES["R003"]
+        rel, expected = BAD_FIXTURES["R009"]
         assert main(["--format", "json", str(FIXTURES / rel)]) == 1
         captured = capsys.readouterr()
         payload = json.loads(captured.out)
@@ -312,23 +294,23 @@ class TestJsonFormat:
         assert payload["rules"] == list(RULE_IDS)
         diag = payload["diagnostics"][0]
         assert set(diag) == {"path", "line", "col", "rule_id", "message"}
-        assert diag["rule_id"] == "R003"
+        assert diag["rule_id"] == "R009"
         # json mode keeps stderr silent: the envelope is the whole report
         assert captured.err == ""
 
     def test_json_envelope_on_clean_path(self, capsys):
-        path = str(FIXTURES / GOOD_FIXTURES["R001"])
+        path = str(FIXTURES / GOOD_FIXTURES["R002"])
         assert main(["--format", "json", path]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["count"] == 0
         assert payload["diagnostics"] == []
 
     def test_json_rules_reflect_selection(self, capsys):
-        rel, _ = BAD_FIXTURES["R003"]
-        args = ["--format", "json", "--select", "R010,R003", str(FIXTURES / rel)]
+        rel, _ = BAD_FIXTURES["R009"]
+        args = ["--format", "json", "--select", "R010,R009", str(FIXTURES / rel)]
         assert main(args) == 1
         payload = json.loads(capsys.readouterr().out)
-        assert payload["rules"] == ["R003", "R010"]
+        assert payload["rules"] == ["R009", "R010"]
 
 
 class TestRunnerEdgeCases:
@@ -347,10 +329,10 @@ class TestRunnerEdgeCases:
 
     def test_pragma_on_last_line_of_multiline_statement(self):
         source = (
-            "def zone(length):\n"
+            "def scale(qt, sigma):\n"
             "    return (\n"
-            "        length // 2\n"
-            "    )  # repro-lint: ignore[R004]\n"
+            "        qt / sigma\n"
+            "    )  # repro-lint: ignore[R002]\n"
         )
         assert lint_source(source, path="matrixprofile/fake.py") == []
 
@@ -358,15 +340,15 @@ class TestRunnerEdgeCases:
         source = (
             '"""Docstring first, pragma second."""\n'
             "# repro-lint: skip-file\n"
-            "def zone(length):\n"
-            "    return length // 2\n"
+            "def scale(qt, sigma):\n"
+            "    return qt / sigma\n"
         )
         assert lint_source(source, path="matrixprofile/fake.py") == []
 
     def test_ordering_is_deterministic(self):
         paths = [
-            FIXTURES / BAD_FIXTURES["R008"][0],
-            FIXTURES / BAD_FIXTURES["R003"][0],
+            FIXTURES / BAD_FIXTURES["R010"][0],
+            FIXTURES / BAD_FIXTURES["R009"][0],
         ]
         forward = lint_paths(paths)
         assert forward == lint_paths(list(reversed(paths)))
@@ -416,7 +398,7 @@ class TestObsRegistryCanary:
 
 class TestStalePragma:
     def test_stale_pragma_is_flagged(self):
-        source = "x = 1  # repro-lint: ignore[R004]\n"
+        source = "x = 1  # repro-lint: ignore[R002]\n"
         diags = lint_source(source, path="matrixprofile/fake.py")
         assert rule_ids(diags) == ["R011"]
         assert "stale" in diags[0].message
@@ -429,86 +411,15 @@ class TestStalePragma:
 
     def test_used_pragma_is_not_stale(self):
         source = (
-            "def zone(length):\n"
-            "    return length // 2  # repro-lint: ignore[R004]\n"
+            "def scale(qt, sigma):\n"
+            "    return qt / sigma  # repro-lint: ignore[R002]\n"
         )
         assert lint_source(source, path="matrixprofile/fake.py") == []
 
     def test_pragma_for_inactive_rule_is_not_stale(self):
-        # When R004 is not in the active set it never had the chance to
+        # When R002 is not in the active set it never had the chance to
         # fire, so its pragma cannot be proven stale.
         active = [r for r in all_rules() if r.rule_id == "R011"]
-        source = "x = 1  # repro-lint: ignore[R004]\n"
+        source = "x = 1  # repro-lint: ignore[R002]\n"
         assert lint_source(source, path="matrixprofile/fake.py", rules=active) == []
 
-
-class TestContractCoverage:
-    def test_public_uncontracted_function_flagged(self):
-        source = '__all__ = ["f"]\n\n\ndef f(x):\n    return x\n'
-        diags = lint_source(source, path="core/fake.py")
-        assert rule_ids(diags) == ["R013"]
-        assert "f" in diags[0].message
-
-    def test_contracted_function_clean(self):
-        source = (
-            "from repro.lint.contracts import positive_int, require\n"
-            '__all__ = ["f"]\n'
-            "@require(x=positive_int())\n"
-            "def f(x):\n"
-            "    return x\n"
-        )
-        assert lint_source(source, path="core/fake.py") == []
-
-    def test_rule_scoped_to_entry_packages(self):
-        source = '__all__ = ["f"]\n\n\ndef f(x):\n    return x\n'
-        assert lint_source(source, path="obs/fake.py") == []
-
-    def test_non_exported_functions_exempt(self):
-        source = (
-            '__all__ = ["f"]\n\n\ndef f(x):\n    return x\n\n\n'
-            "def helper(x):\n    return x\n"
-        )
-        assert rule_ids(lint_source(source, path="core/fake.py")) == ["R013"]
-
-    def test_exported_class_init_flagged(self):
-        source = (
-            '__all__ = ["State"]\n\n\n'
-            "class State:\n"
-            "    def __init__(self, series):\n"
-            "        self.series = series\n"
-        )
-        diags = lint_source(source, path="matrixprofile/fake.py")
-        assert rule_ids(diags) == ["R013"]
-        assert "State.__init__" in diags[0].message
-
-    def test_exported_class_with_contracted_init_clean(self):
-        source = (
-            "from repro.lint.contracts import positive_int, require\n"
-            '__all__ = ["State"]\n'
-            "class State:\n"
-            "    @require(length=positive_int())\n"
-            "    def __init__(self, length):\n"
-            "        self.length = length\n"
-        )
-        assert lint_source(source, path="matrixprofile/fake.py") == []
-
-    def test_exported_class_without_explicit_init_exempt(self):
-        source = (
-            '__all__ = ["Record"]\n\n\n'
-            "class Record:\n"
-            "    kind = 'plain'\n"
-        )
-        assert lint_source(source, path="matrixprofile/fake.py") == []
-
-    def test_non_exported_class_init_exempt(self):
-        source = (
-            "from repro.lint.contracts import positive_int, require\n"
-            '__all__ = ["f"]\n'
-            "@require(x=positive_int())\n"
-            "def f(x):\n"
-            "    return x\n"
-            "class _Helper:\n"
-            "    def __init__(self, x):\n"
-            "        self.x = x\n"
-        )
-        assert lint_source(source, path="matrixprofile/fake.py") == []

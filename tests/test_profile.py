@@ -8,11 +8,11 @@ from repro.distance.profile import (
     apply_exclusion_zone,
     correlation_from_qt,
     distance_profile_from_qt,
-    exclusion_half_width,
     naive_distance_profile,
 )
 from repro.distance.sliding import moving_mean_std, sliding_dot_product
 from repro.exceptions import InvalidParameterError
+from repro.matrixprofile.exclusion import exclusion_zone_half_width
 
 
 def fast_profile(series, start, length):
@@ -139,6 +139,6 @@ class TestExclusionZone:
         assert profile[5] == -1.0
 
     def test_half_width(self):
-        assert exclusion_half_width(10) == 5
-        assert exclusion_half_width(11) == 6
-        assert exclusion_half_width(2) == 1
+        assert exclusion_zone_half_width(10) == 5
+        assert exclusion_zone_half_width(11) == 6
+        assert exclusion_zone_half_width(2) == 1

@@ -6,6 +6,8 @@ headline one-liners from the README must work verbatim.
 """
 
 import importlib
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -51,6 +53,14 @@ def test_version_present():
     parts = repro.__version__.split(".")
     assert len(parts) == 3
     assert all(p.isdigit() for p in parts)
+
+
+def test_version_matches_pyproject():
+    # A regex, not tomllib: the package still supports Python 3.10.
+    pyproject = pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml"
+    match = re.search(r'^version = "([^"]+)"$', pyproject.read_text(), re.MULTILINE)
+    assert match is not None, "pyproject.toml has no [project] version"
+    assert match.group(1) == repro.__version__
 
 
 def test_readme_quickstart_verbatim():

@@ -25,7 +25,7 @@ from repro.distance.sliding import (
     prefix_sums,
     sliding_dot_product,
 )
-from repro.kernels import SeriesContext, ensure_context
+from repro.kernels import SeriesContext
 
 
 def _series_with_shelf(seed, n, shelf):
@@ -96,17 +96,16 @@ class TestEnsureSemantics:
         series = _series_with_shelf(0, 100, shelf=False)
         ctx = SeriesContext(series)
         assert SeriesContext.ensure(series, ctx) is ctx
-        assert ensure_context(series, ctx) is ctx
         # The validated internal buffer matches too (shared memory).
-        assert ensure_context(ctx.series, ctx) is ctx
+        assert SeriesContext.ensure(ctx.series, ctx) is ctx
         # An equal copy in a distinct buffer is still a match.
-        assert ensure_context(series.copy(), ctx) is ctx
+        assert SeriesContext.ensure(series.copy(), ctx) is ctx
 
     def test_ensure_rejects_mismatched_context(self):
         series = _series_with_shelf(0, 100, shelf=False)
         other = _series_with_shelf(1, 100, shelf=False)
         ctx = SeriesContext(series)
-        fresh = ensure_context(other, ctx)
+        fresh = SeriesContext.ensure(other, ctx)
         assert fresh is not ctx
         assert fresh.matches(other)
         assert not ctx.matches(other)
@@ -114,7 +113,7 @@ class TestEnsureSemantics:
 
     def test_ensure_without_context_builds_one(self):
         series = _series_with_shelf(2, 80, shelf=False)
-        ctx = ensure_context(series)
+        ctx = SeriesContext.ensure(series)
         assert isinstance(ctx, SeriesContext)
         assert ctx.cached_stat_lengths == ()
         assert ctx.cached_fft_sizes == ()
