@@ -31,7 +31,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.baselines.sax import sax_words
 from repro.kernels.context import SeriesContext
-from repro.distance.znorm import CONSTANT_EPS, as_series
+from repro.distance.comoment import pair_distances
+from repro.distance.znorm import as_series
 from repro.exceptions import InvalidParameterError
 from repro.matrixprofile.exclusion import exclusion_zone_half_width
 from repro.types import MotifPair
@@ -40,28 +41,23 @@ __all__ = ["grammar_motifs", "grammar_motif_per_length"]
 
 
 def _closest_pair_in_group(
-    t: np.ndarray,
+    centred: np.ndarray,
     members: List[int],
     length: int,
-    mu: np.ndarray,
     sigma: np.ndarray,
     zone: int,
 ) -> Optional[Tuple[int, int, float]]:
     """Exact closest non-trivial pair among a (small) candidate group."""
-    best: Optional[Tuple[int, int, float]] = None
-    windows = sliding_window_view(t, length)
-    for i_pos, i in enumerate(members):
-        for j in members[i_pos + 1 :]:
-            if abs(i - j) < zone:
-                continue
-            qt = float(np.dot(windows[i], windows[j]))
-            sig = max(sigma[i], CONSTANT_EPS) * max(sigma[j], CONSTANT_EPS)
-            corr = (qt - length * mu[i] * mu[j]) / (length * sig)
-            corr = min(1.0, max(-1.0, corr))
-            dist = (2.0 * length * (1.0 - corr)) ** 0.5
-            if best is None or dist < best[2]:
-                best = (i, j, dist)
-    return best
+    idx = np.asarray(members)
+    left, right = np.triu_indices(idx.size, k=1)
+    i, j = idx[left], idx[right]
+    keep = np.abs(i - j) >= zone
+    if not keep.any():
+        return None
+    i, j = i[keep], j[keep]
+    dist = pair_distances(centred, sigma, length, i, j)
+    k = int(np.argmin(dist))
+    return int(i[k]), int(j[k]), float(dist[k])
 
 
 def grammar_motif_per_length(
@@ -85,6 +81,7 @@ def grammar_motif_per_length(
     for position, word in enumerate(words):
         groups[int(word)].append(position)
     mu, sigma = SeriesContext(t).moving_mean_std(length)
+    centred = sliding_window_view(t, length) - mu[:, None]
     best: Optional[Tuple[int, int, float]] = None
     for members in groups.values():
         if len(members) < 2:
@@ -92,7 +89,7 @@ def grammar_motif_per_length(
         if len(members) > max_group:
             stride = len(members) // max_group + 1
             members = members[::stride]
-        found = _closest_pair_in_group(t, members, length, mu, sigma, zone)
+        found = _closest_pair_in_group(centred, members, length, sigma, zone)
         if found is not None and (best is None or found[2] < best[2]):
             best = found
     if best is None:

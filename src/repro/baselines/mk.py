@@ -25,10 +25,11 @@ from typing import Optional, Tuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from repro.distance.comoment import pair_distances
 from repro.distance.mass import mass_with_stats
 from repro.distance.profile import apply_exclusion_zone
 from repro.kernels.context import SeriesContext
-from repro.distance.znorm import CONSTANT_EPS, as_series
+from repro.distance.znorm import as_series
 from repro.exceptions import InvalidParameterError
 from repro.matrixprofile.exclusion import exclusion_zone_half_width
 from repro.types import MotifPair
@@ -36,19 +37,8 @@ from repro.types import MotifPair
 __all__ = ["mk_motif"]
 
 
-def _pair_distance(
-    windows: np.ndarray,
-    mu: np.ndarray,
-    sigma: np.ndarray,
-    length: int,
-    i: int,
-    j: int,
-) -> float:
-    qt = float(np.dot(windows[i], windows[j]))
-    sig = max(sigma[i], CONSTANT_EPS) * max(sigma[j], CONSTANT_EPS)
-    corr = (qt - length * mu[i] * mu[j]) / (length * sig)
-    corr = min(1.0, max(-1.0, corr))
-    return (2.0 * length * (1.0 - corr)) ** 0.5
+#: candidate pairs scored per vectorized call; bsf tightens between calls
+PAIR_BATCH = 256
 
 
 def mk_motif(
@@ -72,7 +62,7 @@ def mk_motif(
         rng = np.random.default_rng(0)
     zone = exclusion_zone_half_width(length)
     mu, sigma = SeriesContext(t).moving_mean_std(length)
-    windows = sliding_window_view(t, length)
+    centred = sliding_window_view(t, length) - mu[:, None]
 
     # Reference distance profiles; best-so-far from their own minima.
     refs = rng.choice(n_subs, size=min(n_references, n_subs), replace=False)
@@ -103,21 +93,20 @@ def mk_motif(
         if lower_bounds.size == 0 or lower_bounds.min() >= bsf:
             break
         candidates = np.where(lower_bounds < bsf)[0]
-        for pos in candidates:
-            i = int(order[pos])
-            j = int(order[pos + gap])
-            if abs(i - j) < zone:
+        for start in range(0, candidates.size, PAIR_BATCH):
+            pos = candidates[start : start + PAIR_BATCH]
+            i, j = order[pos], order[pos + gap]
+            # Multi-reference pruning before the exact distances.
+            bound = np.max(np.abs(ref_profiles[:, i] - ref_profiles[:, j]), axis=0)
+            keep = (np.abs(i - j) >= zone) & (bound < bsf)
+            if not keep.any():
                 continue
-            # Multi-reference pruning before the exact distance.
-            bound = float(
-                np.max(np.abs(ref_profiles[:, i] - ref_profiles[:, j]))
-            )
-            if bound >= bsf:
-                continue
-            d = _pair_distance(windows, mu, sigma, length, i, j)
-            if d < bsf:
-                bsf = d
-                best = (i, j)
+            i, j = i[keep], j[keep]
+            d = pair_distances(centred, sigma, length, i, j)
+            k = int(np.argmin(d))
+            if d[k] < bsf:
+                bsf = float(d[k])
+                best = (int(i[k]), int(j[k]))
     if best is None:
         raise InvalidParameterError(
             f"no non-trivial motif pair exists at length {length}"

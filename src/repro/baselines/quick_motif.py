@@ -32,7 +32,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from repro.baselines.paa import paa_lower_bound_factor, paa_transform
 from repro.baselines.rtree import MBRIndex
 from repro.kernels.context import SeriesContext
-from repro.distance.znorm import CONSTANT_EPS, as_series, znormalized_distance
+from repro.distance.comoment import pair_distances
+from repro.distance.znorm import as_series, znormalized_distance
 from repro.exceptions import BudgetExceededError, InvalidParameterError
 from repro.matrixprofile.exclusion import exclusion_zone_half_width
 from repro.types import MotifPair
@@ -47,26 +48,6 @@ class QuickMotifStats:
     lengths: List[int] = field(default_factory=list)
     page_pairs_opened: List[int] = field(default_factory=list)
     exact_distances: List[int] = field(default_factory=list)
-
-
-def _exact_pair_distances(
-    windows: np.ndarray,
-    mu: np.ndarray,
-    sigma: np.ndarray,
-    length: int,
-    left: np.ndarray,
-    right: np.ndarray,
-) -> np.ndarray:
-    """Exact z-normalized distances for explicit index pairs (vectorized)."""
-    qt = np.einsum("ij,ij->i", windows[left], windows[right])
-    sig = np.maximum(sigma, CONSTANT_EPS)
-    corr = (qt - length * mu[left] * mu[right]) / (length * sig[left] * sig[right])
-    np.clip(corr, -1.0, 1.0, out=corr)
-    dist = np.sqrt(np.maximum(2.0 * length * (1.0 - corr), 0.0))
-    left_const = sigma[left] < CONSTANT_EPS
-    right_const = sigma[right] < CONSTANT_EPS
-    dist = np.where(left_const ^ right_const, np.sqrt(length), dist)
-    return np.where(left_const & right_const, 0.0, dist)
 
 
 def quick_motif_single(
@@ -89,7 +70,7 @@ def quick_motif_single(
     scale = paa_lower_bound_factor(length, effective_width)
     index = MBRIndex(summaries, leaf_capacity=leaf_capacity, scale=scale)
     mu, sigma = SeriesContext(t).moving_mean_std(length)
-    windows = sliding_window_view(t, length)
+    centred = sliding_window_view(t, length) - mu[:, None]
 
     bsf = np.inf
     best: Optional[Tuple[int, int]] = None
@@ -121,7 +102,7 @@ def quick_motif_single(
             continue
         left = ii[survives]
         right = jj[survives]
-        dists = _exact_pair_distances(windows, mu, sigma, length, left, right)
+        dists = pair_distances(centred, sigma, length, left, right)
         exact_count += dists.size
         k = int(np.argmin(dists))
         if dists[k] < bsf:

@@ -1,6 +1,6 @@
 """Algorithm 3 — ComputeMatrixProfile with lower-bound bookkeeping.
 
-Runs the STOMP dot-product recurrence (shared with
+Runs the STOMP co-moment recurrence (shared with
 :mod:`repro.matrixprofile.stomp`), stacks its rows ``FILL_BLOCK_ROWS`` at
 a time, and ranks each stack with :func:`~repro.core.entries.rank_rows`:
 one rank-space pass per row yields both the profile minimum and the p
@@ -126,14 +126,16 @@ def _fill_block(
     mu, sigma = ctx.moving_mean_std(length)
     stack = np.empty((FILL_BLOCK_ROWS, n_subs), dtype=np.float64)
     filled = 0
-    for i, qt in iterate_stomp_qt(t, length, sigma, row_range=(start, stop), context=ctx):
-        stack[filled] = qt
+    for i, c in iterate_stomp_qt(
+        t, length, mu, sigma, row_range=(start, stop), context=ctx
+    ):
+        stack[filled] = c
         filled += 1
         if filled < FILL_BLOCK_ROWS and i < stop - 1:
             continue
         first = i + 1 - filled
         ranked = rank_rows(
-            stack[:filled], np.arange(first, i + 1), mu, sigma, length, store.p
+            stack[:filled], np.arange(first, i + 1), sigma, length, store.p
         )
         slots = slice(first - start, i + 1 - start)
         profile[slots] = ranked.profile

@@ -25,9 +25,7 @@ they are few; else the caller falls back to Algorithm 3.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -38,8 +36,8 @@ from repro.types import BoolArray, FloatArray, IntArray
 
 from repro.core.entries import EntryStore, rank_rows
 from repro.core.lower_bound import lower_bound_from_base
+from repro.distance.comoment import comoment_row, distance_profile_from_qt
 from repro.distance.sliding import DIRECT_DOT_MAX
-from repro.distance.znorm import CONSTANT_EPS
 from repro.exceptions import InvalidParameterError
 from repro.kernels.context import SeriesContext
 from repro.matrixprofile.exclusion import exclusion_zone_half_width
@@ -55,29 +53,27 @@ RECOMPUTE_FIRST_CHUNK = 8
 RECOMPUTE_MAX_CHUNK = 32
 
 
-def _chunk_dot_products(
-    ctx: SeriesContext, length: int
+def _chunk_comoments(
+    ctx: SeriesContext, length: int, mu: FloatArray
 ) -> Callable[[IntArray], FloatArray]:
-    """The partial recompute's source of dot-product rows at ``length``.
+    """The partial recompute's source of co-moment rows at ``length``.
 
     Returns a function mapping window offsets ``rows`` to the ``(B,
-    n_dp)`` dot products of those windows against every window.  The
-    choice between the two paths follows ``DIRECT_DOT_MAX``, the cut the
-    one-row sliding dot product makes between direct and FFT:
+    n_dp)`` co-moments of those windows with every window, split at
+    ``DIRECT_DOT_MAX`` like the one-row sliding dot product:
 
-    * short windows (at most ``DIRECT_DOT_MAX`` points): one GEMM per
-      chunk, O(B n l).  The overlapping window view is not a BLAS matrix,
-      so it is copied once per step; at this many columns the n x l copy
-      is no larger than two 32-row chunk buffers.
+    * short windows: one GEMM per chunk over the centred windows,
+      O(B n l); the n x l centred copy, made once per step, is no larger
+      than two 32-row chunk buffers.
     * long windows: a batched FFT on the cached series spectrum
-      (:meth:`SeriesContext.window_dot_products`), O(B n log n) time and
-      O(B n) memory, where a GEMM would cost O(n l) per row plus the
-      n x l window copy.
+      (:func:`repro.distance.comoment.comoment_row` on a stack of
+      queries), O(B n log n) time and O(B n) memory.
     """
+    windows = sliding_window_view(ctx.series, length)
     if length > DIRECT_DOT_MAX:
-        return partial(ctx.window_dot_products, length=length)
-    windows = np.ascontiguousarray(sliding_window_view(ctx.series, length))
-    return lambda rows: windows[rows] @ windows.T
+        return lambda rows: comoment_row(windows[rows], ctx.series, mu, context=ctx)
+    centred = windows - mu[:, None]
+    return lambda rows: centred[rows] @ centred.T
 
 
 @dataclass
@@ -112,7 +108,6 @@ def pairwise_entry_distances(
     nb: IntArray,
     usable: BoolArray,
     in_range: BoolArray,
-    mu: FloatArray,
     sigma: FloatArray,
     length: int,
     rows: Optional[IntArray] = None,
@@ -121,7 +116,7 @@ def pairwise_entry_distances(
 
     Shared by ComputeSubMP's validity test and the MAD-style discord
     driver (:mod:`repro.core.discords_variable`): each stored pair's
-    dot product, advanced to ``length``, yields that pair's exact
+    co-moment, advanced to ``length``, yields that pair's exact
     z-normalized distance, which is an *upper bound* on the profile
     minimum of its row.  Unusable entries report ``+inf``.
 
@@ -129,19 +124,8 @@ def pairwise_entry_distances(
     profile ``k``), so a caller can pass a subset of the store's rows.
     """
     owners = np.arange(qt.shape[0]) if rows is None else rows
-    safe_nb = np.where(in_range, nb, 0)
-    mu_i = mu[safe_nb]
-    sig_i = sigma[safe_nb]
-    mu_j = mu[owners][:, None]
-    sig_j = sigma[owners][:, None]
-    denom = length * np.maximum(sig_i, CONSTANT_EPS) * np.maximum(sig_j, CONSTANT_EPS)
-    corr = (qt - length * mu_i * mu_j) / denom
-    np.clip(corr, -1.0, 1.0, out=corr)
-    dist = np.sqrt(np.maximum(2.0 * length * (1.0 - corr), 0.0))
-    i_const = sig_i < CONSTANT_EPS
-    j_const = sig_j < CONSTANT_EPS
-    dist = np.where(i_const ^ j_const, math.sqrt(length), dist)
-    dist = np.where(i_const & j_const, 0.0, dist)
+    sig_nb = sigma[np.where(in_range, nb, 0)]
+    dist = distance_profile_from_qt(qt, length, sigma[owners][:, None], sig_nb)
     return np.where(usable, dist, np.inf)
 
 
@@ -169,7 +153,7 @@ def compute_submp(
             f"length {new_length} leaves fewer than two subsequences"
         )
     with obs.span("submp.advance"):
-        store.advance_to(new_length, t)
+        store.advance_to(new_length, t, ctx.moving_mean_std(new_length - 1)[0])
     mu, sigma = ctx.moving_mean_std(new_length)
     zone = exclusion_zone_half_width(new_length)
 
@@ -188,7 +172,7 @@ def compute_submp(
         obs.add("listdp.hits", hits)
         obs.add("listdp.misses", slots - hits)
 
-    dist = pairwise_entry_distances(qt, nb, usable, in_range, mu, sigma, new_length)
+    dist = pairwise_entry_distances(qt, nb, usable, in_range, sigma, new_length)
     lb = np.asarray(
         lower_bound_from_base(store.lb_base[:n_dp], sigma[:n_dp][:, None]),
         dtype=np.float64,
@@ -244,16 +228,18 @@ def compute_submp(
         # Partial recompute (Algorithm 4, lines 27-38): visit non-valid
         # profiles in ascending maxLB order; stop as soon as the bound
         # proves no remaining profile can beat the best-so-far.  Rows are
-        # scored a chunk at a time (see _chunk_dot_products), and
+        # scored a chunk at a time (see _chunk_comoments), and
         # the stop rule is replayed row by row inside each chunk, so only
         # the rows the one-at-a-time loop would visit are committed.
         order = needing[np.argsort(max_lb[needing])]
-        chunk_dots = _chunk_dot_products(ctx, new_length)
+        chunk_comoments = _chunk_comoments(ctx, new_length, mu)
         start, chunk = 0, RECOMPUTE_FIRST_CHUNK
         with obs.span("submp.recompute"):
             while start < order.size and max_lb[order[start]] < best_distance:
                 rows = order[start : start + chunk]
-                ranked = rank_rows(chunk_dots(rows), rows, mu, sigma, new_length, store.p)
+                ranked = rank_rows(
+                    chunk_comoments(rows), rows, sigma, new_length, store.p
+                )
                 visited = 0
                 for r, d, j in zip(rows.tolist(), ranked.profile, ranked.index.tolist()):
                     if max_lb[r] >= best_distance:

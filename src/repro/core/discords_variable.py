@@ -71,8 +71,8 @@ from repro.types import FloatArray, IntArray
 
 __all__ = ["find_discords_pruned", "length_upper_bound", "UB_RELATIVE_SLACK"]
 
-#: relative safety margin on the pruning comparison.  The stored dot
-#: products accumulate one rounding error per length increment, so the
+#: relative safety margin on the pruning comparison.  The stored
+#: co-moments accumulate one rounding error per length increment, so the
 #: upper bound carries float noise the engine profiles do not; inflating
 #: it before the strict comparison keeps a noisy bound from pruning a
 #: length whose true maximum ties the threshold.  Pruning less is always
@@ -91,16 +91,15 @@ def length_upper_bound(
     ``+inf`` when any surviving position has no usable stored entry
     (nothing bounds its profile value, so the length cannot be pruned).
     Eq. 3 runs on one stored entry per row, the one with the largest
-    rank; that is the row's nearest entry unless rounding reorders
-    near-tied entries (ill-conditioned series, e.g. a large offset),
-    and then the bound can only come out larger, never smaller.
+    rank (``C / sigma_j``, a positive per-row multiple of the
+    correlation), which is the row's nearest entry.
     Public because the streaming driver
     (:class:`repro.matrixprofile.streaming_valmod.StreamingValmod`)
     seeds its maintained per-length bounds from the same listDP store.
     """
     n = ctx.series.size
     n_dp = n - length + 1
-    mu, sigma = ctx.moving_mean_std(length)
+    _, sigma = ctx.moving_mean_std(length)
     zone = exclusion_zone_half_width(length)
     nb = store_neighbor[:n_dp]
     qt = store_qt[:n_dp]
@@ -116,18 +115,17 @@ def length_upper_bound(
     inv_sigma = np.where(live, 1.0 / np.maximum(sigma, CONSTANT_EPS), 0.0)
     ranked = usable & live[safe_nb]
     rank = qt * inv_sigma[safe_nb]
-    rank -= mu[:, None] * (length * mu * inv_sigma)[safe_nb]
     rank[~ranked] = -np.inf
     best = (rows, rank.argmax(axis=1))
     min_dist = pairwise_entry_distances(
         qt[best][:, None], nb[best][:, None], ranked[best][:, None],
-        in_range[best][:, None], mu, sigma, length,
+        in_range[best][:, None], sigma, length,
     )[:, 0]
     if not live.all():
         # Constant neighbours sit outside rank space (their correlation is
         # undefined); fold their conventional distances back in.
         const_nb = usable & ~live[safe_nb]
-        dist = pairwise_entry_distances(qt, nb, const_nb, in_range, mu, sigma, length)
+        dist = pairwise_entry_distances(qt, nb, const_nb, in_range, sigma, length)
         np.minimum(min_dist, dist.min(axis=1), out=min_dist)
     return float(min_dist.max()) / math.sqrt(length)
 
@@ -221,7 +219,7 @@ def _bound_pass(
     scan_set = frozenset(scan)
     for length in range(scan[0] + 1, scan[-1] + 1):
         with obs.span("discords.advance"):
-            store.advance_to(length, t)
+            store.advance_to(length, t, ctx.moving_mean_std(length - 1)[0])
         if length in scan_set:
             upper = length_upper_bound(store.neighbor, store.qt, ctx, length)
             yield length, upper, store.neighbor

@@ -2,17 +2,17 @@
 
 Algorithm 3 keeps, for every distance profile, the ``p`` entries with the
 smallest lower-bound distance (a max-heap of capacity p in the paper).
-Each entry carries the pair's dot product and enough statistics to update
-its exact distance and lower bound in O(1) per length increment
-(Algorithm 4, line 10).
+Each entry carries the pair's centred co-moment
+(:mod:`repro.distance.comoment`), which Welford's update advances in
+O(1) per length increment (Algorithm 4, line 10, without its
+``QT - l mu_i mu_j`` cancellation).
 
 Instead of n Python heaps we store the structure as three ``(n, p)``
-arrays — neighbor offsets, dot products, and the k-independent lower
+arrays — neighbor offsets, co-moments, and the k-independent lower
 bound numerators ``lb_base`` (see :mod:`repro.core.lower_bound`) — so the
-whole of Algorithm 4 vectorizes across profiles.  Window sums are *not*
-stored per entry: they are O(1) reads from the series prefix sums at any
-length, which is exactly the role of the per-entry sums in the paper's C
-implementation.
+whole of Algorithm 4 vectorizes across profiles.  Window means are *not*
+stored per entry: the store keeps one vector of them at its current
+length, advanced with the co-moments.
 
 Empty slots (profiles with fewer than p non-trivial candidates) have
 neighbor -1 and ``lb_base = +inf``; the +inf makes ``max_lb`` infinite for
@@ -21,10 +21,10 @@ was left unstored" — the validity test is then trivially satisfied.
 
 Rank-space fill
 ---------------
-Rows are (re)built from their dot products by :func:`rank_rows`, one
+Rows are (re)built from their co-moments by :func:`rank_rows`, one
 stack of rows at a time.  It never evaluates Eq. 3 or Eq. 2 over a whole
-row: for owner ``i`` it forms ``rank = QT / sigma_j - mu_i (l mu_j /
-sigma_j)``, which is ``corr * l * sigma_i``, takes the p largest ranks
+row: for owner ``i`` it forms ``rank = C / sigma_j``, which is
+``corr * l * sigma_i``, takes the p largest ranks
 with one ``argpartition`` per stack, and evaluates Eq. 2 on those p
 entries only.  Eq. 2's ``f(q)`` never increases with ``q`` (and is 1 for
 every ``q <= 0``), and scaling by the positive ``1 / (l sigma_i)`` keeps
@@ -57,7 +57,7 @@ __all__ = ["EntryStore", "RankedRows", "rank_rows"]
 class RankedRows:
     """The p best entries and the profile minimum of a stack of rows.
 
-    ``neighbor`` / ``qt`` / ``lb_base`` are ``(B, k)`` with ``k =
+    ``neighbor`` / ``qt`` (co-moments) / ``lb_base`` are ``(B, k)`` with ``k =
     min(p, candidates)``, filled entries first and empty slots (-1, 0,
     +inf) after them; ``profile`` / ``index`` hold each row's exact
     distance-profile minimum and its offset (+inf / -1 when the row has
@@ -84,16 +84,15 @@ class RankedRows:
 def rank_rows(
     qt_block: FloatArray,
     rows: IntArray,
-    mu: FloatArray,
     sigma: FloatArray,
     length: int,
     p: int,
 ) -> RankedRows:
-    """Score a ``(B, n)`` stack of dot-product rows in rank space.
+    """Score a ``(B, n)`` stack of co-moment rows in rank space.
 
-    Row ``b`` of ``qt_block`` holds the dot products of window
-    ``rows[b]`` against every window ``0..n-1`` of the same series at
-    ``length``; ``mu`` / ``sigma`` are that length's window statistics.
+    Row ``b`` of ``qt_block`` holds the centred co-moments of window
+    ``rows[b]`` with every window ``0..n-1`` of the same series at
+    ``length``; ``sigma`` holds that length's window deviations.
     Keeps the p candidates outside each row's exclusion zone with the
     smallest Eq. 2 lower bound and finds each row's profile minimum,
     with the constant-window conventions: distance 0 between two constant
@@ -102,12 +101,10 @@ def rank_rows(
     """
     n_rows, n_cols = qt_block.shape
     rows = np.asarray(rows, dtype=np.int64)
-    mu = mu[:n_cols]
     sigma = sigma[:n_cols]
     live = sigma >= CONSTANT_EPS
     inv_sigma = np.where(live, 1.0 / np.maximum(sigma, CONSTANT_EPS), 0.0)
     rank = qt_block * inv_sigma
-    rank -= mu[rows][:, None] * (length * mu * inv_sigma)
     zone = exclusion_zone_half_width(length)
     for b in range(n_rows):
         apply_exclusion_zone(rank[b], int(rows[b]), zone, value=-np.inf)
@@ -218,7 +215,7 @@ class EntryStore:
     neighbor:
         ``(n, p)`` int64; the other offset of each stored pair, -1 = empty.
     qt:
-        ``(n, p)`` float64; dot product of the pair at ``current_length``.
+        ``(n, p)`` float64; co-moment of the pair at ``current_length``.
     lb_base:
         ``(n, p)`` float64; ``f(q) sqrt(l_base) sigma[j, l_base]``
         evaluated at the row's base length (+inf = empty).
@@ -281,31 +278,26 @@ class EntryStore:
         self.base_length[slots] = length
 
     def fill_row(
-        self,
-        row: int,
-        qt_row: FloatArray,
-        mu: FloatArray,
-        sigma: FloatArray,
-        length: int,
+        self, row: int, qt_row: FloatArray, sigma: FloatArray, length: int
     ) -> RankedRows:
-        """Rank one dot-product row and store it: :meth:`fill_rows` for one row.
+        """Rank one co-moment row and store it: :meth:`fill_rows` for one row.
 
-        ``qt_row`` holds the dot products of window ``row`` against every
+        ``qt_row`` holds the co-moments of window ``row`` with every
         window at ``length``.  Returns the row's :class:`RankedRows`.
         """
-        ranked = rank_rows(
-            qt_row[None, :], np.array([row]), mu, sigma, length, self.p
-        )
+        ranked = rank_rows(qt_row[None, :], np.array([row]), sigma, length, self.p)
         self.fill_rows(slice(row, row + 1), ranked, length)
         return ranked
 
-    def advance_to(self, new_length: int, series: FloatArray) -> None:
-        """Extend every stored pair's dot product to ``new_length``.
+    def advance_to(self, new_length: int, series: FloatArray, mu: FloatArray) -> None:
+        """Extend every stored pair's co-moment to ``new_length``.
 
-        Implements the O(1)-per-entry update of Algorithm 4, line 10:
-        ``qt += t[i + L - 1] * t[j + L - 1]`` for each unit length
-        increment.  Pairs whose neighbor no longer fits in the series stop
-        being updated (their distance is reported as +inf downstream).
+        ``mu`` holds the window means of ``series`` at the current length.
+        The O(1)-per-entry update of Algorithm 4, line 10, in Welford's
+        form: with ``e[x] = t[x + l] - mu_l[x]``, appending one point to
+        both windows adds ``l / (l + 1) e[i] e[j]``.  Pairs whose neighbor
+        no longer fits in the series stop being updated (their distance is
+        reported as +inf downstream).
         """
         if new_length != self.current_length + 1:
             raise InvalidParameterError(
@@ -323,9 +315,10 @@ class EntryStore:
         in_range = (nb >= 0) & (nb <= n - new_length)
         if obs.enabled():
             obs.add("listdp.entries_advanced", int(in_range.sum()))
+        length = self.current_length
+        e = t[length:] - mu[: n - length]
         safe_nb = np.where(in_range, nb, 0)
-        tails = t[new_length - 1 : new_length - 1 + n_rows, None]
-        increment = t[safe_nb + new_length - 1] * tails
+        increment = e[safe_nb] * (e[:n_rows, None] * (length / new_length))
         block = self.qt[:n_rows]
         np.add(block, increment, out=block, where=in_range)
         self.current_length = new_length

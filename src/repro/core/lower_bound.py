@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.types import FloatArray
 
-from repro.distance.profile import correlation_from_qt
+from repro.distance.comoment import comoment_row, correlation_from_qt
 from repro.distance.znorm import CONSTANT_EPS, as_series
 from repro.exceptions import InvalidParameterError
 from repro.kernels.context import SeriesContext
@@ -156,9 +156,9 @@ def lower_bound_profile(
         )
     ctx = SeriesContext(t)
     mu, sigma = ctx.moving_mean_std(length)
-    qt = ctx.sliding_dot_product(t[owner : owner + length])
+    c = comoment_row(t[owner : owner + length], t, mu, context=ctx)
     corr = correlation_from_qt(
-        qt, length, float(mu[owner]), max(float(sigma[owner]), CONSTANT_EPS), mu, sigma
+        c, length, max(float(sigma[owner]), CONSTANT_EPS), sigma
     )
     base = lower_bound_base(corr[:n_target], length, float(sigma[owner]))
     sig_owner_ext = float(t[owner : owner + target].std())

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro import obs
-from repro.core.compute_mp import compute_matrix_profile
+from repro.core.compute_mp import compute_matrix_profile, resolve_n_jobs
 from repro.core.compute_submp import compute_submp, pairwise_entry_distances
 from repro.core.entries import EntryStore
 from repro.core.lower_bound import lower_bound_from_base
@@ -148,6 +148,7 @@ class Valmod:
             raise InvalidParameterError(
                 f"track_top_k must be non-negative, got {track_top_k}"
             )
+        resolve_n_jobs(n_jobs)
         self.l_min = int(l_min)
         self.l_max = int(l_max)
         self.p = int(p)
@@ -311,7 +312,7 @@ class Valmod:
             if self._snapshot_context is None:
                 self._snapshot_context = SeriesContext(t)
             ctx = self._snapshot_context
-        mu, sigma = ctx.moving_mean_std(length)
+        _, sigma = ctx.moving_mean_std(length)
         nb = store.neighbor[offset]
         real = nb >= 0
         in_range = real & (nb <= n - length)
@@ -328,7 +329,6 @@ class Valmod:
             nb[None, :],
             in_range[None, :],
             in_range[None, :],
-            mu,
             sigma,
             length,
             rows=np.array([offset]),

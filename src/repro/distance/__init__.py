@@ -6,8 +6,10 @@ Contents
     z-normalization and the exact (naive) z-normalized Euclidean distance.
 :mod:`repro.distance.sliding`
     FFT sliding dot products and O(1) running window statistics.
+:mod:`repro.distance.comoment`
+    centred co-moments and Eq. 3 of the paper on them, vectorized.
 :mod:`repro.distance.profile`
-    vectorized distance-profile kernels implementing Eq. 3 of the paper.
+    the naive reference distance profile and the exclusion zone.
 :mod:`repro.distance.mass`
     MASS: Mueen's Algorithm for Similarity Search (one distance profile in
     O(n log n)).
@@ -25,8 +27,8 @@ from repro.distance.sliding import (
     prefix_sums,
     window_mean_std_at,
 )
+from repro.distance.comoment import distance_profile_from_qt
 from repro.distance.profile import (
-    distance_profile_from_qt,
     naive_distance_profile,
     apply_exclusion_zone,
 )

@@ -15,8 +15,8 @@ import numpy as np
 from repro import obs
 from repro.types import FloatArray
 
-from repro.distance.profile import distance_profile_from_qt
-from repro.distance.sliding import moving_mean_std, sliding_dot_product
+from repro.distance.comoment import comoment_row, distance_profile_from_qt
+from repro.distance.sliding import moving_mean_std
 from repro.distance.znorm import as_series
 from repro.exceptions import InvalidParameterError
 
@@ -52,16 +52,14 @@ def mass_with_stats(
     length: int,
     mu: FloatArray,
     sigma: FloatArray,
-    qt: Optional[FloatArray] = None,
     context: Optional["SeriesContext"] = None,
 ) -> FloatArray:
-    """MASS with precomputed per-window statistics (and optionally QT).
+    """MASS with precomputed per-window statistics.
 
     ``mu`` / ``sigma`` must be the length-``length`` moving statistics of
-    ``series``.  Passing ``qt`` skips the FFT (used by engines that
-    maintain dot products incrementally); passing ``context`` reuses the
-    cached series spectrum for the FFT (duck-typed so the distance layer
-    never imports :mod:`repro.kernels` — any object with a matching
+    ``series``.  Passing ``context`` reuses the cached series spectrum for
+    the FFT (duck-typed so the distance layer never imports
+    :mod:`repro.kernels` — any object with a matching
     ``matches``/``sliding_dot_product`` works).
     """
     t = np.asarray(series, dtype=np.float64)
@@ -75,15 +73,8 @@ def mass_with_stats(
             f"query start {start} out of range for {n_subs} subsequences"
         )
     obs.add("mass.profile_calls")
-    if qt is None:
-        query = t[start : start + length]
-        if context is not None and context.matches(t):
-            qt = context.sliding_dot_product(query)
-        else:
-            qt = sliding_dot_product(query, t)
-    return distance_profile_from_qt(
-        qt, length, float(mu[start]), float(sigma[start]), mu, sigma
-    )
+    c = comoment_row(t[start : start + length], t, mu, context=context)
+    return distance_profile_from_qt(c, length, float(sigma[start]), sigma)
 
 
 def mass_pair(series: FloatArray, length: int, i: int, j: int) -> Tuple[float, float]:
@@ -95,14 +86,6 @@ def mass_pair(series: FloatArray, length: int, i: int, j: int) -> Tuple[float, f
     t = np.asarray(series, dtype=np.float64)
     a = t[i : i + length]
     b = t[j : j + length]
-    qt = float(np.dot(a, b))
-    mu_a, sig_a = a.mean(), a.std()
-    mu_b, sig_b = b.mean(), b.std()
-    if sig_a <= 0.0 or sig_b <= 0.0:
-        from repro.distance.znorm import znormalized_distance
-
-        d = znormalized_distance(a, b)
-        return d, 1.0 - d * d / (2.0 * length)
-    corr = (qt - length * mu_a * mu_b) / (length * sig_a * sig_b)
-    corr = min(1.0, max(-1.0, corr))
-    return (2.0 * length * (1.0 - corr)) ** 0.5, corr
+    c = np.array([np.dot(a - a.mean(), b - b.mean())])
+    d = float(distance_profile_from_qt(c, length, a.std(), np.array([b.std()]))[0])
+    return d, 1.0 - d * d / (2.0 * length)

@@ -6,8 +6,8 @@ Two primitives power every O(n^2) matrix-profile engine in this library:
   window of the series, computed in the frequency domain in O(n log n)
   (Algorithm 3, line 5 of the paper).
 * :func:`moving_mean_std` — mean and standard deviation of every window of
-  one length, in O(n) via prefix sums (the running ``s`` / ``ss`` of
-  Algorithm 3, lines 6 and 13-14).
+  one length, in O(n) via blocked running sums (the running ``s`` / ``ss``
+  of Algorithm 3, lines 6 and 13-14).
 
 :func:`prefix_sums` exposes the raw cumulative sums so that VALMOD can
 obtain the statistics of *any* window of *any* length in O(1) while the
@@ -24,7 +24,7 @@ from repro import obs
 from repro.types import ComplexArray, FloatArray
 
 from repro.exceptions import InvalidParameterError, InvalidSeriesError
-from repro.distance.znorm import CONSTANT_EPS, as_series
+from repro.distance.znorm import CONSTANT_EPS
 
 __all__ = [
     "DIRECT_DOT_MAX",
@@ -105,10 +105,10 @@ def sliding_dot_product(
 def moving_mean_std(series: FloatArray, window: int) -> Tuple[FloatArray, FloatArray]:
     """Mean and std of every length-``window`` subsequence, in O(n).
 
-    Uses compensated prefix sums: the variance is computed as
-    ``ss/l - mu^2`` clipped at zero, which matches the paper's running-sum
-    formulation (Algorithm 3) and is accurate for the z-scored magnitudes
-    used throughout.
+    Algorithm 3's running sums, taken about the series median and
+    restarted every ``window`` points: an offset costs no digits, and a
+    high-magnitude segment's rounding stays in the two blocks a window
+    touches.  The variance is ``ss/l - mu^2`` clipped at zero.
     """
     t = np.asarray(series, dtype=np.float64)
     n = t.size
@@ -118,23 +118,34 @@ def moving_mean_std(series: FloatArray, window: int) -> Tuple[FloatArray, FloatA
         raise InvalidParameterError(
             f"window {window} longer than series of length {n}"
         )
-    cumsum, cumsum_sq = prefix_sums(t)
-    sums = cumsum[window:] - cumsum[:-window]
-    sq_sums = cumsum_sq[window:] - cumsum_sq[:-window]
+    if not np.isfinite(t).all():
+        raise InvalidSeriesError("series contains NaN or infinite values")
+    centre = float(np.median(t))
+    blocks = n // window + 2
+    x = np.zeros(blocks * window, dtype=np.float64)
+    x[:n] = t - centre
+    count = n - window + 1
+
+    def window_sums(values: FloatArray) -> Tuple[FloatArray, FloatArray]:
+        # (window sums, sums over the two blocks each window touches)
+        prefix = np.zeros((blocks, window + 1), dtype=np.float64)
+        np.cumsum(values.reshape(blocks, window), axis=1, out=prefix[:, 1:])
+        first = np.repeat(prefix[:-1, window], window)[:count]
+        later = prefix[1:, :window].ravel()[:count]
+        return first - prefix[:-1, :window].ravel()[:count] + later, first + later
+
+    sums, _ = window_sums(x)
+    sq_sums, magnitude = window_sums(x * x)
     mu = sums / window
     variance = sq_sums / window - mu * mu
     np.maximum(variance, 0.0, out=variance)
-    # Catastrophic cancellation makes the prefix differences carry the
-    # absolute error of the running totals, so a window downstream of a
-    # high-magnitude segment can report a variance that is pure noise —
-    # tiny-positive for a constant window (which must be *exactly* zero
-    # for the constant-window conventions to fire), or relatively wrong
-    # for an ordinary window.  Recompute every window whose cancellation
-    # noise floor is within 10 digits of its reported variance; for data
-    # in a sane range the set is empty and the O(n) path is untouched.
-    noise_floor = (
-        64.0 * np.finfo(np.float64).eps * (cumsum_sq[window:] / window + mu * mu)
-    )
+    # The sums still cancel inside a window far from the median (a shelf
+    # of large values), so its variance can be pure noise — tiny-positive
+    # for a constant window, which must be *exactly* zero for the
+    # constant-window conventions to fire.  Recompute every window whose
+    # cancellation noise floor is within 10 digits of its variance.
+    noise_floor = 64.0 * np.finfo(np.float64).eps * (magnitude / window + mu * mu)
+    mu += centre
     suspicious = np.where(variance <= 1e10 * noise_floor)[0]
     if suspicious.size:
         windows = np.lib.stride_tricks.sliding_window_view(t, window)[suspicious]
@@ -208,7 +219,3 @@ def validate_subsequence_length(n: int, length: int) -> int:
             f"length ({n} points) so a non-overlapping match can exist"
         )
     return n - length + 1
-
-
-# Re-export for convenience in this module's callers.
-_ = as_series

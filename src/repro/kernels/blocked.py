@@ -20,20 +20,21 @@ partial recompute's GEMM already make):
   (z-normalise each window, then take dot products), batched.  The GEMM
   costs ``O(n l)`` per row against the recurrence's ``O(n)``;
   docs/ENGINES.md gives the measurements behind the cut.
-* **Long windows**: the QT recurrence in *sheared* coordinates, where
-  the rolling update loses its column shift: with
-  ``S[k, m] = QT[r0 + k][m + k]`` the recurrence
+* **Long windows**: the co-moment recurrence of
+  :mod:`repro.distance.comoment` in *sheared* coordinates, where the
+  rolling update loses its column shift: with
+  ``S[k, m] = C[r0 + k][m + k]`` the recurrence
 
-      QT[i][j] = QT[i-1][j-1] - t[i-1] t[j-1] + t[i+l-1] t[j+l-1]
+      C[i][j] = C[i-1][j-1] + df[i-1] dg[j-1] + dg[i-1] df[j-1]
 
   reads ``S[k] = S[k-1] + delta_k`` where every ``delta_k`` is a plain
-  window of the (padded) series times two scalars — zero-copy sliding
-  windows shared by the whole block.  Each increment row is built with
-  two full-width multiplies, seeded with the diagonal entering at
-  column 0 from ``qt_first``, and accumulated onto its predecessor while
-  both rows are cache-resident.  Each accumulated row is scored in
-  *ranking* space: ``rank_j = QT_j / sigma_j - mu_i l mu_j / sigma_j``
-  equals ``corr_ij * l * sigma_i``, a positive per-row multiple of the
+  window of the (padded) ``dg`` and ``df`` vectors times two scalars —
+  zero-copy sliding windows shared by the whole block.  Each increment
+  row is built with two full-width multiplies, seeded with the diagonal
+  entering at column 0 from ``c_first``, and accumulated onto its
+  predecessor while both rows are cache-resident.  Each accumulated row
+  is scored in *ranking* space: ``rank_j = C_j / sigma_j`` equals
+  ``corr_ij * l * sigma_i``, a positive per-row multiple of the
   correlation, so its argmax is the row's nearest neighbor.
 
 Both paths end every block in one epilogue (:func:`_finish_block`): the
@@ -43,20 +44,19 @@ vectorised pass.  All scratch buffers are preallocated once per call.
 Numerical behavior:
 
 * The short path matches the oracle to rounding, large DC offsets
-  included: it never forms ``QT - l mu_i mu_j``.
-* On the long path the QT recurrence stays in float64 and the
-  re-anchoring schedule of :func:`repro.matrixprofile.stomp.stomp_reanchor_rows`
+  included: it z-normalises the windows before the GEMM.
+* The long path carries centred co-moments, so offsets cost no digits
+  either; the drift rule of :func:`repro.distance.comoment.anchor_rows`
   is honored by force-starting a new block (with an exactly summed row)
-  at every anchor row, so the drift bound of the serial engine applies
-  per block chain.  Within a block the sheared accumulation groups the
-  additions differently than the serial per-row update, so results
+  at every anchor row.  Within a block the sheared accumulation groups
+  the additions differently than the serial per-row update, so results
   agree with serial STOMP to rounding (and with ``brute`` within the
   differential harness tolerance), not bitwise.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
@@ -64,6 +64,7 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from repro import obs
 from repro.types import BoolArray, FloatArray, IntArray
 
+from repro.distance.comoment import anchor_rows, comoment_row, increments
 from repro.distance.sliding import DIRECT_DOT_MAX, validate_subsequence_length
 from repro.distance.znorm import CONSTANT_EPS
 from repro.exceptions import InvalidParameterError
@@ -158,36 +159,32 @@ def _sheared_blocks(
     window_const: BoolArray,
     zone: int,
     block_rows: int,
-    qt_first: FloatArray,
+    c_first: FloatArray,
     profile: FloatArray,
     index: IntArray,
-) -> Tuple[int, int]:
-    """Long-window path: the sheared recurrence; returns (blocks, anchors)."""
-    # Engines live in repro.matrixprofile, above this package at import
-    # time (stomp imports SeriesContext); resolve them at call time.
-    from repro.matrixprofile.stomp import exact_qt_row, stomp_reanchor_rows
-
-    n = t.size
+) -> int:
+    """Long-window path: the sheared recurrence; returns the block count."""
     n_subs = mu.size
-    anchor_list = [int(a) for a in stomp_reanchor_rows(t, length, sigma)]
+    df, dg = increments(t, length, mu)
+    anchor_list = [int(a) for a in anchor_rows(t, length, df, dg, sigma)]
     anchor_set = frozenset(anchor_list)
 
-    # Per-column ranking factors, computed once per call:
-    #   rank[i, j] = QT[i, j] * c1[j] - mu_i * c2[j] = corr_ij * l * sigma_i
-    # and lc_scale[i] takes a row's winning rank to l * corr.  Constant
-    # query rows are scored in l * corr directly (scale 1).
+    # rank[i, j] = C[i, j] * invsig[j] = corr_ij * l * sigma_i, and
+    # lc_scale[i] takes a row's winning rank to l * corr.  Constant query
+    # rows are scored in l * corr directly (scale 1).
     invsig = 1.0 / np.maximum(sigma, CONSTANT_EPS)
-    c1 = invsig
-    c2 = length * mu * invsig
     lc_scale = np.where(window_const, 1.0, invsig)
     any_window_const = bool(window_const.any())
 
-    # Padded series: tp[x + pad] == t[x], zeros outside.  Lets the sheared
-    # increment rows be plain windows even where they cover out-of-range
-    # diagonals (those cells only pollute rows that are never extracted).
+    # Padded increments: dfp[x + pad] == df[x], zeros outside.  Lets the
+    # sheared increment rows be plain windows even where they cover
+    # out-of-range diagonals (those cells only pollute rows that are
+    # never extracted).
     pad = min(block_rows, n_subs)
-    tp = np.zeros(n + 2 * pad, dtype=np.float64)
-    tp[pad : pad + n] = t
+    dfp = np.zeros(df.size + 2 * pad, dtype=np.float64)
+    dgp = np.zeros(df.size + 2 * pad, dtype=np.float64)
+    dfp[pad : pad + df.size] = df
+    dgp[pad : pad + dg.size] = dg
 
     # Scratch, allocated once per call and reused by every block.
     width_max = n_subs + pad - 1
@@ -197,9 +194,6 @@ def _sheared_blocks(
     buf2 = np.empty(n_subs, dtype=np.float64)
     best = np.empty(pad, dtype=np.float64)
     nbr = np.empty(pad, dtype=np.int64)
-
-    heads = t[: n_subs - 1]
-    tails = t[length : length + n_subs - 1]
 
     carry: Optional[FloatArray] = None
     blocks = 0
@@ -217,18 +211,20 @@ def _sheared_blocks(
         width = n_subs + b_rows - 1
         blocks += 1
 
-        # --- row r0 of the block: full QT via the serial update --------
+        # --- row r0 of the block: full row via the serial update -------
         if r0 == 0:
-            row0 = qt_first
+            row0 = c_first
         elif r0 in anchor_set:
-            row0 = exact_qt_row(t, r0, length)
-            row0[0] = qt_first[r0]
+            obs.add("comoment.reanchors")
+            row0 = comoment_row(t[r0 : r0 + length], t, mu, direct=True)
+            row0[0] = c_first[r0]
         else:
             # carry is always set here: every non-anchor r0 > 0 follows
-            # a completed block that stored its last QT row.
-            np.subtract(carry[:-1], heads * t[r0 - 1], out=buf2[1:])
-            buf2[1:] += tails * t[r0 + length - 1]
-            buf2[0] = qt_first[r0]
+            # a completed block that stored its last row.
+            np.multiply(dg, df[r0 - 1], out=buf2[1:])
+            buf2[1:] += carry[:-1]
+            buf2[1:] += df * dg[r0 - 1]
+            buf2[0] = c_first[r0]
             row0 = buf2
         s = block[:b_rows, :width]
         s[0, : b_rows - 1] = 0.0
@@ -237,10 +233,10 @@ def _sheared_blocks(
         # Shared zero-copy window views for the block's increments.
         if b_rows > 1:
             base = pad - b_rows
-            m1 = sliding_window_view(tp, width)[base + 1 : base + b_rows]
-            m2 = sliding_window_view(tp[length:], width)[base + 1 : base + b_rows]
-            a_coef = t[r0 : r1 - 1]
-            b_coef = t[r0 + length : r1 + length - 1]
+            m1 = sliding_window_view(dgp, width)[base + 1 : base + b_rows]
+            m2 = sliding_window_view(dfp, width)[base + 1 : base + b_rows]
+            a_coef = df[r0 : r1 - 1]
+            b_coef = dg[r0 : r1 - 1]
 
         # --- build, accumulate and score row by row --------------------
         # Each row is materialized, chained onto its predecessor and
@@ -251,13 +247,13 @@ def _sheared_blocks(
             shift = b_rows - 1 - k
             if k > 0:
                 row = s[k]
-                np.multiply(m1[k - 1], -a_coef[k - 1], out=row)
+                np.multiply(m1[k - 1], a_coef[k - 1], out=row)
                 np.multiply(m2[k - 1], b_coef[k - 1], out=tmprow[:width])
                 row += tmprow[:width]
                 # Seed the diagonal entering at column 0, zero the
                 # j < 0 cells, then advance the sheared cumsum.
                 row[:shift] = 0.0
-                row[shift] = qt_first[i]
+                row[shift] = c_first[i]
                 row += s[k - 1]
             lo = max(0, i - zone + 1)
             hi = min(n_subs, i + zone)
@@ -267,9 +263,7 @@ def _sheared_blocks(
                 buf.fill(0.5 * length)
                 buf[window_const] = length
             else:
-                np.multiply(s[k, shift : shift + n_subs], c1, out=buf)
-                np.multiply(c2, mu[i], out=buf2)
-                buf -= buf2
+                np.multiply(s[k, shift : shift + n_subs], invsig, out=buf)
                 if any_window_const:
                     buf[window_const] = 0.5 * length * sigma[i]
             buf[lo:hi] = -np.inf
@@ -280,7 +274,7 @@ def _sheared_blocks(
         _finish_block(profile, index, slice(r0, r1), lcorr, nbr[:b_rows], length)
         carry = np.array(s[b_rows - 1, :n_subs])
         r0 = r1
-    return blocks, len(anchor_list)
+    return blocks
 
 
 def blocked_stomp(
@@ -329,16 +323,14 @@ def blocked_stomp(
             blocks = _gemm_blocks(
                 t, length, mu, sigma, window_const, zone, block_rows, profile, index
             )
-            anchors = 0
         else:
-            blocks, anchors = _sheared_blocks(
+            blocks = _sheared_blocks(
                 t, length, mu, sigma, window_const, zone, block_rows,
-                ctx.sliding_dot_product(t[:length]), profile, index,
+                comoment_row(t[:length], t, mu, context=ctx), profile, index,
             )
 
     if obs.enabled():
         obs.add("kernel.blocks", blocks)
-        obs.add("kernel.reanchor_rows", anchors)
         if gemm:
             obs.add("kernel.gemm_rows", n_subs)
     return MatrixProfile(profile=profile, index=index, length=length)

@@ -36,10 +36,9 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from repro import obs
-from repro.types import ComplexArray, FloatArray, IntArray, SeriesLike
+from repro.types import ComplexArray, FloatArray, SeriesLike
 
 from repro.distance.sliding import (
     DIRECT_DOT_MAX,
@@ -170,22 +169,21 @@ class SeriesContext:
         size = fft_plan_size(self.series.size, q.size)
         return sliding_dot_product(q, self.series, series_fft=self.series_fft(size))
 
-    def window_dot_products(self, starts: IntArray, length: int) -> FloatArray:
-        """Dot products of the windows at ``starts`` against every window.
+    def window_dot_products(self, queries: FloatArray) -> FloatArray:
+        """Dot products of each row of ``queries`` against every window.
 
-        Row ``b`` equals ``sliding_dot_product(series[starts[b] :
-        starts[b] + length])`` on the FFT path, up to rounding: one
-        batched transform of the ``B`` queries times this context's cached
-        series spectrum.  O(B n log n) time and O(B n) memory whatever
-        ``length`` is, which makes it the long-window path; for windows
-        of at most ``DIRECT_DOT_MAX`` points a GEMM over the windows is
-        cheaper.
+        Row ``b`` equals ``sliding_dot_product(queries[b])`` on the FFT
+        path, up to rounding: one batched transform of the ``B`` queries
+        times this context's cached series spectrum.  O(B n log n) time
+        and O(B n) memory whatever the query length is, which makes it
+        the long-window path; for windows of at most ``DIRECT_DOT_MAX``
+        points a GEMM over the windows is cheaper.
         """
         t = self.series
-        obs.add("mass.fft_calls", len(starts))
+        length = queries.shape[1]
+        obs.add("mass.fft_calls", len(queries))
         size = fft_plan_size(t.size, length)
-        queries = sliding_window_view(t, length)[starts, ::-1]
-        spectra = np.fft.rfft(queries, size, axis=1)
+        spectra = np.fft.rfft(queries[:, ::-1], size, axis=1)
         spectra *= self.series_fft(size)
         return np.fft.irfft(spectra, size, axis=1)[:, length - 1 : t.size]
 

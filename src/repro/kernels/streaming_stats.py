@@ -12,14 +12,10 @@ place from the last ``l_max`` points in one batched O(L·l_max) pass —
 never a full recompute — and eviction or regrowth moves both tables
 with one 2-D slice copy each.
 
-It also owns the trailing dot-product row at ``l_min`` (the newest
-window against every window), extended per append by the STAMPI
-recurrence and recomputed exactly by ``np.correlate`` on a drift
-schedule: every ``max(REANCHOR_EVERY, l_min)`` appends, and at once
-when a value jumps the window's magnitude by
-:data:`MAGNITUDE_REANCHOR_FACTOR` (the recurrence's cancellation error
-scales with the squared magnitude).  ``streaming.qt.reanchors`` counts
-the scheduled recomputes.
+It also owns the trailing co-moment row at ``l_min`` (the newest window
+against every window, :mod:`repro.distance.comoment`), extended per
+append by the co-moment recurrence and recomputed exactly by the drift
+rule batch STOMP uses (``comoment.reanchors`` counts the recomputes).
 
 Numerical contract: the newest windows' statistics are computed directly
 on the window values, centred, in two passes — the L means from one
@@ -41,25 +37,19 @@ import math
 import numpy as np
 
 from repro import obs
+from repro.distance.comoment import (
+    comoment_row,
+    drift_budget,
+    drift_floor,
+    drift_steps,
+    increments,
+)
 from repro.distance.sliding import moving_mean_std
-from repro.distance.znorm import as_series
+from repro.distance.znorm import CONSTANT_EPS, as_series
 from repro.exceptions import InvalidParameterError
 from repro.types import FloatArray
 
 __all__ = ["StreamingSeriesStats"]
-
-#: recompute the trailing dot-product row exactly at least this often
-#: (in appends).  Long windows stretch the period to ``l_min`` appends:
-#: each recurrence step adds a few roundings of the squared magnitude to
-#: an entry, so ``l_min`` steps stay within the error order of the exact
-#: ``l_min``-term dot product, while the O(n * l_min) recompute costs
-#: O(n) per append amortized, the order of the recurrence itself.
-REANCHOR_EVERY = 64
-
-#: an appended value this many times larger than anything in the window
-#: forces an immediate exact recompute of the trailing row.
-MAGNITUDE_REANCHOR_FACTOR = 1e3
-
 
 def _capacity_for(n: int) -> int:
     cap = 64
@@ -69,12 +59,12 @@ def _capacity_for(n: int) -> int:
 
 
 class StreamingSeriesStats:
-    """Growing window buffer, per-length window statistics, trailing QT row.
+    """Growing window buffer, per-length window statistics, trailing C row.
 
     Supports :meth:`append` (one batched O(L·l_max) statistics pass plus
     an O(n) row update), :meth:`evict` (slide the retained window left),
     and zero-copy :meth:`mean_std` / :meth:`window_stats` /
-    :meth:`trailing_qt` views.  All arrays are float64.
+    :meth:`trailing_comoment` views.  All arrays are float64.
     """
 
     def __init__(self, series: FloatArray, l_min: int, l_max: int) -> None:
@@ -108,12 +98,9 @@ class StreamingSeriesStats:
             mu, sigma = moving_mean_std(t, length)
             self._mu[row, : mu.size] = mu
             self._sigma[row, : sigma.size] = sigma
-        self._qt = np.empty(self._cap, dtype=np.float64)
-        self._qt_tmp = np.empty(self._cap, dtype=np.float64)
-        self._qt[: t.size - self.l_min + 1] = self._exact_qt()
-        self._since_anchor = 0
-        self._reanchor_every = max(REANCHOR_EVERY, self.l_min)
-        self._scale = max(1.0, float(np.abs(t).max()))
+        self._c = np.empty(self._cap, dtype=np.float64)
+        self._c_tmp = np.empty(self._cap, dtype=np.float64)
+        self._anchor()
 
     @property
     def n_points(self) -> int:
@@ -143,10 +130,10 @@ class StreamingSeriesStats:
         mu[:, :width] = self._mu[:, :width]
         sigma[:, :width] = self._sigma[:, :width]
         self._mu, self._sigma = mu, sigma
-        qt = np.empty(self._cap, dtype=np.float64)
-        qt[:width] = self._qt[:width]
-        self._qt = qt
-        self._qt_tmp = np.empty(self._cap, dtype=np.float64)
+        c = np.empty(self._cap, dtype=np.float64)
+        c[:width] = self._c[:width]
+        self._c = c
+        self._c_tmp = np.empty(self._cap, dtype=np.float64)
 
     def append(self, value: float) -> None:
         """Ingest one point, extending every stats row and the trailing row."""
@@ -155,9 +142,6 @@ class StreamingSeriesStats:
                 f"appended value must be finite, got {value}"
             )
         value = float(value)
-        magnitude = abs(value)
-        force_anchor = magnitude > MAGNITUDE_REANCHOR_FACTOR * self._scale
-        self._scale = max(self._scale, magnitude)
         if self._n + 1 > self._cap:
             self._grow()
         self._buf[self._n] = value
@@ -174,29 +158,34 @@ class StreamingSeriesStats:
         self._mu[self._rows, starts] = mu
         self._sigma[self._rows, starts] = np.sqrt(np.maximum(var, 0.0))
 
-        self._since_anchor += 1
-        rows = n - self.l_min + 1
-        if force_anchor or self._since_anchor >= self._reanchor_every:
-            obs.add("streaming.qt.reanchors")
-            self._since_anchor = 0
-            self._qt[:rows] = self._exact_qt()
-            return
-        # STAMPI: the new row follows from the previous one by the STOMP
+        # The new row follows from the previous one by the co-moment
         # recurrence run along the row.  It reads every previous entry, so
         # it writes into the second buffer and the two swap.
         t = self._buf[:n]
-        l_min = self.l_min
-        new = rows - 1
-        qt = self._qt_tmp
-        qt[1:rows] = (
-            self._qt[:new] - t[:new] * t[new - 1] + t[l_min : l_min + new] * t[n - 1]
-        )
-        qt[0] = float(np.dot(t[:l_min], t[new:]))
-        self._qt, self._qt_tmp = qt, self._qt
+        new = n - self.l_min
+        mu = self._mu[0, : new + 1]
+        df, dg = increments(t, self.l_min, mu)
+        self._drift += drift_steps(t, self.l_min, df, dg, self._centre)[-1]
+        sigma = float(self._sigma[0, new])
+        if sigma >= CONSTANT_EPS and not 0.0 < self._floor <= sigma:
+            self._floor = sigma  # the floor of the windows the drift reaches
+        if self._drift > drift_budget(self.l_min, sigma, self._floor):
+            obs.add("comoment.reanchors")
+            self._anchor()
+            return
+        c = self._c_tmp
+        c[1 : new + 1] = self._c[:new] + dg * df[-1] + df * dg[-1]
+        c[0] = float(np.dot(t[: self.l_min] - mu[0], t[new:] - mu[new]))
+        self._c, self._c_tmp = c, self._c
 
-    def _exact_qt(self) -> FloatArray:
+    def _anchor(self) -> None:
+        """Recompute the trailing row exactly and restart the drift budget."""
         t = self._buf[: self._n]
-        return np.correlate(t, t[self._n - self.l_min :], mode="valid")
+        mu, sigma = self._mu[0, : self._n - self.l_min + 1], self._sigma[0]
+        self._c[: mu.size] = comoment_row(t[-self.l_min :], t, mu, direct=True)
+        self._drift = 0.0
+        self._floor = drift_floor(sigma[: mu.size])
+        self._centre = float(np.median(t))
 
     def evict(self, count: int) -> None:
         """Retire the ``count`` oldest points (slide the window left)."""
@@ -210,17 +199,12 @@ class StreamingSeriesStats:
                 f"than l_max={self.l_max} points"
             )
         n = self._n
-        # the magnitude scale is the window's maximum |value| (floored at
-        # 1), so it only moves when an evicted point attains it
-        rescale = float(np.abs(self._buf[:count]).max()) >= self._scale
         self._buf[: n - count] = self._buf[count:n]
         width = n - self.l_min + 1
         self._mu[:, : width - count] = self._mu[:, count:width]
         self._sigma[:, : width - count] = self._sigma[:, count:width]
-        self._qt[: width - count] = self._qt[count:width]
+        self._c[: width - count] = self._c[count:width]
         self._n = n - count
-        if rescale:
-            self._scale = max(1.0, float(np.abs(self._buf[: self._n]).max()))
 
     def mean_std(self, length: int) -> tuple:
         """(mu, sigma) views over the current window's length-``l`` windows."""
@@ -246,8 +230,8 @@ class StreamingSeriesStats:
         width = self._n - self.l_min + 1
         return self._mu[:, :width], self._sigma[:, :width]
 
-    def trailing_qt(self) -> FloatArray:
-        """Read-only view: the newest ``l_min`` window dotted with every window."""
-        view = self._qt[: self._n - self.l_min + 1]
+    def trailing_comoment(self) -> FloatArray:
+        """Read-only view: co-moments of the newest ``l_min`` window with every window."""
+        view = self._c[: self._n - self.l_min + 1]
         view.flags.writeable = False
         return view

@@ -17,7 +17,7 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.distance.profile import distance_profile_from_qt
+from repro.distance.comoment import comoment_row, distance_profile_from_qt, increments
 from repro.distance.znorm import as_series
 from repro.exceptions import InvalidParameterError
 from repro.kernels.context import SeriesContext
@@ -51,17 +51,15 @@ def stomp_ab_join(
 
     profile = np.empty(n_a, dtype=np.float64)
     index = np.empty(n_a, dtype=np.int64)
-    qt_first = ctx_b.sliding_dot_product(a[:length])
-    qt = qt_first.copy()
-    heads = b[: n_b - 1]
-    tails = b[length : length + n_b - 1]
+    c = comoment_row(a[:length], b, mu_b, context=ctx_b)
+    df_a, dg_a = increments(a, length, mu_a)
+    df_b, dg_b = increments(b, length, mu_b)
+    b_first = b[:length] - mu_b[0]
     for i in range(n_a):
         if i > 0:
-            qt[1:] = qt[:-1] - heads * a[i - 1] + tails * a[i + length - 1]
-            qt[0] = float(np.dot(a[i : i + length], b[:length]))
-        row = distance_profile_from_qt(
-            qt, length, float(mu_a[i]), float(sigma_a[i]), mu_b, sigma_b
-        )
+            c[1:] = c[:-1] + dg_b * df_a[i - 1] + df_b * dg_a[i - 1]
+            c[0] = float(np.dot(a[i : i + length] - mu_a[i], b_first))
+        row = distance_profile_from_qt(c, length, float(sigma_a[i]), sigma_b)
         j = int(np.argmin(row))
         profile[i] = row[j]
         index[i] = j

@@ -2,11 +2,12 @@
 
 STOMP computes the distance matrix row by row; SCRIMP computes it
 *diagonal by diagonal*.  Along a diagonal ``d`` (pairs ``(i, i + d)``)
-the dot product obeys::
+the centred co-moment of :mod:`repro.distance.comoment` obeys::
 
-    QT(i, i+d) = QT(i-1, i-1+d) - t[i-1] t[i-1+d] + t[i+l-1] t[i+d+l-1]
+    C(i, i+d) = C(i-1, i-1+d) + df[i-1] dg[i-1+d] + dg[i-1] df[i-1+d]
 
-so one vectorized prefix expression evaluates a whole diagonal at once.
+so one cumulative sum evaluates a whole diagonal at once, restarted from
+an exact co-moment at every anchor row of the shared drift rule.
 Two properties make SCRIMP valuable here:
 
 * **Anytime-exactness**: diagonals can be visited in random order and
@@ -24,10 +25,12 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro import obs
-from repro.types import FloatArray
+from repro.types import FloatArray, IntArray
 
+from repro.distance.comoment import anchor_rows, distance_profile_from_qt, increments
 from repro.distance.mass import mass_with_stats
 from repro.distance.profile import apply_exclusion_zone
 from repro.distance.sliding import validate_subsequence_length
@@ -46,28 +49,29 @@ def _diagonal_distances(
     length: int,
     mu: FloatArray,
     sigma: FloatArray,
+    df: FloatArray,
+    dg: FloatArray,
+    anchors: IntArray,
 ) -> FloatArray:
     """Exact distances of every pair along diagonal ``diag`` (vectorized)."""
-    n_subs = t.size - length + 1
-    m = n_subs - diag  # number of pairs (i, i + diag)
-    # QT(i, i+diag) = dot(t[i:i+l], t[i+diag:i+diag+l]): express the
-    # window dot product as a difference of running cross-products.
-    qt0 = float(np.dot(t[:length], t[diag : diag + length]))
-    cross = t[: m + length - 1] * t[diag : diag + m + length - 1]
-    cross_sums = np.concatenate([[0.0], np.cumsum(cross)])
-    qt = qt0 + (cross_sums[length : length + m] - cross_sums[:m]) - (
-        cross_sums[length] - cross_sums[0]
+    m = mu.size - diag  # number of pairs (i, i + diag)
+    steps = df[: m - 1] * dg[diag:] + dg[: m - 1] * df[diag:]
+    c = np.empty(m, dtype=np.float64)
+    # exact co-moments at row 0 and every anchor row, then the recurrence
+    # as a cumulative sum over each run of rows between them
+    starts = np.concatenate([[0], anchors[anchors < m]])
+    ends = np.append(starts[1:], m)
+    windows = sliding_window_view(t, length)
+    c[starts] = np.einsum(
+        "ij,ij->i",
+        windows[starts] - mu[starts, None],
+        windows[starts + diag] - mu[starts + diag, None],
     )
-    qt[0] = qt0
-    sig_i = np.maximum(sigma[:m], CONSTANT_EPS)
-    sig_j = np.maximum(sigma[diag : diag + m], CONSTANT_EPS)
-    corr = (qt - length * mu[:m] * mu[diag : diag + m]) / (length * sig_i * sig_j)
-    np.clip(corr, -1.0, 1.0, out=corr)
-    dist = np.sqrt(np.maximum(2.0 * length * (1.0 - corr), 0.0))
-    i_const = sigma[:m] < CONSTANT_EPS
-    j_const = sigma[diag : diag + m] < CONSTANT_EPS
-    dist = np.where(i_const ^ j_const, np.sqrt(length), dist)
-    return np.where(i_const & j_const, 0.0, dist)
+    runs = ends - starts > 1
+    for s, e in zip(starts[runs].tolist(), ends[runs].tolist()):
+        np.cumsum(steps[s : e - 1], out=c[s + 1 : e])
+        c[s + 1 : e] += c[s]
+    return distance_profile_from_qt(c, length, sigma[:m], sigma[diag:])
 
 
 def scrimp(
@@ -94,6 +98,8 @@ def scrimp(
     if not 0.0 < fraction <= 1.0:
         raise InvalidParameterError(f"fraction must be in (0, 1], got {fraction}")
     mu, sigma = ctx.moving_mean_std(length)
+    df, dg = increments(t, length, mu)
+    anchors = anchor_rows(t, length, df, dg, sigma)
     zone = exclusion_zone_half_width(length)
     profile = np.full(n_subs, np.inf, dtype=np.float64)
     index = np.full(n_subs, -1, dtype=np.int64)
@@ -112,7 +118,7 @@ def scrimp(
     with obs.span("engine.scrimp"):
         for diag in diagonals[:budget]:
             diag = int(diag)
-            dist = _diagonal_distances(t, diag, length, mu, sigma)
+            dist = _diagonal_distances(t, diag, length, mu, sigma, df, dg, anchors)
             m = dist.size
             rows = np.arange(m)
             cols = rows + diag

@@ -13,19 +13,13 @@ engines.  The ``row_range`` parameter lets a caller replay the recurrence
 up to a start row and only yield a block of rows — the primitive
 Algorithm 3's row-block workers build on.
 
-Numerical robustness
---------------------
-The rolling update accumulates one rounding error per row.  For data in a
-sane range the drift is harmless, but a high-magnitude flat segment (a
-sensor stuck at a large constant) makes the update subtract and re-add
-huge products, and the cancellation error can corrupt every later row.
-:func:`stomp_reanchor_rows` pre-computes — deterministically, from the
-series alone — the rows at which the accumulated drift bound crosses a
-tolerance; at those rows the recurrence is re-anchored with an exactly
-summed dot-product row.  The schedule is a pure function of the input so
-a row-block worker of Algorithm 3 (:mod:`repro.core.compute_mp`) that
-replays the recurrence from row 0 reproduces the serial results bit for
-bit.
+The rows are centred co-moments (:mod:`repro.distance.comoment`), so a
+large DC offset costs no digits.  A shelf of large values still rounds
+the update terms of the windows that touch it at its own size; the drift
+rule of :func:`repro.distance.comoment.anchor_rows` recomputes those
+rows exactly.  The schedule is a pure function of the input, so a row-block
+worker of Algorithm 3 (:mod:`repro.core.compute_mp`) that replays the
+recurrence from row 0 reproduces the serial results bit for bit.
 """
 
 from __future__ import annotations
@@ -35,96 +29,37 @@ from typing import Iterator, Optional, Tuple
 import numpy as np
 
 from repro import obs
-from repro.types import FloatArray, IntArray
+from repro.types import FloatArray
 
-from repro.distance.profile import apply_exclusion_zone, distance_profile_from_qt
-from repro.distance.sliding import sliding_dot_product, validate_subsequence_length
-from repro.distance.znorm import CONSTANT_EPS
+from repro.distance.comoment import (
+    anchor_rows,
+    comoment_row,
+    distance_profile_from_qt,
+    increments,
+)
+from repro.distance.profile import apply_exclusion_zone
+from repro.distance.sliding import validate_subsequence_length
 from repro.exceptions import InvalidParameterError
 from repro.kernels.context import SeriesContext
 from repro.matrixprofile.exclusion import contributing_cells, exclusion_zone_half_width
 from repro.matrixprofile.index import MatrixProfile
 
-__all__ = [
-    "stomp",
-    "iterate_stomp_qt",
-    "iterate_stomp_rows",
-    "stomp_reanchor_rows",
-    "exact_qt_row",
-]
-
-#: relative drift in the rolling dot products tolerated before the row is
-#: recomputed exactly.  Expressed as a fraction of the ``l sigma^2`` scale
-#: at which dot-product noise becomes visible in Eq. 3 correlations.
-QT_DRIFT_TOL = 1e-9
-
-
-def exact_qt_row(series: FloatArray, start: int, length: int) -> FloatArray:
-    """Dot products of window ``start`` against every window, summed exactly.
-
-    Direct correlation (no FFT) regardless of length: its error is local
-    to each output — the property the re-anchoring fix relies on, since an
-    FFT row spreads the magnitude of a flat shelf across every column.
-    """
-    return np.correlate(series, series[start : start + length], mode="valid")
-
-
-def stomp_reanchor_rows(
-    series: FloatArray, length: int, sigma: FloatArray
-) -> IntArray:
-    """Rows at which the STOMP recurrence must be re-anchored.
-
-    Tracks an upper bound on the per-row cancellation drift of the rolling
-    dot-product update — each row ``i`` touches the products
-    ``t[i-1] * t[j-1]`` and ``t[i+l-1] * t[j+l-1]``, so the bound grows by
-    ``eps * (t[i-1]^2 + t[i+l-1]^2)`` — and schedules an exact recompute
-    whenever the accumulated bound crosses ``QT_DRIFT_TOL`` of the
-    ``l sigma^2`` scale that Eq. 3 divides by.  For data without extreme
-    magnitudes the schedule is empty and the fast path is untouched.
-
-    Deterministic in the inputs: serial STOMP and every row-block worker
-    of Algorithm 3 compute the same schedule, which keeps their outputs
-    bitwise identical.
-    """
-    t = np.asarray(series, dtype=np.float64)
-    n_subs = t.size - length + 1
-    if n_subs <= 1:
-        return np.empty(0, dtype=np.int64)
-    live = sigma[sigma >= CONSTANT_EPS]
-    if live.size == 0:
-        return np.empty(0, dtype=np.int64)
-    floor = float(np.median(live))
-    budget = QT_DRIFT_TOL * length * floor * floor
-    if budget <= 0.0 or not np.isfinite(budget):
-        return np.empty(0, dtype=np.int64)
-    eps = float(np.finfo(np.float64).eps)
-    heads = t[: n_subs - 1]
-    tails = t[length : length + n_subs - 1]
-    steps = eps * (heads * heads + tails * tails)
-    # drift[i] = accumulated bound through the update of row i
-    drift = np.concatenate([[0.0], np.cumsum(steps)])
-    anchors = []
-    base = 0.0
-    while True:
-        nxt = int(np.searchsorted(drift, base + budget, side="right"))
-        if nxt >= drift.size:
-            break
-        anchors.append(nxt)
-        base = drift[nxt]
-    return np.asarray(anchors, dtype=np.int64)
+__all__ = ["stomp", "iterate_stomp_qt", "iterate_stomp_rows"]
 
 
 def iterate_stomp_qt(
     series: FloatArray,
     length: int,
+    mu: FloatArray,
     sigma: FloatArray,
     row_range: Optional[Tuple[int, int]] = None,
     context: Optional[SeriesContext] = None,
 ) -> Iterator[Tuple[int, FloatArray]]:
-    """Yield ``(i, qt)``: the dot products of query ``i`` against all windows.
+    """Yield ``(i, c)``: the co-moments of window ``i`` with every window.
 
-    The bare STOMP recurrence, with no distance profile per row; VALMOD's
-    Algorithm 3 ranks these rows itself (:func:`repro.core.entries.rank_rows`).
+    The bare STOMP recurrence on centred co-moments, with no distance
+    profile per row; VALMOD's Algorithm 3 ranks these rows itself
+    (:func:`repro.core.entries.rank_rows`).
 
     ``row_range`` restricts the yielded rows to ``[start, stop)``: the
     recurrence is still replayed from row 0, so every yielded row is
@@ -141,28 +76,24 @@ def iterate_stomp_qt(
         raise InvalidParameterError(
             f"row_range {row_range!r} out of bounds for {n_subs} rows"
         )
-    if context is not None and context.matches(t):
-        qt_first = context.sliding_dot_product(t[:length])
-    else:
-        qt_first = sliding_dot_product(t[:length], t)
-    qt = qt_first.copy()
-    anchors = stomp_reanchor_rows(t, length, sigma)
+    c_first = comoment_row(t[:length], t, mu, context=context)
+    c = c_first.copy()
+    df, dg = increments(t, length, mu)
+    anchors = anchor_rows(t, length, df, dg, sigma)
     anchor_pos = 0
-    # Cached slices for the O(1) per-entry dot-product update:
-    #   QT_i[j] = QT_{i-1}[j-1] - t[j-1] t[i-1] + t[j+l-1] t[i+l-1]
-    heads = t[: n_subs - 1]
-    tails = t[length : length + n_subs - 1]
     for i in range(stop):
         if i > 0:
             if anchor_pos < anchors.size and anchors[anchor_pos] == i:
                 # Accumulated drift too large: recompute the row exactly.
-                qt = exact_qt_row(t, i, length)
+                obs.add("comoment.reanchors")
+                c = comoment_row(t[i : i + length], t, mu, direct=True)
                 anchor_pos += 1
             else:
-                qt[1:] = qt[:-1] - heads * t[i - 1] + tails * t[i + length - 1]
-            qt[0] = qt_first[i]
+                # C[i, j] = C[i-1, j-1] + df[i-1] dg[j-1] + dg[i-1] df[j-1]
+                c[1:] = c[:-1] + dg * df[i - 1] + df * dg[i - 1]
+            c[0] = c_first[i]
         if i >= start:
-            yield i, qt
+            yield i, c
 
 
 def iterate_stomp_rows(
@@ -182,15 +113,13 @@ def iterate_stomp_rows(
     across iterations — callers that keep them must copy.
     """
     zone = exclusion_zone_half_width(length)
-    for i, qt in iterate_stomp_qt(
-        series, length, sigma, row_range=row_range, context=context
+    for i, c in iterate_stomp_qt(
+        series, length, mu, sigma, row_range=row_range, context=context
     ):
-        profile = distance_profile_from_qt(
-            qt, length, float(mu[i]), float(sigma[i]), mu, sigma
-        )
+        profile = distance_profile_from_qt(c, length, float(sigma[i]), sigma)
         if apply_exclusion:
             apply_exclusion_zone(profile, i, zone)
-        yield i, qt, profile
+        yield i, c, profile
 
 
 def stomp(
@@ -209,14 +138,11 @@ def stomp(
     n_subs = validate_subsequence_length(t.size, length)
     mu, sigma = ctx.moving_mean_std(length)
     if obs.enabled():
-        anchors = stomp_reanchor_rows(t, length, sigma)
         obs.add("engine.rows", n_subs)
         obs.add(
             "engine.cells",
             contributing_cells(n_subs, exclusion_zone_half_width(length)),
         )
-        obs.add("stomp.qt_reanchor_rows", int(anchors.size))
-        obs.add("stomp.qt_rolling_rows", max(n_subs - 1 - int(anchors.size), 0))
     profile = np.empty(n_subs, dtype=np.float64)
     index = np.empty(n_subs, dtype=np.int64)
     with obs.span("engine.stomp"):

@@ -7,12 +7,12 @@ it improve existing entries.  Total cost per append is O(n) with the
 incremental dot-product update — the same recurrence STOMP uses, rotated
 90 degrees.
 
-The window, its statistics and the trailing dot-product row live in a
+The window, its statistics and the trailing co-moment row live in a
 :class:`~repro.kernels.streaming_stats.StreamingSeriesStats`, the same
 streaming core :class:`~repro.matrixprofile.streaming_valmod.StreamingValmod`
 uses: amortized-doubling buffers, one exact O(l) stats computation per
-append instead of a per-append context rebuild, and the STAMPI
-recurrence re-anchored exactly on a drift schedule.  The
+append instead of a per-append context rebuild, and the co-moment
+recurrence re-anchored exactly by the shared drift rule.  The
 ``streaming.buffer.regrows`` counter proves the amortization (log₂
 growths over any run) and ``stats.cache.misses`` stays flat across
 appends.
@@ -36,7 +36,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro import obs
-from repro.distance.profile import apply_exclusion_zone, distance_profile_from_qt
+from repro.distance.comoment import comoment_row, distance_profile_from_qt
+from repro.distance.profile import apply_exclusion_zone
 from repro.distance.znorm import as_series
 from repro.exceptions import (
     InvalidParameterError,
@@ -150,8 +151,7 @@ class StreamingMatrixProfile:
                 grown[: old.size] = old
                 setattr(self, name, grown)
         row = distance_profile_from_qt(
-            window.trailing_qt(), length, float(mu[new]), float(sigma[new]),
-            mu, sigma,
+            window.trailing_comoment(), length, float(sigma[new]), sigma
         )
         lo = max(0, new - self._zone + 1)
         row[lo:] = np.inf
@@ -200,10 +200,8 @@ class StreamingMatrixProfile:
             mu, sigma = self._window.mean_std(length)
             for j in stale:
                 j = int(j)
-                qt_row = np.correlate(t, t[j : j + length], mode="valid")
-                row = distance_profile_from_qt(
-                    qt_row, length, float(mu[j]), float(sigma[j]), mu, sigma
-                )
+                c_row = comoment_row(t[j : j + length], t, mu, direct=True)
+                row = distance_profile_from_qt(c_row, length, float(sigma[j]), sigma)
                 apply_exclusion_zone(row, j, self._zone)
                 jj = int(np.argmin(row))
                 if np.isfinite(row[jj]):

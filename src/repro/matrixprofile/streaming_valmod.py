@@ -10,9 +10,10 @@ streaming window
 (:class:`~repro.kernels.streaming_stats.StreamingSeriesStats`, shared
 with :class:`~repro.matrixprofile.streaming.StreamingMatrixProfile`)
 extends the ``(L, capacity)`` window-statistics tables of every length
-at once and maintains the trailing QT row at ``l_min`` by the STAMPI
-recurrence, re-anchored exactly on a drift schedule.  The layer writes
-the VALMOD shift-add ``QT_{l+1}[j] = QT_l[j+1] + t[j]·t[n-l-1]`` into a
+at once and maintains the trailing co-moment row at ``l_min``
+(:mod:`repro.distance.comoment`), re-anchored exactly by the shared
+drift rule.  The layer writes Welford's front-add ``C_{l+1}[j] =
+C_l[j+1] + l/(l+1)·(t[j] - mu_l[j+1])·(t[n-l-1] - mu_l[n-l])`` into a
 ``(rows, n - l_min + 1)`` table (one ``np.add`` per length), scores the
 newest subsequence of each of those lengths with one broadcast Eq. 3,
 masks each row's exclusion zone and invalid tail with one compare, and
@@ -37,8 +38,8 @@ the *streaming-vs-batch differential wall* — is anchored here:
 * :meth:`motifs` runs the real batch :class:`~repro.core.valmod.Valmod`
   driver on the current window, so the result is bitwise identical to
   ``valmod(window, ...)`` by construction.  (Engine profile values are
-  *not* append-invariant — the FFT ``qt_first`` anchors and the
-  re-anchor schedule depend on the series size — so any eagerly merged
+  *not* append-invariant — the FFT first rows and the re-anchor
+  schedule depend on the series size — so any eagerly merged
   cell values would differ at the last bit from a fresh batch run;
   materializing through the batch code path is what makes the wall
   hold bitwise.)
@@ -71,7 +72,7 @@ from repro import obs
 from repro.core.discords import Discord, per_length_candidates
 from repro.core.discords_variable import _bound_pass, _certify
 from repro.core.valmod import DEFAULT_P, Valmod, ValmodResult  # repro-lint: ignore[R009] - streaming engine composes motif+discord maintenance by design; the façade wraps it
-from repro.distance.profile import distance_profile_from_qt
+from repro.distance.comoment import distance_profile_from_qt
 from repro.distance.znorm import as_series
 from repro.exceptions import (
     InvalidParameterError,
@@ -88,9 +89,9 @@ __all__ = ["StreamingValmod", "StreamEvent", "STREAMING_UB_SLACK"]
 #: relative slack applied to the maintained discord bounds before the
 #: strict pruning comparison.  Larger than the batch driver's
 #: ``UB_RELATIVE_SLACK`` (1e-9) because the eagerly maintained bounds
-#: ride a rolling QT recurrence between exact re-anchors and streaming
-#: window statistics, both of which carry more float noise than the
-#: batch listDP dot products.  Inflating only ever converts a prune
+#: ride a rolling co-moment recurrence between exact re-anchors and
+#: streaming window statistics, both of which carry more float noise
+#: than the batch listDP co-moments.  Inflating only ever converts a prune
 #: into a recompute — exactness never depends on this value.
 STREAMING_UB_SLACK = 1e-6
 
@@ -303,30 +304,30 @@ class StreamingValmod:
         # the table runs in blocks of whole rows, as many as fit the
         # cell budget (at least one)
         per_block = max(1, _EAGER_BLOCK_CELLS // width)
-        previous = stats.trailing_qt()  # QT at l_min, where the chain starts
+        previous = stats.trailing_comoment()  # C at l_min, where the chain starts
         for r0 in range(0, rows.size, per_block):
             r1 = min(r0 + per_block, rows.size)
-            # the VALMOD shift-add QT_{l+1}[j] = QT_l[j+1] + t[j]·t[n-l-1];
-            # row r is valid on its first width - r columns
-            qt = np.empty((r1 - r0, width), dtype=np.float64)
-            products = np.multiply.outer(t[owners[r0:r1]], t[:width])
+            # Welford's front-add from row r - 1 (length l) to row r:
+            # C_{l+1}[j] = C_l[j+1] + l/(l+1)·(t[j] - mu_l[j+1])·(t[n-l-1] -
+            # mu_l[n-l]); row r is valid on its first width - r columns
+            c = np.empty((r1 - r0, width), dtype=np.float64)
+            lo = max(r0, 1)
+            coef = (self._lengths[lo - 1 : r1 - 1] / self._lengths[lo:r1]) * (
+                t[owners[lo:r1]] - mu_q[lo - 1 : r1 - 1, 0]
+            )
+            products = (t[: width - 1] - mu[lo - 1 : r1 - 1, 1:]) * coef[:, None]
             if r0 == 0:
-                qt[0] = previous
-            for r in range(max(r0, 1), r1):
+                c[0] = previous
+            for r in range(lo, r1):
                 valid = width - r
-                row = qt[r - r0]
+                row = c[r - r0]
                 np.add(
-                    previous[1 : valid + 1], products[r - r0, :valid], out=row[:valid]
+                    previous[1 : valid + 1], products[r - lo, :valid], out=row[:valid]
                 )
                 row[valid:] = 0.0  # past the row's last window; masked below
                 previous = row
             block = distance_profile_from_qt(
-                qt,
-                lengths[r0:r1],
-                mu_q[r0:r1],
-                sigma_q[r0:r1],
-                mu[r0:r1],
-                sigma[r0:r1],
+                c, lengths[r0:r1], sigma_q[r0:r1], sigma[r0:r1]
             )
             # each row's exclusion zone and invalid tail, masked at once;
             # both lie at or right of the block's first masked column

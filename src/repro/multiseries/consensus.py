@@ -15,7 +15,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.distance.profile import distance_profile_from_qt
+from repro.distance.comoment import comoment_row, distance_profile_from_qt
 from repro.distance.znorm import as_series
 from repro.exceptions import InvalidParameterError
 from repro.kernels.context import SeriesContext
@@ -40,10 +40,8 @@ def _min_distance_to(
 ) -> Tuple[float, int]:
     """Smallest z-normalized distance of one query within a target series."""
     mu, sigma = stats
-    qt = target_ctx.sliding_dot_product(query)
-    row = distance_profile_from_qt(
-        qt, length, float(query.mean()), float(query.std()), mu, sigma
-    )
+    c = comoment_row(query, target_ctx.series, mu, context=target_ctx)
+    row = distance_profile_from_qt(c, length, float(query.std()), sigma)
     j = int(np.argmin(row))
     return float(row[j]), j
 

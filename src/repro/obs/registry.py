@@ -50,15 +50,14 @@ COUNTERS: Dict[str, str] = {
     # engines (shared across stomp/stamp/scrimp/blocked)
     "engine.rows": "profile rows an engine processed",
     "engine.cells": "distance cells an engine contributed (exclusion-adjusted)",
-    # serial stomp
-    "stomp.qt_reanchor_rows": "rows recomputed exactly by the drift schedule",
-    "stomp.qt_rolling_rows": "rows advanced by the rolling QT update",
+    # the co-moment recurrence (stomp, blocked_stomp, Algorithm 3 and the
+    # streaming window)
+    "comoment.reanchors": "co-moment rows recomputed exactly by the drift rule",
     # stamp / scrimp
     "stamp.mass_rows": "rows computed via full MASS calls",
     "scrimp.diagonals": "diagonals visited by the SCRIMP schedule",
     # blocked kernel
     "kernel.blocks": "row blocks processed by blocked_stomp",
-    "kernel.reanchor_rows": "anchor rows that force-started a new block",
     "kernel.gemm_rows": "rows blocked_stomp scored by GEMM over z-normalised windows",
     # series-context caches
     "stats.cache.hits": "moving mean/std lookups served from the context cache",
@@ -104,7 +103,6 @@ COUNTERS: Dict[str, str] = {
     "streaming.entries.evicted": "profile/VALMP entries retired by window eviction",
     "streaming.rows.repaired": "evicted-neighbor rows recomputed exactly after eviction",
     "streaming.buffer.regrows": "amortized capacity doublings of hoisted scratch buffers",
-    "streaming.qt.reanchors": "trailing QT rows recomputed exactly by the shared streaming window (both streaming engines)",
     "streaming.events.dropped": "change events discarded because the event queue was full",
     # features façade / store
     "features.cache.hits": "feature-store lookups served from disk",

@@ -41,15 +41,13 @@ def series_to_shapelet_distance(series: np.ndarray, shapelet: np.ndarray) -> flo
         return length_normalized(znormalized_distance(t, s), s.size)
     # MASS needs the query to come from the series; compute the profile
     # of the shapelet against the series directly instead.
-    from repro.distance.profile import distance_profile_from_qt
+    from repro.distance.comoment import comoment_row, distance_profile_from_qt
     from repro.kernels.context import SeriesContext
 
     ctx = SeriesContext(t)
     mu, sigma = ctx.moving_mean_std(s.size)
-    qt = ctx.sliding_dot_product(s)
-    profile = distance_profile_from_qt(
-        qt, s.size, float(s.mean()), float(s.std()), mu, sigma
-    )
+    c = comoment_row(s, t, mu, context=ctx)
+    profile = distance_profile_from_qt(c, s.size, float(s.std()), sigma)
     return length_normalized(float(profile.min()), s.size)
 
 

@@ -9,8 +9,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.datasets.motif_planting import plant_motifs
+from repro.distance.znorm import CONSTANT_EPS
+from repro.matrixprofile.exclusion import exclusion_zone_half_width
 
 
 @pytest.fixture(scope="session")
@@ -61,3 +64,24 @@ def assert_profiles_close(a, b, atol=1e-6):
     fin_b = np.isfinite(b)
     np.testing.assert_array_equal(fin_a, fin_b)
     np.testing.assert_allclose(a[fin_a], b[fin_b], atol=atol)
+
+
+def oracle_profile(series, length):
+    """The exactness oracle: every window z-normalized directly, no recurrence.
+
+    Returns the matrix profile (exclusion zone applied), with the
+    constant-window conventions of :mod:`repro.distance.znorm`: distance 0
+    between two constant windows, ``sqrt(l)`` when exactly one is.
+    """
+    windows = sliding_window_view(np.asarray(series, dtype=np.float64), length)
+    sigma = windows.std(axis=1)
+    const = sigma < CONSTANT_EPS
+    z = (windows - windows.mean(axis=1)[:, None]) / np.where(const, 1.0, sigma)[:, None]
+    lcorr = z @ z.T
+    lcorr[const] = 0.5 * length
+    lcorr[:, const] = 0.5 * length
+    lcorr[np.ix_(const, const)] = length
+    dist = np.sqrt(np.maximum(2.0 * (length - lcorr), 0.0))
+    offsets = np.arange(sigma.size)
+    dist[np.abs(offsets[:, None] - offsets) < exclusion_zone_half_width(length)] = np.inf
+    return dist.min(axis=1)

@@ -2,7 +2,7 @@
 
 The blocked backend (``repro.kernels.blocked``) scores windows of at most
 ``DIRECT_DOT_MAX`` points from a GEMM over z-normalised windows and
-longer ones from the QT recurrence as a sheared block cumulative sum;
+longer ones from the co-moment recurrence as a sheared block cumulative sum;
 these tests pin both paths to the brute-force oracle across the full
 block-size spectrum — ``B=1`` (the rowwise degenerate), interior sizes,
 the default, and ``B`` larger than the number of subsequences (one giant
@@ -18,9 +18,24 @@ from repro.distance.znorm import znormalized_distance
 from repro.exceptions import InvalidParameterError
 from repro.kernels import DEFAULT_BLOCK_ROWS, SeriesContext, blocked_stomp
 from repro.matrixprofile.brute import brute_force_matrix_profile
-from repro.matrixprofile.stomp import stomp, stomp_reanchor_rows
+from repro.distance.comoment import anchor_rows, increments
+from repro.matrixprofile.stomp import stomp
 
 ATOL = 1e-8
+
+
+def _high_shelf(n):
+    """A random walk with a noisy shelf at 3e4: the windows that straddle
+    its edges feed the co-moment update terms of size 3e4."""
+    rng = np.random.default_rng(3)
+    series = rng.standard_normal(n).cumsum()
+    series[n // 2 : n // 2 + 200] = 3e4 + rng.standard_normal(200)
+    return series
+
+
+def _anchors(series, length):
+    mu, sigma = SeriesContext(series).moving_mean_std(length)
+    return anchor_rows(series, length, *increments(series, length, mu), sigma)
 
 
 def _random_walk():
@@ -121,43 +136,32 @@ class TestBlockedVsBrute:
             )
 
     def test_reanchor_schedule_is_exercised(self):
-        """On a drifting series the kernel re-anchors mid-profile and the
-        anchored rows land on exact QT values (still oracle-exact)."""
-        rng = np.random.default_rng(3)
-        # Large DC offset: per-row drift of the QT update is O(eps * t^2),
-        # which crosses QT_DRIFT_TOL of the l*sigma^2 scale mid-series.
-        series = rng.standard_normal(1500).cumsum() + 5e3
+        """On a series with a high shelf the recurrence re-anchors
+        mid-profile and the anchored rows land on exact co-moments (still
+        oracle-exact)."""
+        series = _high_shelf(1500)
         length = 64
-        _, sigma = SeriesContext(series).moving_mean_std(length)
-        anchors = stomp_reanchor_rows(series, length, sigma)
-        assert len(anchors) > 1, "fixture must actually trigger reanchoring"
+        assert len(_anchors(series, length)) > 1, "fixture must trigger reanchoring"
         reference = brute_force_matrix_profile(series, length)
         mp = blocked_stomp(series, length)
-        # The DC offset limits what any O(n^2) scheme can resolve; the
-        # reanchor schedule keeps the drift at the tolerance scale (~1e-7
-        # in distance units here) instead of letting it accumulate.
         np.testing.assert_allclose(
             mp.profile, reference.profile, atol=1e-6, rtol=0.0
         )
-        # Rowwise STOMP shares the same drift schedule; the accumulation
-        # orders differ (sheared cumsum vs sequential), so agreement is at
-        # the drift-tolerance scale, not bitwise.
+        # Rowwise STOMP runs the anchored recurrence (the blocked kernel
+        # takes its GEMM path at this length): both sit on the oracle.
         rowwise = stomp(series, length)
         np.testing.assert_allclose(
-            mp.profile, rowwise.profile, atol=1e-6, rtol=0.0
+            rowwise.profile, reference.profile, atol=1e-6, rtol=0.0
         )
         np.testing.assert_array_equal(mp.index, rowwise.index)
 
-
     def test_reanchor_schedule_is_exercised_above_the_cut(self):
-        """The same drifting series at l > DIRECT_DOT_MAX, where the
-        sheared recurrence runs and must re-anchor mid-profile."""
-        rng = np.random.default_rng(3)
-        series = rng.standard_normal(800).cumsum() + 5e3
+        """The same shelf at l > DIRECT_DOT_MAX, where the sheared
+        recurrence runs and must re-anchor mid-profile."""
+        series = _high_shelf(800)
         length = 96
         assert length > DIRECT_DOT_MAX
-        _, sigma = SeriesContext(series).moving_mean_std(length)
-        anchors = stomp_reanchor_rows(series, length, sigma)
+        anchors = _anchors(series, length)
         assert len(anchors) > 1, "fixture must actually trigger reanchoring"
         reference = brute_force_matrix_profile(series, length)
         with obs.tracing(True):
@@ -166,13 +170,13 @@ class TestBlockedVsBrute:
             counters = obs.snapshot()["counters"]
         obs.reset()
         obs.disable()
-        assert counters["kernel.reanchor_rows"] == len(anchors)
+        assert counters["comoment.reanchors"] == len(anchors)
         np.testing.assert_allclose(
             mp.profile, reference.profile, atol=1e-6, rtol=0.0
         )
         rowwise = stomp(series, length)
         np.testing.assert_allclose(
-            mp.profile, rowwise.profile, atol=1e-6, rtol=0.0
+            rowwise.profile, reference.profile, atol=1e-6, rtol=0.0
         )
         np.testing.assert_array_equal(mp.index, rowwise.index)
 
@@ -192,7 +196,7 @@ class TestBlockedVsBrute:
         n_subs = series.size - length + 1
         if length <= DIRECT_DOT_MAX:
             assert counters["kernel.gemm_rows"] == n_subs
-            assert counters["kernel.reanchor_rows"] == 0
+            assert "comoment.reanchors" not in counters
         else:
             assert "kernel.gemm_rows" not in counters
         _assert_matches_oracle(series, length, mp, reference)

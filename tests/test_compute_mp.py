@@ -8,8 +8,8 @@ import pytest
 from repro.core.compute_mp import compute_matrix_profile, resolve_n_jobs, row_blocks
 from repro.distance.sliding import moving_mean_std
 from repro.matrixprofile import stomp
-from repro.matrixprofile.stomp import stomp_reanchor_rows
-from tests.conftest import assert_profiles_close
+from repro.distance.comoment import anchor_rows, increments
+from tests.conftest import assert_profiles_close, oracle_profile
 
 
 def test_profile_matches_stomp(noise_series):
@@ -69,7 +69,7 @@ def _flat_run():
 
 
 def _high_shelf():
-    # A 1e8 shelf activates the drift re-anchor schedule.
+    # A 1e8 shelf activates the drift re-anchor rule.
     t = np.random.default_rng(11).standard_normal(300).cumsum()
     t[120:170] = 1e8
     return t, 16
@@ -85,7 +85,7 @@ ROW_BLOCK_FIXTURES = {
 @pytest.mark.parametrize("fixture", sorted(ROW_BLOCK_FIXTURES))
 def test_compute_mp_row_blocks_bitwise(fixture):
     """Algorithm 3's row-block parallel path matches serial exactly,
-    profile and listDP store alike."""
+    profile and listDP store alike, and both sit on the oracle."""
     t, length = ROW_BLOCK_FIXTURES[fixture]()
     n_subs = t.size - length + 1
     (_, seam), _ = row_blocks(n_subs, 2)
@@ -93,8 +93,8 @@ def test_compute_mp_row_blocks_bitwise(fixture):
         assert 90 < seam < 130 - length
     if fixture == "high-shelf":
         # The second block's replay must honor anchors before its start.
-        _, sigma = moving_mean_std(t, length)
-        anchors = stomp_reanchor_rows(t, length, sigma)
+        mu, sigma = moving_mean_std(t, length)
+        anchors = anchor_rows(t, length, *increments(t, length, mu), sigma)
         assert anchors.size > 0 and anchors.min() < seam
     mp1, st1 = compute_matrix_profile(t, length, 8, n_jobs=1)
     mp2, st2 = compute_matrix_profile(t, length, 8, n_jobs=2)
@@ -104,6 +104,7 @@ def test_compute_mp_row_blocks_bitwise(fixture):
     np.testing.assert_array_equal(st1.neighbor, st2.neighbor)
     np.testing.assert_array_equal(st1.qt, st2.qt)
     np.testing.assert_array_equal(st1.lb_base, st2.lb_base)
+    np.testing.assert_allclose(mp1.profile, oracle_profile(t, length), rtol=0.0, atol=1e-6)
 
 
 def test_row_blocks_tile_rows():

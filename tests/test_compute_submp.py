@@ -118,6 +118,7 @@ def rowwise_recompute(series, store, length):
     brute-force distance profile, until the stop rule fires.  Returns the
     best distance, the best pair and the recomputed rows.
     """
+    from repro.distance.comoment import comoment_row
     from repro.distance.profile import apply_exclusion_zone, naive_distance_profile
     from repro.distance.sliding import moving_mean_std
     from repro.matrixprofile.exclusion import exclusion_zone_half_width
@@ -138,8 +139,8 @@ def rowwise_recompute(series, store, length):
         j = int(np.argmin(profile))
         if profile[j] < best:
             best, pair = float(profile[j]), (int(r), j)
-        qt = np.correlate(series, series[r : r + length], mode="valid")
-        store.fill_row(int(r), qt, mu, sigma, length)
+        c = comoment_row(series[r : r + length], series, mu, direct=True)
+        store.fill_row(int(r), c, sigma, length)
         visited.append(int(r))
     return best, pair, visited
 
@@ -217,13 +218,13 @@ class TestPairwiseRows:
 
         t = noise_series
         _, store = compute_matrix_profile(t, 16, 5)
-        mu, sigma = moving_mean_std(t, 16)
+        _, sigma = moving_mean_std(t, 16)
         usable = store.neighbor >= 0
-        full = pairwise_entry_distances(store.qt, store.neighbor, usable, usable, mu, sigma, 16)
+        full = pairwise_entry_distances(store.qt, store.neighbor, usable, usable, sigma, 16)
         rows = np.array([3, 77, 200])
         subset = pairwise_entry_distances(
             store.qt[rows], store.neighbor[rows], usable[rows], usable[rows],
-            mu, sigma, 16, rows=rows,
+            sigma, 16, rows=rows,
         )
         np.testing.assert_array_equal(subset, full[rows])
 

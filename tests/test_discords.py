@@ -125,7 +125,7 @@ class TestProperties:
         base = 12
         _, store = compute_matrix_profile(t, base, p=8, context=ctx)
         for length in range(base + 1, base + 8):
-            store.advance_to(length, t)
+            store.advance_to(length, t, ctx.moving_mean_std(length - 1)[0])
             upper = length_upper_bound(store.neighbor, store.qt, ctx, length)
             profile = stomp(t, length, context=ctx).profile
             true_max = float(

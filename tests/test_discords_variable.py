@@ -27,6 +27,7 @@ from repro.exceptions import InvalidParameterError
 from repro.kernels.context import SeriesContext
 from repro.matrixprofile.exclusion import exclusion_zone_half_width
 from repro.matrixprofile.registry import engine_names
+from tests.conftest import oracle_profile
 
 
 @pytest.fixture(scope="module")
@@ -149,14 +150,14 @@ def nxp_length_upper_bound(store_neighbor, store_qt, ctx, length):
     """The bound with Eq. 3 evaluated on every stored entry (the oracle)."""
     n = ctx.series.size
     n_dp = n - length + 1
-    mu, sigma = ctx.moving_mean_std(length)
+    _, sigma = ctx.moving_mean_std(length)
     zone = exclusion_zone_half_width(length)
     nb = store_neighbor[:n_dp]
     qt = store_qt[:n_dp]
     rows = np.arange(n_dp)[:, None]
     in_range = (nb >= 0) & (nb <= n - length)
     usable = in_range & (np.abs(nb - rows) >= zone)
-    dist = pairwise_entry_distances(qt, nb, usable, in_range, mu, sigma, length)
+    dist = pairwise_entry_distances(qt, nb, usable, in_range, sigma, length)
     return float(dist.min(axis=1).max()) / math.sqrt(length)
 
 
@@ -197,7 +198,7 @@ def advanced_bounds(series, base, top, p, bound):
     _, store = compute_matrix_profile(ctx.series, base, p, context=ctx)
     out = []
     for length in range(base + 1, top + 1):
-        store.advance_to(length, ctx.series)
+        store.advance_to(length, ctx.series, ctx.moving_mean_std(length - 1)[0])
         out.append(bound(store.neighbor, store.qt, ctx, length))
     return out
 
@@ -224,7 +225,7 @@ class TestRankSpaceBound:
         length = 37
         ctx = SeriesContext(t)
         _, store = compute_matrix_profile(t, length - 1, 20, context=ctx)
-        store.advance_to(length, t)
+        store.advance_to(length, t, ctx.moving_mean_std(length - 1)[0])
         _, sigma = ctx.moving_mean_std(length)
         const = np.flatnonzero(sigma < CONSTANT_EPS)
         owner_const, owner_live = int(const[0]), 100
@@ -239,7 +240,7 @@ class TestRankSpaceBound:
         t = spiked_sine(600, 4)
         ctx = SeriesContext(t)
         _, store = compute_matrix_profile(t, 30, 8, context=ctx)
-        store.advance_to(31, t)
+        store.advance_to(31, t, ctx.moving_mean_std(30)[0])
         assert math.isfinite(length_upper_bound(store.neighbor, store.qt, ctx, 31))
         for row, unusable in ((100, -1), (200, 205)):  # empty / inside the zone
             nb = store.neighbor.copy()
@@ -248,15 +249,17 @@ class TestRankSpaceBound:
             assert nxp_length_upper_bound(nb, store.qt, ctx, 31) == math.inf
 
     def test_never_below_nxp_form_when_ill_conditioned(self):
-        # A 1e6 offset on the whole series makes QT and l mu_i mu_j cancel
-        # to ~12 digits, so the rank order of near-tied entries can differ
-        # from the order of their Eq. 3 distances.  The winner's distance
-        # is then one of the n x p form's candidates: never smaller, so the
-        # bound never prunes a length the n x p form would keep.
+        # A 1e6 offset on the whole series: the bound, inflated by the
+        # pruning slack, never falls below the true profile maximum of an
+        # oracle that z-normalizes every window, and it is still the n x p
+        # form's value.
         t = spiked_sine(900, 6) + 1e6
         fast = advanced_bounds(t, 36, 72, 20, length_upper_bound)
-        oracle = advanced_bounds(t, 36, 72, 20, nxp_length_upper_bound)
-        assert all(f >= o for f, o in zip(fast, oracle))
+        nxp = advanced_bounds(t, 36, 72, 20, nxp_length_upper_bound)
+        assert fast == nxp
+        for length, bound in zip(range(37, 73), fast):
+            exact = oracle_profile(t, length).max() / math.sqrt(length)
+            assert bound * (1.0 + discords_variable.UB_RELATIVE_SLACK) >= exact
 
     def test_pruned_and_recomputed_lengths_unchanged(self, monkeypatch):
         t = spiked_sine(1000, 0)

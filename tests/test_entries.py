@@ -13,7 +13,7 @@ from repro.core.compute_mp import compute_matrix_profile
 from repro.core.entries import EntryStore, rank_rows
 from repro.core.lower_bound import lower_bound_base
 from repro.datasets import load_dataset
-from repro.distance.profile import correlation_from_qt
+from repro.distance.comoment import correlation_from_qt
 from repro.distance.sliding import moving_mean_std
 from repro.distance.znorm import CONSTANT_EPS, znormalized_distance
 from repro.exceptions import InvalidParameterError
@@ -25,9 +25,15 @@ TOL = 1e-6
 
 
 def exact_qt(series, length):
-    """Dot products of every window against every window, summed directly."""
+    """Co-moments of every window with every window, from centred windows."""
     windows = sliding_window_view(series, length)
-    return windows @ windows.T
+    centred = windows - windows.mean(axis=1)[:, None]
+    return centred @ centred.T
+
+
+def comoment(a, b):
+    """The centred co-moment of two windows, summed directly."""
+    return float(np.dot(a - a.mean(), b - b.mean()))
 
 
 def shelf_series():
@@ -57,9 +63,7 @@ def full_row_lb_base(series, row, length):
     """Eq. 2 numerators of one owner against every candidate (+inf = zone)."""
     mu, sigma = moving_mean_std(series, length)
     qt = exact_qt(series, length)[row]
-    corr = correlation_from_qt(
-        qt, length, float(mu[row]), max(float(sigma[row]), CONSTANT_EPS), mu, sigma
-    )
+    corr = correlation_from_qt(qt, length, max(float(sigma[row]), CONSTANT_EPS), sigma)
     corr[sigma < CONSTANT_EPS] = 0.0  # the listDP convention for constant candidates
     base = np.asarray(lower_bound_base(corr, length, float(sigma[row])))
     zone = exclusion_zone_half_width(length)
@@ -69,10 +73,10 @@ def full_row_lb_base(series, row, length):
 
 def build_row(series, row, length, p):
     """Helper: fill one store row the way Algorithm 3 does."""
-    mu, sigma = moving_mean_std(series, length)
+    _, sigma = moving_mean_std(series, length)
     n_subs = series.size - length + 1
     store = EntryStore.empty(n_subs, p, length)
-    store.fill_row(row, exact_qt(series, length)[row], mu, sigma, length)
+    store.fill_row(row, exact_qt(series, length)[row], sigma, length)
     return store
 
 
@@ -126,7 +130,7 @@ class TestFillRow:
             j = store.neighbor[50, slot]
             if j < 0:
                 continue
-            expected = float(np.dot(t[50 : 50 + 16], t[j : j + 16]))
+            expected = comoment(t[50 : 50 + 16], t[j : j + 16])
             assert store.qt[50, slot] == pytest.approx(expected, abs=1e-8)
 
 
@@ -140,7 +144,7 @@ class TestRankRows:
         mu, sigma = moving_mean_std(t, length)
         oracle = brute_force_matrix_profile(t, length)
         ranked = rank_rows(
-            exact_qt(t, length), np.arange(mu.size), mu, sigma, length, 6
+            exact_qt(t, length), np.arange(mu.size), sigma, length, 6
         )
         mp, _ = compute_matrix_profile(t, length, 6)
         zone = exclusion_zone_half_width(length)
@@ -180,7 +184,7 @@ class TestRankRows:
         t = noise_series
         mu, sigma = moving_mean_std(t, 16)
         rows = np.arange(40, 56)
-        ranked = rank_rows(exact_qt(t, 16)[rows], rows, mu, sigma, 16, 4)
+        ranked = rank_rows(exact_qt(t, 16)[rows], rows, sigma, 16, 4)
         store = EntryStore.empty(mu.size, 4, 16)
         with obs.tracing(True):
             obs.reset()
@@ -196,21 +200,21 @@ class TestAdvance:
     def test_qt_updated_to_new_length(self, noise_series):
         t = noise_series
         _, store = compute_matrix_profile(t, 16, 6)
-        store.advance_to(17, t)
+        store.advance_to(17, t, moving_mean_std(t, 16)[0])
         assert store.current_length == 17
         for row in (0, 40, 200):
             for slot in range(6):
                 j = store.neighbor[row, slot]
                 if j < 0 or j > t.size - 17:
                     continue
-                expected = float(np.dot(t[row : row + 17], t[j : j + 17]))
+                expected = comoment(t[row : row + 17], t[j : j + 17])
                 assert store.qt[row, slot] == pytest.approx(expected, abs=1e-8)
 
     def test_out_of_range_neighbors_frozen(self):
         t = np.random.default_rng(4).standard_normal(60)
         _, store = compute_matrix_profile(t, 20, 10)
         frozen = store.qt.copy()
-        store.advance_to(21, t)
+        store.advance_to(21, t, moving_mean_std(t, 20)[0])
         n = t.size
         out_of_range = (store.neighbor >= 0) & (store.neighbor > n - 21)
         rows = min(store.n_profiles, n - 21 + 1)
@@ -223,19 +227,19 @@ class TestAdvance:
     def test_must_advance_by_one(self, noise_series):
         _, store = compute_matrix_profile(noise_series, 16, 4)
         with pytest.raises(InvalidParameterError):
-            store.advance_to(18, noise_series)
+            store.advance_to(18, noise_series, moving_mean_std(noise_series, 17)[0])
         with pytest.raises(InvalidParameterError):
-            store.advance_to(16, noise_series)
+            store.advance_to(16, noise_series, moving_mean_std(noise_series, 15)[0])
 
     def test_sequential_advances(self, noise_series):
         t = noise_series
         _, store = compute_matrix_profile(t, 16, 4)
         for length in (17, 18, 19, 20):
-            store.advance_to(length, t)
+            store.advance_to(length, t, moving_mean_std(t, length - 1)[0])
         assert store.current_length == 20
         j = store.neighbor[10, 0]
         if j >= 0 and j <= t.size - 20:
-            expected = float(np.dot(t[10:30], t[j : j + 20]))
+            expected = comoment(t[10:30], t[j : j + 20])
             assert store.qt[10, 0] == pytest.approx(expected, abs=1e-8)
 
     def test_masked_advance_matches_boolean_scatter(self):
@@ -246,14 +250,16 @@ class TestAdvance:
         qt = store.qt.copy()
         left_range = 0
         for length in range(31, 70):
-            store.advance_to(length, t)
+            mu = moving_mean_std(t, length - 1)[0]
+            store.advance_to(length, t, mu)
             n_rows = min(store.n_profiles, t.size - length + 1)
             nb = store.neighbor[:n_rows]
             in_range = (nb >= 0) & (nb <= t.size - length)
             left_range += int(((nb > t.size - length) & (nb >= 0)).sum())
-            rows = np.arange(n_rows)[:, None]
             safe_nb = np.where(in_range, nb, 0)
-            increment = t[safe_nb + length - 1] * t[rows + length - 1]
+            # Welford: e[x] = t[x + l] - mu_l[x], C += l/(l+1) e[i] e[j]
+            e = t[length - 1 :] - mu[: t.size - length + 1]
+            increment = e[safe_nb] * (e[:n_rows, None] * ((length - 1) / length))
             block = qt[:n_rows]
             block[in_range] += increment[in_range]
             np.testing.assert_array_equal(store.qt, qt)

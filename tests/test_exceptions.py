@@ -147,6 +147,7 @@ _BUILDING_BLOCKS = [
     ("tlb-nan", lambda: tightness_of_lower_bound(np.array([np.nan]), np.ones(1)), InvalidParameterError),
     ("valmod-track", lambda: Valmod(_SERIES, 8, 10, p=5, track_top_k=-1), InvalidParameterError),
     ("valmod-n-jobs", lambda: valmod(_SERIES, 8, 10, p=5, n_jobs=2.5), InvalidParameterError),
+    ("Valmod-n-jobs", lambda: Valmod(_SERIES, 8, 10, p=5, n_jobs=2.5), InvalidParameterError),
     ("stream-track", lambda: StreamingValmod(_SERIES, 8, 10, p=5, track_top_k=-1), InvalidParameterError),
     ("features-top-k", lambda: StreamingFeatures(_SERIES, 8, 10, top_k=0), InvalidParameterError),
     ("features-set-k", lambda: StreamingFeatures(_SERIES, 8, 10, motif_set_k=0), InvalidParameterError),

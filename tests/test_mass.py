@@ -5,7 +5,6 @@ import pytest
 
 from repro.distance.mass import mass, mass_pair, mass_with_stats
 from repro.distance.profile import naive_distance_profile
-from repro.distance.sliding import moving_mean_std, sliding_dot_product
 from repro.distance.znorm import znormalized_distance
 from repro.exceptions import InvalidParameterError
 
@@ -27,16 +26,6 @@ class TestMass:
         t = rng.standard_normal(50)
         with pytest.raises(InvalidParameterError):
             mass(t, 45, 10)
-
-    def test_with_precomputed_qt(self, rng):
-        t = rng.standard_normal(120)
-        mu, sigma = moving_mean_std(t, 15)
-        qt = sliding_dot_product(t[33 : 33 + 15], t)
-        np.testing.assert_allclose(
-            mass_with_stats(t, 33, 15, mu, sigma, qt=qt),
-            mass(t, 33, 15),
-            atol=1e-10,
-        )
 
     def test_length_leaves_no_subsequences(self, rng):
         t = rng.standard_normal(20)

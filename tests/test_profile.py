@@ -1,26 +1,24 @@
-"""Tests for the Eq. 3 distance-profile kernel and the exclusion zone."""
+"""Tests for the Eq. 3 distance-profile kernel on co-moments and the exclusion zone."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.distance.profile import (
-    apply_exclusion_zone,
+from repro.distance.comoment import (
+    comoment_row,
     correlation_from_qt,
     distance_profile_from_qt,
-    naive_distance_profile,
 )
-from repro.distance.sliding import moving_mean_std, sliding_dot_product
+from repro.distance.profile import apply_exclusion_zone, naive_distance_profile
+from repro.distance.sliding import moving_mean_std
 from repro.exceptions import InvalidParameterError
 from repro.matrixprofile.exclusion import exclusion_zone_half_width
 
 
 def fast_profile(series, start, length):
     mu, sigma = moving_mean_std(series, length)
-    qt = sliding_dot_product(series[start : start + length], series)
-    return distance_profile_from_qt(
-        qt, length, float(mu[start]), float(sigma[start]), mu, sigma
-    )
+    c = comoment_row(series[start : start + length], series, mu)
+    return distance_profile_from_qt(c, length, float(sigma[start]), sigma)
 
 
 class TestDistanceProfileFromQt:
@@ -54,7 +52,7 @@ class TestDistanceProfileFromQt:
 
     def test_invalid_length(self):
         with pytest.raises(InvalidParameterError):
-            distance_profile_from_qt(np.zeros(3), 0, 0.0, 1.0, np.zeros(3), np.ones(3))
+            distance_profile_from_qt(np.zeros(3), 0, 1.0, np.ones(3))
 
     def test_row_stack_is_bitwise_the_1d_rows(self, rng):
         """One row per query, each with its own length and statistics."""
@@ -62,31 +60,22 @@ class TestDistanceProfileFromQt:
         t[30:52] = 3.0  # constant queries and constant windows
         starts, lengths = [0, 33, 5, 60], [8, 9, 10, 12]
         width = t.size - min(lengths) + 1
-        qt = np.zeros((len(starts), width))
-        mu = np.zeros((len(starts), width))
+        c = np.zeros((len(starts), width))
         sigma = np.zeros((len(starts), width))
         expected = []
         for row, (start, length) in enumerate(zip(starts, lengths)):
             m, s = moving_mean_std(t, length)
-            q = sliding_dot_product(t[start : start + length], t)
-            qt[row, : q.size], mu[row, : m.size], sigma[row, : s.size] = q, m, s
-            expected.append(
-                distance_profile_from_qt(
-                    q, length, float(m[start]), float(s[start]), m, s
-                )
-            )
+            q = comoment_row(t[start : start + length], t, m)
+            c[row, : q.size], sigma[row, : s.size] = q, s
+            expected.append(distance_profile_from_qt(q, length, float(s[start]), s))
         column = np.array(lengths)[:, None]
         picks = (np.arange(len(starts)), starts)
-        stack = distance_profile_from_qt(
-            qt, column, mu[picks][:, None], sigma[picks][:, None], mu, sigma
-        )
+        stack = distance_profile_from_qt(c, column, sigma[picks][:, None], sigma)
         assert sigma[1, 33] == 0.0  # the constant query is exercised
         for row, profile in enumerate(expected):
             np.testing.assert_array_equal(stack[row, : profile.size], profile)
         with pytest.raises(InvalidParameterError):
-            distance_profile_from_qt(
-                qt, column - 8, mu[picks][:, None], sigma[picks][:, None], mu, sigma
-            )
+            distance_profile_from_qt(c, column - 8, sigma[picks][:, None], sigma)
 
     @given(st.integers(0, 2**31 - 1), st.integers(4, 24))
     @settings(max_examples=25, deadline=None)
@@ -106,15 +95,15 @@ class TestCorrelationFromQt:
     def test_self_correlation_is_one(self, rng):
         t = rng.standard_normal(60)
         mu, sigma = moving_mean_std(t, 10)
-        qt = sliding_dot_product(t[20:30], t)
-        corr = correlation_from_qt(qt, 10, float(mu[20]), float(sigma[20]), mu, sigma)
+        c = comoment_row(t[20:30], t, mu)
+        corr = correlation_from_qt(c, 10, float(sigma[20]), sigma)
         assert corr[20] == pytest.approx(1.0, abs=1e-9)
 
     def test_clipped_to_unit_interval(self, rng):
         t = rng.standard_normal(60)
         mu, sigma = moving_mean_std(t, 10)
-        qt = sliding_dot_product(t[0:10], t)
-        corr = correlation_from_qt(qt, 10, float(mu[0]), float(sigma[0]), mu, sigma)
+        c = comoment_row(t[0:10], t, mu)
+        corr = correlation_from_qt(c, 10, float(sigma[0]), sigma)
         assert np.all(corr <= 1.0) and np.all(corr >= -1.0)
 
 

@@ -14,6 +14,7 @@ Three layers of guarantees, strongest first:
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -157,7 +158,9 @@ class TestCacheMechanics:
         starts = np.array([0, 5, 123, series.size - length])
         with obs.tracing(True):
             obs.reset()
-            block = ctx.window_dot_products(starts, length)
+            block = ctx.window_dot_products(
+                sliding_window_view(series, length)[starts]
+            )
             ctx.sliding_dot_product(series[:length])
             counters = obs.snapshot()["counters"]
         obs.reset()

@@ -166,11 +166,11 @@ class TestDrift:
     )
     @pytest.mark.parametrize("seed", range(4))
     def test_noisy_shelf_matches_direct_oracle(self, seed, step_sd, offset, bound):
-        """The trailing dot-product row is re-anchored exactly while streaming.
+        """The trailing co-moment row is re-anchored exactly while streaming.
 
-        A 200-point noisy shelf at a large offset feeds the STAMPI
-        recurrence products of size offset**2.  The streaming window
-        recomputes the row exactly on its drift schedule (the counter),
+        A 200-point noisy shelf at a large offset feeds the co-moment
+        recurrence update terms of size offset**2.  The streaming window
+        recomputes the row exactly by the drift rule (the counter),
         and the streamed profile stays within the stated bound of an
         oracle that uses no recurrence.  On the 0.1-sd-step walk at 1e6 a
         recurrence that is never re-anchored is off by 0.31-0.66 and the
@@ -187,4 +187,4 @@ class TestDrift:
             counters = dict(obs.snapshot()["counters"])
         error = np.abs(smp.matrix_profile().profile - direct_profile(series, 20))
         assert error.max() < bound
-        assert counters.get("streaming.qt.reanchors", 0) > 0
+        assert counters.get("comoment.reanchors", 0) > 0

@@ -5,8 +5,9 @@ pass (suffix sums for the means, centred deviations for the variances).
 Those values must agree with the direct ``window.mean()`` /
 ``window.std()`` of each window to rounding error, which for a sum of
 ``l`` terms is bounded by a few ``eps * l * max|window|``.  The trailing
-dot-product row must equal ``np.correlate`` right after each scheduled
-re-anchor and stay within the recurrence's error order in between.
+co-moment row must stay within the recurrence's error order of a
+directly summed co-moment row on data of one scale, and equal it right
+after each re-anchor of the drift rule.
 """
 
 import numpy as np
@@ -14,7 +15,8 @@ import pytest
 
 from repro import obs
 from repro.exceptions import InvalidParameterError
-from repro.kernels.streaming_stats import REANCHOR_EVERY, StreamingSeriesStats
+from repro.distance.comoment import comoment_row
+from repro.kernels.streaming_stats import StreamingSeriesStats
 
 L_MIN, L_MAX = 10, 16
 EPS = np.finfo(np.float64).eps
@@ -57,7 +59,7 @@ def feed(kind, rng):
         body = rng.standard_normal(100)
     elif kind == "shelf":
         body = np.full(100, 7.25)
-    else:  # a 1e8 offset: the first point forces a magnitude re-anchor
+    else:  # a 1e8 offset: the windows across the jump force re-anchors
         body = 1e8 + rng.standard_normal(100)
     return np.concatenate([lead, body, tail])
 
@@ -86,8 +88,8 @@ def test_batched_statistics_match_direct_windows(kind, seed):
     assert stats.capacity > capacity
     assert counters["streaming.buffer.regrows"] >= 1
     if kind == "offset":
-        # the scheduled anchors plus the magnitude-forced one
-        assert counters["streaming.qt.reanchors"] >= 3
+        # the drift rule re-anchors the windows across both jumps
+        assert counters["comoment.reanchors"] >= 3
 
 
 def test_constant_shelf_is_exactly_constant():
@@ -117,28 +119,34 @@ def test_window_stats_rows_are_the_mean_std_views():
 
 @pytest.mark.parametrize("seed", range(3))
 def test_trailing_qt_against_correlate(seed):
-    """Exact right after each scheduled re-anchor, close in between."""
+    """Close to the direct sum on data of one scale, exact right after
+    each re-anchor of a shelf."""
     rng = np.random.default_rng(seed)
     stats = StreamingSeriesStats(rng.standard_normal(50), L_MIN, L_MAX)
-    scheduled = 0
+    calm = 5.0 * rng.standard_normal(64)
+    shelf = 5.0 * rng.standard_normal(128)
+    shelf[20:50] += 1e6  # the windows across it and past it re-anchor
+    scheduled = since = 0
     with obs.tracing(True):
         obs.reset()
-        values = 5.0 * rng.standard_normal(3 * REANCHOR_EVERY)
-        for count, value in enumerate(values, 1):
+        for count, value in enumerate(np.concatenate([calm, shelf]), 1):
             stats.append(float(value))
             if count % 50 == 0:
                 stats.evict(30)
             t = np.array(stats.series())
-            exact = np.correlate(t, t[-L_MIN:], mode="valid")
-            reanchors = obs.get_tracer().counter("streaming.qt.reanchors")
+            mu, _ = stats.mean_std(L_MIN)
+            exact = comoment_row(t[-L_MIN:], t, mu, direct=True)
+            reanchors = obs.get_tracer().counter("comoment.reanchors")
             if reanchors > scheduled:
-                scheduled = reanchors
-                np.testing.assert_array_equal(stats.trailing_qt(), exact)
-            else:
-                # each recurrence step adds a few roundings of max|x|^2
+                scheduled, since = reanchors, 0
+                np.testing.assert_array_equal(stats.trailing_comoment(), exact)
+            elif count <= calm.size:
+                # each recurrence step adds a few roundings of max|x|^2,
+                # over at most 64 steps
+                since += 1
                 scale = float(np.abs(t).max()) ** 2
-                tol = 4.0 * EPS * L_MIN * REANCHOR_EVERY * scale
-                assert np.abs(stats.trailing_qt() - exact).max() <= tol
+                tol = 4.0 * EPS * L_MIN * since * scale
+                assert np.abs(stats.trailing_comoment() - exact).max() <= tol
     assert scheduled >= 2
 
 
