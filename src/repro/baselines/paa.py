@@ -57,7 +57,7 @@ def paa_transform(series: np.ndarray, length: int, width: int) -> np.ndarray:
             f"PAA width must be in [1, length], got {width} for length {length}"
         )
     seg = length // width
-    cumsum, _ = prefix_sums(t)
+    cumsum = prefix_sums(t)
     mu, sigma = SeriesContext(t).moving_mean_std(length)
     starts = np.arange(n_subs)
     summaries = np.empty((n_subs, width), dtype=np.float64)

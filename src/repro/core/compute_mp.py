@@ -1,23 +1,33 @@
 """Algorithm 3 — ComputeMatrixProfile with lower-bound bookkeeping.
 
-Runs the STOMP co-moment recurrence (shared with
-:mod:`repro.matrixprofile.stomp`), stacks its rows ``FILL_BLOCK_ROWS`` at
-a time, and ranks each stack with :func:`~repro.core.entries.rank_rows`:
+Produces the co-moment rows of every window ``FILL_BLOCK_ROWS`` at a
+time and ranks each stack with :func:`~repro.core.entries.rank_rows`:
 one rank-space pass per row yields both the profile minimum and the p
 entries with the smallest lower-bound distance, which go into the
 :class:`~repro.core.entries.EntryStore`.  No distance profile is built.
 This is the O(n^2 log p) first phase of VALMOD.
 
+The rows come from one of two sources, split at ``DIRECT_DOT_MAX`` (64
+points) like the partial recompute of Algorithm 4:
+
+* short windows: one GEMM over the centred windows per chunk of the
+  absolute row grid, from :func:`repro.distance.comoment.window_comoments`
+  (the producer the partial recompute uses).
+* long windows: the STOMP co-moment recurrence shared with
+  :mod:`repro.matrixprofile.stomp`.
+
 With ``n_jobs > 1`` the rows are split into blocks processed by worker
-processes.  Each worker replays the STOMP dot-product recurrence up to
-its block start and then runs the identical per-row pipeline (every row
-is ranked on its own, whatever stack it lands in), so the assembled
-profile, index, and listDP rows are bitwise identical to a serial run.
+processes.  A worker on the recurrence replays it up to its block start;
+a worker on the GEMM computes the whole grid chunks its block touches
+and keeps its own rows.  Either way it produces every row as a serial
+run does, and every row is ranked on its own, whatever stack it lands
+in, so the assembled profile, index, and listDP rows are bitwise
+identical to a serial run.
 The series travels pickled in each task (it is O(n), small next to the
 O(n p) listDP rows a block sends back); each block result comes back as
 plain arrays the parent stitches together.  This pool is the package's
-only process-parallel path: on 2 CPUs it runs Algorithm 3 1.35-1.6x
-faster than serial (``docs/ENGINES.md``).
+only process-parallel path; ``docs/ENGINES.md`` measures it against
+serial.
 """
 
 from __future__ import annotations
@@ -26,7 +36,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import get_context
 from multiprocessing.context import BaseContext
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -34,7 +44,8 @@ from repro import obs
 from repro.types import FloatArray, IntArray
 
 from repro.core.entries import EntryStore, rank_rows
-from repro.distance.sliding import validate_subsequence_length
+from repro.distance.comoment import window_comoments
+from repro.distance.sliding import DIRECT_DOT_MAX, validate_subsequence_length
 from repro.exceptions import InvalidParameterError
 from repro.kernels.context import SeriesContext
 from repro.matrixprofile.index import MatrixProfile
@@ -48,10 +59,11 @@ __all__ = ["compute_matrix_profile", "resolve_n_jobs", "row_blocks"]
 #: load balance depends on it.
 REPLAY_COST = 0.25
 
-#: rows ranked per :func:`rank_rows` call: enough to amortize the per-call
-#: NumPy overhead, while the (16, n) ranking buffers stay far below the
-#: (n, p) listDP store that sets Algorithm 3's peak memory.
-FILL_BLOCK_ROWS = 16
+#: rows ranked per :func:`rank_rows` call, and the row grid of the
+#: short-window GEMM: enough rows to amortize the per-call NumPy and BLAS
+#: overhead, while the (32, n) ranking buffers stay far below the (n, p)
+#: listDP store that sets Algorithm 3's peak memory.
+FILL_BLOCK_ROWS = 32
 
 
 def resolve_n_jobs(n_jobs: Optional[int]) -> int:
@@ -105,6 +117,48 @@ def row_blocks(n_rows: int, n_blocks: int) -> List[Tuple[int, int]]:
     return [(bounds[k], bounds[k + 1]) for k in range(len(bounds) - 1)]
 
 
+def _comoment_stacks(
+    ctx: SeriesContext,
+    length: int,
+    mu: FloatArray,
+    sigma: FloatArray,
+    start: int,
+    stop: int,
+) -> Iterator[Tuple[int, FloatArray]]:
+    """Yield ``(first, stack)``: co-moment rows ``first, first + 1, ...``.
+
+    The stacks cover ``[start, stop)`` in order, at most
+    ``FILL_BLOCK_ROWS`` rows each; a stack may be reused by the next one.
+
+    * short windows: one GEMM per chunk of the absolute grid ``[k B, (k
+      + 1) B)``, ``B = FILL_BLOCK_ROWS``, from
+      :func:`~repro.distance.comoment.window_comoments`.  BLAS rounds a
+      row depending on how many rows share its block, so a block whose
+      ends fall inside a chunk still computes the whole chunk and keeps
+      its own rows: every row is what a serial run computes.
+    * long windows: the STOMP recurrence, replayed from row 0 up to
+      ``start`` (:func:`~repro.matrixprofile.stomp.iterate_stomp_qt`).
+    """
+    n_subs = ctx.series.size - length + 1
+    if length <= DIRECT_DOT_MAX:
+        comoments = window_comoments(ctx, length, mu)
+        for chunk in range(start - start % FILL_BLOCK_ROWS, stop, FILL_BLOCK_ROWS):
+            rows = comoments(slice(chunk, min(chunk + FILL_BLOCK_ROWS, n_subs)))
+            first = max(chunk, start)
+            yield first, rows[first - chunk : stop - chunk]
+        return
+    stack = np.empty((FILL_BLOCK_ROWS, n_subs), dtype=np.float64)
+    filled = 0
+    for i, c in iterate_stomp_qt(
+        ctx.series, length, mu, sigma, row_range=(start, stop), context=ctx
+    ):
+        stack[filled] = c
+        filled += 1
+        if filled == FILL_BLOCK_ROWS or i == stop - 1:
+            yield i + 1 - filled, stack[:filled]
+            filled = 0
+
+
 def _fill_block(
     ctx: SeriesContext,
     length: int,
@@ -117,31 +171,18 @@ def _fill_block(
     """Profile, index, and listDP rows for the row block ``[start, stop)``.
 
     Row ``i`` is written at position ``i - start`` of ``profile``,
-    ``index`` and ``store``.  ``iterate_stomp_qt`` replays the recurrence
-    up to ``start``, and :func:`rank_rows` scores every row on its own,
-    so every produced row matches a full serial run bit for bit.
+    ``index`` and ``store``.  :func:`_comoment_stacks` produces every row
+    as a serial run does, and :func:`rank_rows` scores every row on its
+    own, so every produced row matches a full serial run bit for bit.
     """
-    t = ctx.series
-    n_subs = t.size - length + 1
     mu, sigma = ctx.moving_mean_std(length)
-    stack = np.empty((FILL_BLOCK_ROWS, n_subs), dtype=np.float64)
-    filled = 0
-    for i, c in iterate_stomp_qt(
-        t, length, mu, sigma, row_range=(start, stop), context=ctx
-    ):
-        stack[filled] = c
-        filled += 1
-        if filled < FILL_BLOCK_ROWS and i < stop - 1:
-            continue
-        first = i + 1 - filled
-        ranked = rank_rows(
-            stack[:filled], np.arange(first, i + 1), sigma, length, store.p
-        )
-        slots = slice(first - start, i + 1 - start)
+    for first, stack in _comoment_stacks(ctx, length, mu, sigma, start, stop):
+        last = first + stack.shape[0]
+        ranked = rank_rows(stack, np.arange(first, last), sigma, length, store.p)
+        slots = slice(first - start, last - start)
         profile[slots] = ranked.profile
         index[slots] = ranked.index
         store.fill_rows(slots, ranked, length)
-        filled = 0
 
 
 def _block_worker(task):

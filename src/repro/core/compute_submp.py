@@ -1,9 +1,12 @@
 """Algorithm 4 — ComputeSubMP: the matrix profile for subsequent lengths.
 
 Given the ``listDP`` store built at a smaller length, this routine tries
-to find the motif pair of the new length by evaluating only the ``p``
-stored entries per distance profile (O(n p) work), instead of the full
-O(n^2) matrix profile.
+to find the motif pair of the new length from the ``p`` stored entries
+per distance profile (O(n p) work), instead of the full O(n^2) matrix
+profile.  Eq. 3 and Eq. 2 run once per profile, not once per entry: the
+entries are ranked by ``C / sigma_j`` and only each row's nearest is
+scored (:func:`nearest_entries`), and ``maxLB`` divides the row's
+largest ``lb_base`` by ``sigma_i`` (``docs/ALGORITHMS.md`` §3).
 
 Validity logic (paper, Section 4.4)
 -----------------------------------
@@ -20,60 +23,44 @@ distance >= maxLB.  So:
 If the best valid distance beats every non-valid profile's maxLB, it is
 the motif distance (``bBestM``).  Otherwise the non-valid profiles whose
 maxLB could hide a better pair are recomputed in full — but only when
-they are few; else the caller falls back to Algorithm 3.
+they are few; else the caller falls back to Algorithm 3.  The recompute
+takes its co-moment rows a chunk at a time from
+:func:`repro.distance.comoment.window_comoments`, the producer Algorithm
+3 also draws its short windows from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from repro import obs
 from repro.types import BoolArray, FloatArray, IntArray
 
 from repro.core.entries import EntryStore, rank_rows
 from repro.core.lower_bound import lower_bound_from_base
-from repro.distance.comoment import comoment_row, distance_profile_from_qt
-from repro.distance.sliding import DIRECT_DOT_MAX
+from repro.distance.comoment import distance_profile_from_qt, window_comoments
+from repro.distance.znorm import CONSTANT_EPS
 from repro.exceptions import InvalidParameterError
 from repro.kernels.context import SeriesContext
 from repro.matrixprofile.exclusion import exclusion_zone_half_width
 
-__all__ = ["SubMPResult", "compute_submp", "pairwise_entry_distances"]
+__all__ = [
+    "SubMPResult",
+    "compute_submp",
+    "nearest_entries",
+    "pairwise_entry_distances",
+]
 
 #: rows in the partial recompute's first chunk: a step whose stop rule
 #: fires after a few rows scores at most this many.
 RECOMPUTE_FIRST_CHUNK = 8
 #: cap on a recompute chunk as chunks double: a chunk's temporaries (its
-#: dot products, ranking block and FFT spectra) are a few 32-row arrays of
+#: co-moments, ranking block and FFT spectra) are a few 32-row arrays of
 #: about n doubles each, whatever the window length.
 RECOMPUTE_MAX_CHUNK = 32
-
-
-def _chunk_comoments(
-    ctx: SeriesContext, length: int, mu: FloatArray
-) -> Callable[[IntArray], FloatArray]:
-    """The partial recompute's source of co-moment rows at ``length``.
-
-    Returns a function mapping window offsets ``rows`` to the ``(B,
-    n_dp)`` co-moments of those windows with every window, split at
-    ``DIRECT_DOT_MAX`` like the one-row sliding dot product:
-
-    * short windows: one GEMM per chunk over the centred windows,
-      O(B n l); the n x l centred copy, made once per step, is no larger
-      than two 32-row chunk buffers.
-    * long windows: a batched FFT on the cached series spectrum
-      (:func:`repro.distance.comoment.comoment_row` on a stack of
-      queries), O(B n log n) time and O(B n) memory.
-    """
-    windows = sliding_window_view(ctx.series, length)
-    if length > DIRECT_DOT_MAX:
-        return lambda rows: comoment_row(windows[rows], ctx.series, mu, context=ctx)
-    centred = windows - mu[:, None]
-    return lambda rows: centred[rows] @ centred.T
 
 
 @dataclass
@@ -129,6 +116,83 @@ def pairwise_entry_distances(
     return np.where(usable, dist, np.inf)
 
 
+def nearest_entries(
+    neighbor: IntArray,
+    qt: FloatArray,
+    sigma: FloatArray,
+    length: int,
+    n: int,
+) -> Tuple[FloatArray, IntArray]:
+    """Each profile's nearest usable stored entry at ``length``.
+
+    Algorithm 4's ``minDist``, shared by :func:`compute_submp` and the
+    discord bound (:func:`repro.core.discords_variable.length_upper_bound`).
+    ``neighbor`` / ``qt`` are a store's ``(rows, p)`` arrays advanced to
+    ``length``, ``sigma`` that length's window deviations and ``n`` the
+    series size.  Returns, for each of the ``n - length + 1`` profiles,
+    the exact distance of its nearest usable entry (in range, outside the
+    exclusion zone) and that entry's offset; +inf and -1 when it has none.
+
+    The minimum of Eq. 3 over all stored entries, the first slot winning
+    a tie, without evaluating Eq. 3 on them: entries are ranked by ``C /
+    sigma_j``, which is the correlation times the row's positive ``l
+    sigma_i``, one ``argmax`` per row picks the nearest, and Eq. 3 runs
+    on that entry alone (rounding can reorder entries whose correlations
+    agree to the last bits).  Constant windows have no correlation:
+    every live neighbour of a constant owner is ``sqrt(l)`` away (its
+    first one is picked), and each row's first constant neighbour is
+    folded in afterwards.
+    """
+    n_dp = n - length + 1
+    nb = neighbor[:n_dp]
+    c = qt[:n_dp]
+    rows = np.arange(n_dp)
+    live = sigma[:n_dp] >= CONSTANT_EPS
+    # 1 / sigma_j padded with zeros: the -1 of an empty slot, a neighbour
+    # past n - length and a constant window all read 0.
+    inv_sigma = np.zeros(n + 1, dtype=np.float64)
+    np.divide(1.0, sigma[:n_dp], out=inv_sigma[:n_dp], where=live)
+    rank = np.take(inv_sigma, nb)
+    zone = exclusion_zone_half_width(length)
+    outside = (nb <= (rows - zone)[:, None]) | (nb >= (rows + zone)[:, None])
+    ranked = outside & (rank > 0.0)
+    rank *= c
+    has_constant = not live.all()
+    if has_constant:
+        rank[~live] = 0.0
+    rank[~ranked] = -np.inf
+    slot = rank.argmax(axis=1)
+    min_dist = _slot_distances(c, nb, ranked, rows, slot, sigma, length)
+    if has_constant:
+        is_constant = np.zeros(n + 1, dtype=bool)
+        is_constant[:n_dp] = ~live
+        constant = outside & is_constant[nb]
+        first = constant.argmax(axis=1)
+        const_dist = _slot_distances(c, nb, constant, rows, first, sigma, length)
+        closer = (const_dist < min_dist) | ((const_dist == min_dist) & (first < slot))
+        min_dist[closer] = const_dist[closer]
+        slot[closer] = first[closer]
+    index = np.where(np.isfinite(min_dist), nb[rows, slot], -1)
+    return min_dist, index
+
+
+def _slot_distances(
+    c: FloatArray,
+    nb: IntArray,
+    usable: BoolArray,
+    rows: IntArray,
+    slot: IntArray,
+    sigma: FloatArray,
+    length: int,
+) -> FloatArray:
+    """Eq. 3 on the entry in column ``slot[r]`` of each row ``r``."""
+    pick = (rows, slot)
+    column = usable[pick][:, None]
+    return pairwise_entry_distances(
+        c[pick][:, None], nb[pick][:, None], column, column, sigma, length
+    )[:, 0]
+
+
 def compute_submp(
     series: FloatArray,
     store: EntryStore,
@@ -155,34 +219,29 @@ def compute_submp(
     with obs.span("submp.advance"):
         store.advance_to(new_length, t, ctx.moving_mean_std(new_length - 1)[0])
     mu, sigma = ctx.moving_mean_std(new_length)
-    zone = exclusion_zone_half_width(new_length)
 
-    nb = store.neighbor[:n_dp]
-    qt = store.qt[:n_dp]
-    rows = np.arange(n_dp)[:, None]
-    real = nb >= 0
-    in_range = real & (nb <= n - new_length)
-    usable = in_range & (np.abs(nb - rows) >= zone)
     if obs.enabled():
         # A "lookup" is one stored listDP slot consulted at this length;
         # a "hit" is a slot still usable (in range, outside the zone).
+        nb = store.neighbor[:n_dp]
+        in_range = (nb >= 0) & (nb <= n - new_length)
+        zone = exclusion_zone_half_width(new_length)
+        usable = in_range & (np.abs(nb - np.arange(n_dp)[:, None]) >= zone)
         slots = int(nb.size)
         hits = int(usable.sum())
         obs.add("listdp.lookups", slots)
         obs.add("listdp.hits", hits)
         obs.add("listdp.misses", slots - hits)
 
-    dist = pairwise_entry_distances(qt, nb, usable, in_range, sigma, new_length)
-    lb = np.asarray(
-        lower_bound_from_base(store.lb_base[:n_dp], sigma[:n_dp][:, None]),
+    min_dist, ind = nearest_entries(store.neighbor, store.qt, sigma, new_length, n)
+    # maxLB = max_k lb_base[i, k] / sigma_i: dividing by one positive
+    # sigma_i keeps the order under rounding, so this is the largest of
+    # the per-entry bounds bit for bit.  Empty slots keep lb_base = +inf
+    # -> maxLB = +inf, encoding "nothing was left unstored".
+    max_lb = np.asarray(
+        lower_bound_from_base(store.lb_base[:n_dp].max(axis=1), sigma[:n_dp]),
         dtype=np.float64,
     )
-    # Empty slots keep lb_base = +inf -> lb = +inf, encoding "nothing
-    # was left unstored for this profile".
-    max_lb = lb.max(axis=1)
-    min_dist = dist.min(axis=1)
-    arg = np.argmin(dist, axis=1)
-    ind = np.take_along_axis(nb, arg[:, None], axis=1).ravel()
 
     valid = min_dist < max_lb
     n_valid = int(valid.sum())
@@ -228,11 +287,11 @@ def compute_submp(
         # Partial recompute (Algorithm 4, lines 27-38): visit non-valid
         # profiles in ascending maxLB order; stop as soon as the bound
         # proves no remaining profile can beat the best-so-far.  Rows are
-        # scored a chunk at a time (see _chunk_comoments), and
+        # scored a chunk at a time (window_comoments), and
         # the stop rule is replayed row by row inside each chunk, so only
         # the rows the one-at-a-time loop would visit are committed.
         order = needing[np.argsort(max_lb[needing])]
-        chunk_comoments = _chunk_comoments(ctx, new_length, mu)
+        chunk_comoments = window_comoments(ctx, new_length, mu)
         start, chunk = 0, RECOMPUTE_FIRST_CHUNK
         with obs.span("submp.recompute"):
             while start < order.size and max_lb[order[start]] < best_distance:

@@ -55,17 +55,14 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro import obs
 from repro.core.compute_mp import compute_matrix_profile
-from repro.core.compute_submp import pairwise_entry_distances
+from repro.core.compute_submp import nearest_entries
 from repro.core.discords import Discord, per_length_candidates, select_top_k
 from repro.core.valmod import DEFAULT_P
-from repro.distance.znorm import CONSTANT_EPS, as_series
+from repro.distance.znorm import as_series
 from repro.exceptions import InvalidParameterError
 from repro.kernels.context import SeriesContext
-from repro.matrixprofile.exclusion import exclusion_zone_half_width
 from repro.matrixprofile.registry import DEFAULT_ENGINE, compute_with
 from repro.types import FloatArray, IntArray
 
@@ -90,43 +87,17 @@ def length_upper_bound(
 
     ``+inf`` when any surviving position has no usable stored entry
     (nothing bounds its profile value, so the length cannot be pruned).
-    Eq. 3 runs on one stored entry per row, the one with the largest
-    rank (``C / sigma_j``, a positive per-row multiple of the
-    correlation), which is the row's nearest entry.
+    Each position's bound is its nearest stored entry, found in rank
+    space by :func:`repro.core.compute_submp.nearest_entries`, the same
+    lookup Algorithm 4 uses for ``minDist``.
     Public because the streaming driver
     (:class:`repro.matrixprofile.streaming_valmod.StreamingValmod`)
     seeds its maintained per-length bounds from the same listDP store.
     """
-    n = ctx.series.size
-    n_dp = n - length + 1
     _, sigma = ctx.moving_mean_std(length)
-    zone = exclusion_zone_half_width(length)
-    nb = store_neighbor[:n_dp]
-    qt = store_qt[:n_dp]
-    rows = np.arange(n_dp)
-    in_range = (nb >= 0) & (nb <= n - length)
-    usable = in_range & (np.abs(nb - rows[:, None]) >= zone)
-    safe_nb = np.where(in_range, nb, 0)
-
-    # Rank space, as in repro.core.entries.rank_rows: rank = corr * l *
-    # sigma_owner, so each row's largest rank is its nearest stored entry
-    # and Eq. 3 runs on that one entry per row.
-    live = sigma >= CONSTANT_EPS
-    inv_sigma = np.where(live, 1.0 / np.maximum(sigma, CONSTANT_EPS), 0.0)
-    ranked = usable & live[safe_nb]
-    rank = qt * inv_sigma[safe_nb]
-    rank[~ranked] = -np.inf
-    best = (rows, rank.argmax(axis=1))
-    min_dist = pairwise_entry_distances(
-        qt[best][:, None], nb[best][:, None], ranked[best][:, None],
-        in_range[best][:, None], sigma, length,
-    )[:, 0]
-    if not live.all():
-        # Constant neighbours sit outside rank space (their correlation is
-        # undefined); fold their conventional distances back in.
-        const_nb = usable & ~live[safe_nb]
-        dist = pairwise_entry_distances(qt, nb, const_nb, in_range, sigma, length)
-        np.minimum(min_dist, dist.min(axis=1), out=min_dist)
+    min_dist, _ = nearest_entries(
+        store_neighbor, store_qt, sigma, length, ctx.series.size
+    )
     return float(min_dist.max()) / math.sqrt(length)
 
 

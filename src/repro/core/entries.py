@@ -295,8 +295,9 @@ class EntryStore:
         ``mu`` holds the window means of ``series`` at the current length.
         The O(1)-per-entry update of Algorithm 4, line 10, in Welford's
         form: with ``e[x] = t[x + l] - mu_l[x]``, appending one point to
-        both windows adds ``l / (l + 1) e[i] e[j]``.  Pairs whose neighbor
-        no longer fits in the series stop being updated (their distance is
+        both windows adds ``l / (l + 1) e[i] e[j]``.  ``e`` is padded with
+        zeros, so empty slots (-1) and pairs whose neighbor no longer fits
+        in the series add 0 and stay as they were (their distance is
         reported as +inf downstream).
         """
         if new_length != self.current_length + 1:
@@ -312,13 +313,15 @@ class EntryStore:
                 f"length {new_length} leaves no subsequences"
             )
         nb = self.neighbor[:n_rows]
-        in_range = (nb >= 0) & (nb <= n - new_length)
         if obs.enabled():
+            in_range = (nb >= 0) & (nb <= n - new_length)
             obs.add("listdp.entries_advanced", int(in_range.sum()))
         length = self.current_length
-        e = t[length:] - mu[: n - length]
-        safe_nb = np.where(in_range, nb, 0)
-        increment = e[safe_nb] * (e[:n_rows, None] * (length / new_length))
-        block = self.qt[:n_rows]
-        np.add(block, increment, out=block, where=in_range)
+        # e[x] for the n - length windows at new_length; offsets up to n - 1
+        # and the -1 of an empty slot read the zeros after them.
+        e = np.zeros(n + 1, dtype=np.float64)
+        np.subtract(t[length:], mu[: n - length], out=e[: n - length])
+        increment = np.take(e, nb)
+        increment *= e[:n_rows, None] * (length / new_length)
+        self.qt[:n_rows] += increment
         self.current_length = new_length

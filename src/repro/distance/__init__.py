@@ -25,7 +25,6 @@ from repro.distance.sliding import (
     sliding_dot_product,
     moving_mean_std,
     prefix_sums,
-    window_mean_std_at,
 )
 from repro.distance.comoment import distance_profile_from_qt
 from repro.distance.profile import (
@@ -50,7 +49,6 @@ __all__ = [
     "sliding_dot_product",
     "moving_mean_std",
     "prefix_sums",
-    "window_mean_std_at",
     "distance_profile_from_qt",
     "naive_distance_profile",
     "apply_exclusion_zone",

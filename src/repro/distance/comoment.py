@@ -4,7 +4,8 @@ Every exact path carries ``C[i, j] = sum_k (t[i+k] - mu_i) (t[j+k] -
 mu_j) = l sigma_i sigma_j corr_ij`` instead of the raw dot product
 ``QT``: the paper's ``(QT - l mu_i mu_j) / (l sigma_i sigma_j)`` cancels
 every digit at a DC offset ``|mu| >> sigma``.  This module owns the
-first row (:func:`comoment_row`), SCAMP's increments (Zimmerman et al.,
+first row (:func:`comoment_row`), the co-moment rows of a block of
+windows (:func:`window_comoments`), SCAMP's increments (Zimmerman et al.,
 "Matrix Profile XIV"; :func:`increments`), Eq. 3 on co-moments with the
 constant-window conventions (:func:`distance_profile_from_qt`) and the
 one re-anchor rule (:func:`anchor_rows`).  ``docs/ALGORITHMS.md``
@@ -13,11 +14,12 @@ one re-anchor rule (:func:`anchor_rows`).  ``docs/ALGORITHMS.md``
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Optional, Tuple, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from repro.distance.sliding import sliding_dot_product
+from repro.distance.sliding import DIRECT_DOT_MAX, sliding_dot_product
 from repro.distance.znorm import CONSTANT_EPS
 from repro.exceptions import InvalidParameterError
 from repro.types import FloatArray, IntArray
@@ -36,6 +38,7 @@ __all__ = [
     "drift_steps",
     "increments",
     "pair_distances",
+    "window_comoments",
 ]
 
 #: drift tolerated in a co-moment recurrence before a row is recomputed
@@ -75,6 +78,34 @@ def comoment_row(
         rows = sliding_dot_product(q, series)
     rows -= mu[: rows.shape[-1]] * q.sum(axis=-1, keepdims=True)
     return rows
+
+
+def window_comoments(
+    context: "SeriesContext", length: int, mu: FloatArray
+) -> Callable[[Union[slice, IntArray]], FloatArray]:
+    """The co-moment rows of a block of windows, as a function of the block.
+
+    Returns a function mapping window offsets ``rows`` (an index array or
+    a slice) to the ``(B, n)`` co-moments of those windows with every
+    window of ``context.series`` at ``length``; ``mu`` holds that length's
+    window means.  Split at ``DIRECT_DOT_MAX`` like :func:`comoment_row`:
+
+    * short windows: one GEMM over the centred windows, O(B n l); the
+      n x l centred copy is made once, when this function is called.
+      BLAS may round a row differently depending on how many rows share
+      its block, so callers that must reproduce a row bit for bit ask
+      for the same block every time.
+    * long windows: a batched FFT on the cached series spectrum
+      (:func:`comoment_row` on a stack of queries), O(B n log n) time and
+      O(B n) memory.
+    """
+    windows = sliding_window_view(context.series, length)
+    if length > DIRECT_DOT_MAX:
+        return lambda rows: comoment_row(
+            windows[rows], context.series, mu, context=context
+        )
+    centred = windows - mu[:, None]
+    return lambda rows: centred[rows] @ centred.T
 
 
 def increments(

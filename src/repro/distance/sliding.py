@@ -9,9 +9,10 @@ Two primitives power every O(n^2) matrix-profile engine in this library:
   one length, in O(n) via blocked running sums (the running ``s`` / ``ss``
   of Algorithm 3, lines 6 and 13-14).
 
-:func:`prefix_sums` exposes the raw cumulative sums so that VALMOD can
-obtain the statistics of *any* window of *any* length in O(1) while the
-subsequence length grows (Algorithm 4 needs this).
+:func:`prefix_sums` gives the sum of any window in O(1) (PAA segment
+means).  Window statistics come from :func:`moving_mean_std` alone:
+``ss / l - mu^2`` from raw running sums cancels every digit at a large DC
+offset.
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ __all__ = [
     "sliding_dot_product",
     "moving_mean_std",
     "prefix_sums",
-    "window_mean_std_at",
-    "window_sums_at",
 ]
 
 #: queries at or below this length use direct correlation instead of the
@@ -155,11 +154,11 @@ def moving_mean_std(series: FloatArray, window: int) -> Tuple[FloatArray, FloatA
     return mu, sigma
 
 
-def prefix_sums(series: FloatArray) -> Tuple[FloatArray, FloatArray]:
-    """Cumulative sum and cumulative squared sum, each with a leading zero.
+def prefix_sums(series: FloatArray) -> FloatArray:
+    """Cumulative sum with a leading zero.
 
-    With ``c, c2 = prefix_sums(T)`` the window ``T[i : i + l]`` has sum
-    ``c[i + l] - c[i]`` and squared sum ``c2[i + l] - c2[i]``.
+    With ``c = prefix_sums(T)`` the window ``T[i : i + l]`` has sum
+    ``c[i + l] - c[i]``.
     """
     t = np.asarray(series, dtype=np.float64)
     if not np.isfinite(t).all():
@@ -167,35 +166,7 @@ def prefix_sums(series: FloatArray) -> Tuple[FloatArray, FloatArray]:
     cumsum = np.empty(t.size + 1, dtype=np.float64)
     cumsum[0] = 0.0
     np.cumsum(t, out=cumsum[1:])
-    cumsum_sq = np.empty(t.size + 1, dtype=np.float64)
-    cumsum_sq[0] = 0.0
-    np.cumsum(t * t, out=cumsum_sq[1:])
-    return cumsum, cumsum_sq
-
-
-def window_sums_at(
-    cumsum: FloatArray, cumsum_sq: FloatArray, start: int, length: int
-) -> Tuple[float, float]:
-    """Sum and squared sum of the window at ``start`` of ``length`` in O(1)."""
-    end = start + length
-    return (
-        float(cumsum[end] - cumsum[start]),
-        float(cumsum_sq[end] - cumsum_sq[start]),
-    )
-
-
-def window_mean_std_at(
-    cumsum: FloatArray, cumsum_sq: FloatArray, start: int, length: int
-) -> Tuple[float, float]:
-    """Mean and std of the window at ``start`` of ``length`` in O(1)."""
-    if start < 0 or length <= 0:
-        raise InvalidParameterError(
-            f"need start >= 0 and length > 0, got start={start}, length={length}"
-        )
-    s, ss = window_sums_at(cumsum, cumsum_sq, start, length)
-    mu = s / length
-    variance = max(ss / length - mu * mu, 0.0)
-    return mu, variance**0.5
+    return cumsum
 
 
 def is_constant(sigma: float) -> bool:

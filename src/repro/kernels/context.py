@@ -44,7 +44,6 @@ from repro.distance.sliding import (
     DIRECT_DOT_MAX,
     fft_plan_size,
     moving_mean_std,
-    prefix_sums,
     sliding_dot_product,
 )
 from repro.distance.znorm import as_series
@@ -65,13 +64,12 @@ class SeriesContext:
     other consumer of the cache (NumPy raises instead).
     """
 
-    __slots__ = ("series", "_stats", "_ffts", "_prefix")
+    __slots__ = ("series", "_stats", "_ffts")
 
     def __init__(self, series: SeriesLike, min_length: int = 2) -> None:
         self.series: FloatArray = as_series(series, min_length=min_length)
         self._stats: Dict[int, Tuple[FloatArray, FloatArray]] = {}
         self._ffts: Dict[int, ComplexArray] = {}
-        self._prefix: Optional[Tuple[FloatArray, FloatArray]] = None
 
     # -- construction helpers ------------------------------------------
 
@@ -126,15 +124,6 @@ class SeriesContext:
         sigma.setflags(write=False)
         self._stats[length] = (mu, sigma)
         return mu, sigma
-
-    def prefix_sums(self) -> Tuple[FloatArray, FloatArray]:
-        """Cached :func:`repro.distance.sliding.prefix_sums` of the series."""
-        if self._prefix is None:
-            cumsum, cumsum_sq = prefix_sums(self.series)
-            cumsum.setflags(write=False)
-            cumsum_sq.setflags(write=False)
-            self._prefix = (cumsum, cumsum_sq)
-        return self._prefix
 
     def series_fft(self, size: int) -> ComplexArray:
         """Cached ``np.fft.rfft(series, size)`` for one padded plan size.

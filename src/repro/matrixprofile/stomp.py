@@ -7,7 +7,8 @@ FFT.
 
 :func:`iterate_stomp_qt` exposes the recurrence's dot-product rows as a
 generator so VALMOD's Algorithm 3 — which is STOMP plus lower-bound
-bookkeeping — can reuse the exact same inner loop;
+bookkeeping — can reuse the exact same inner loop for windows longer
+than ``DIRECT_DOT_MAX`` (shorter ones come from a GEMM);
 :func:`iterate_stomp_rows` adds the per-row distance profile for the
 engines.  The ``row_range`` parameter lets a caller replay the recurrence
 up to a start row and only yield a block of rows — the primitive

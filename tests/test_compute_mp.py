@@ -5,8 +5,13 @@ import os
 import numpy as np
 import pytest
 
-from repro.core.compute_mp import compute_matrix_profile, resolve_n_jobs, row_blocks
-from repro.distance.sliding import moving_mean_std
+from repro.core.compute_mp import (
+    FILL_BLOCK_ROWS,
+    compute_matrix_profile,
+    resolve_n_jobs,
+    row_blocks,
+)
+from repro.distance.sliding import DIRECT_DOT_MAX, moving_mean_std
 from repro.matrixprofile import stomp
 from repro.distance.comoment import anchor_rows, increments
 from tests.conftest import assert_profiles_close, oracle_profile
@@ -69,16 +74,25 @@ def _flat_run():
 
 
 def _high_shelf():
-    # A 1e8 shelf activates the drift re-anchor rule.
+    # A 1e8 shelf in short windows: the GEMM path at windows of at most
+    # DIRECT_DOT_MAX points computes each co-moment directly.
     t = np.random.default_rng(11).standard_normal(300).cumsum()
     t[120:170] = 1e8
     return t, 16
+
+
+def _high_shelf_long():
+    # The same shelf under windows past DIRECT_DOT_MAX: the STOMP
+    # recurrence, whose drift re-anchor rule the second block must replay.
+    t, _ = _high_shelf()
+    return t, 80
 
 
 ROW_BLOCK_FIXTURES = {
     "random-walk": _random_walk,
     "flat-run": _flat_run,
     "high-shelf": _high_shelf,
+    "high-shelf-l80": _high_shelf_long,
 }
 
 
@@ -91,8 +105,12 @@ def test_compute_mp_row_blocks_bitwise(fixture):
     (_, seam), _ = row_blocks(n_subs, 2)
     if fixture == "flat-run":
         assert 90 < seam < 130 - length
-    if fixture == "high-shelf":
-        # The second block's replay must honor anchors before its start.
+    if length <= DIRECT_DOT_MAX:
+        # The seam falls inside a GEMM chunk, which both blocks compute whole.
+        assert seam % FILL_BLOCK_ROWS != 0
+    if fixture.startswith("high-shelf"):
+        # Anchors fall before the seam: at l = 80 the second block's replay
+        # must honor them; at l = 16 the GEMM path has no recurrence.
         mu, sigma = moving_mean_std(t, length)
         anchors = anchor_rows(t, length, *increments(t, length, mu), sigma)
         assert anchors.size > 0 and anchors.min() < seam

@@ -245,3 +245,135 @@ class TestPairwiseRows:
                 assert d == pytest.approx(direct, abs=1e-6)
                 checked += 1
         assert checked > 0
+
+
+def nxp_lookup(series, store, length):
+    """Algorithm 4's lookup with Eq. 3 and Eq. 2 on every stored entry.
+
+    The reference for the rank-space lookup: ``min_dist`` and its offset
+    from an ``argmin`` over the whole row (the first slot wins a tie) and
+    ``max_lb`` as the largest of the per-entry bounds.
+    """
+    from repro.core.lower_bound import lower_bound_from_base
+    from repro.distance.comoment import distance_profile_from_qt
+    from repro.kernels.context import SeriesContext
+    from repro.matrixprofile.exclusion import exclusion_zone_half_width
+
+    n = series.size
+    n_dp = n - length + 1
+    _, sigma = SeriesContext(series).moving_mean_std(length)
+    nb = store.neighbor[:n_dp]
+    qt = store.qt[:n_dp]
+    rows = np.arange(n_dp)[:, None]
+    in_range = (nb >= 0) & (nb <= n - length)
+    usable = in_range & (np.abs(nb - rows) >= exclusion_zone_half_width(length))
+    sig_nb = sigma[np.where(in_range, nb, 0)]
+    dist = distance_profile_from_qt(qt, length, sigma[:n_dp][:, None], sig_nb)
+    dist = np.where(usable, dist, np.inf)
+    lb = lower_bound_from_base(store.lb_base[:n_dp], sigma[:n_dp][:, None])
+    arg = np.argmin(dist, axis=1)
+    return dist.min(axis=1), np.asarray(lb).max(axis=1), nb[np.arange(n_dp), arg], dist
+
+
+def lookup_walk():
+    return np.random.default_rng(21).standard_normal(500).cumsum()
+
+
+def lookup_offset():
+    return np.random.default_rng(22).standard_normal(500).cumsum() + 1e8
+
+
+def lookup_constant_runs():
+    # Two constant runs far apart: constant owners with constant
+    # neighbours outside their zone, and live owners near both.
+    t = np.random.default_rng(23).standard_normal(500)
+    t[100:180] = 2.0
+    t[300:360] = -1.0
+    return t
+
+
+LOOKUP_SERIES = {
+    "walk": lookup_walk,
+    "offset-1e8": lookup_offset,
+    "constant-runs": lookup_constant_runs,
+}
+
+
+class TestRankSpaceLookup:
+    """The rank-space lookup equals Eq. 3 / Eq. 2 over all n p entries."""
+
+    @pytest.mark.parametrize("name", sorted(LOOKUP_SERIES))
+    def test_matches_the_full_entry_formula(self, name):
+        import copy
+        import math
+
+        from repro.core.compute_submp import nearest_entries
+        from repro.core.discords_variable import length_upper_bound
+        from repro.distance.znorm import CONSTANT_EPS
+        from repro.kernels.context import SeriesContext
+
+        t = LOOKUP_SERIES[name]()
+        ctx = SeriesContext(t)
+        _, store = compute_matrix_profile(t, 16, 8, context=ctx)
+        const_owner_rows = const_ties = 0
+        for length in range(17, 27):
+            reference = copy.deepcopy(store)
+            reference.advance_to(length, t, ctx.moving_mean_std(length - 1)[0])
+            min_dist, max_lb, index, dist = nxp_lookup(t, reference, length)
+            result = compute_submp(t, store, length, recompute_fraction=0.0, context=ctx)
+            np.testing.assert_array_equal(store.qt, reference.qt)
+            np.testing.assert_array_equal(result.min_dist, min_dist)
+            np.testing.assert_array_equal(result.max_lb, max_lb)
+            valid = min_dist < max_lb
+            np.testing.assert_array_equal(
+                result.sub_profile, np.where(valid, min_dist, np.nan)
+            )
+            np.testing.assert_array_equal(result.index, np.where(valid, index, -1))
+            assert length_upper_bound(store.neighbor, store.qt, ctx, length) == (
+                float(min_dist.max()) / math.sqrt(length)
+            )
+            # Offsets of every row with a usable entry, valid or not.
+            _, sigma = ctx.moving_mean_std(length)
+            found, nearest = nearest_entries(store.neighbor, store.qt, sigma, length, t.size)
+            np.testing.assert_array_equal(found, min_dist)
+            known = np.isfinite(min_dist)
+            np.testing.assert_array_equal(nearest, np.where(known, index, -1))
+            const_owner_rows += int((known & (sigma < CONSTANT_EPS)).sum())
+            # rows whose minimum is shared by several slots: the first wins
+            const_ties += int((known & ((dist == min_dist[:, None]).sum(axis=1) > 1)).sum())
+        if name == "constant-runs":
+            assert const_owner_rows > 0 and const_ties > 0
+
+    def test_first_slot_wins_ties_with_constant_neighbours(self):
+        """A constant neighbour (distance sqrt(l) from a live owner, 0 from
+        a constant one) takes the row only when it is nearer, or as near
+        and in an earlier slot, as the full-row argmin decides."""
+        from repro.core.compute_submp import nearest_entries
+        from repro.core.entries import EntryStore
+        from repro.distance.znorm import CONSTANT_EPS
+        from repro.kernels.context import SeriesContext
+
+        t = lookup_constant_runs()
+        length = 16
+        _, sigma = SeriesContext(t).moving_mean_std(length)
+        live, const_a, const_b = 420, 120, 310
+        store = EntryStore.empty(t.size - length + 1, 3, length)
+        rows = [10, 11, 130, 131]
+        store.neighbor[rows] = [
+            [live, const_a, -1],  # live owner, tie: the live slot is first
+            [const_a, live, -1],  # live owner, tie: the constant slot is first
+            [live, const_a, const_b],  # constant owner: 0 beats sqrt(l)
+            [live, -1, -1],  # constant owner, no constant neighbour
+        ]
+        # Co-moments whose correlations with owners 10 and 11 are exactly
+        # 1/2, so Eq. 3 gives sqrt(l): a tie with any constant neighbour.
+        store.qt[10, 0] = 0.5 * (length * sigma[10] * sigma[live])
+        store.qt[11, 1] = 0.5 * (length * sigma[11] * sigma[live])
+        assert (sigma[[130, 131, const_a, const_b]] < CONSTANT_EPS).all()
+        min_dist, index = nearest_entries(store.neighbor, store.qt, sigma, length, t.size)
+        reference_dist, _, reference_index, _ = nxp_lookup(t, store, length)
+        np.testing.assert_array_equal(min_dist[rows], reference_dist[rows])
+        np.testing.assert_array_equal(index[rows], reference_index[rows])
+        assert min_dist[10] == min_dist[11] == np.sqrt(length)
+        assert index[rows].tolist() == [live, const_a, const_a, live]
+        assert min_dist[130] == 0.0 and min_dist[131] == np.sqrt(length)

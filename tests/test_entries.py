@@ -264,3 +264,31 @@ class TestAdvance:
             block[in_range] += increment[in_range]
             np.testing.assert_array_equal(store.qt, qt)
         assert left_range > 0
+
+
+class TestZeroPaddedAdvance:
+    def test_empty_slots_stay_zero_and_out_of_range_pairs_freeze(self):
+        from repro import obs
+
+        # Few candidates per row (p > n): every row has empty slots, and
+        # the long advance pushes neighbours out of range.
+        t = np.random.default_rng(12).standard_normal(90)
+        _, store = compute_matrix_profile(t, 10, 200)
+        assert (store.neighbor == -1).any()
+        expected_advanced = advanced = 0
+        frozen_checked = 0
+        with obs.tracing(True):
+            obs.reset()
+            for length in range(11, 40):
+                n_rows = min(store.n_profiles, t.size - length + 1)
+                nb = store.neighbor[:n_rows]
+                out = (nb > t.size - length) & (nb >= 0)
+                before = store.qt[:n_rows][out].copy()
+                expected_advanced += int(((nb >= 0) & (nb <= t.size - length)).sum())
+                store.advance_to(length, t, moving_mean_std(t, length - 1)[0])
+                np.testing.assert_array_equal(store.qt[:n_rows][out], before)
+                frozen_checked += int(out.sum())
+            advanced = obs.get_tracer().counter("listdp.entries_advanced")
+        assert (store.qt[store.neighbor == -1] == 0.0).all()
+        assert frozen_checked > 0
+        assert advanced == expected_advanced

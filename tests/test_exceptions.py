@@ -24,7 +24,6 @@ from repro.distance import (
     naive_distance_profile,
     prefix_sums,
     sliding_dot_product,
-    window_mean_std_at,
     znormalize,
 )
 from repro.exceptions import (
@@ -125,8 +124,6 @@ def test_entry_point_accepts_the_valid_call(name):
     fn(series=_SERIES, **kwargs)
 
 
-_CUMSUM, _CUMSUM_SQ = prefix_sums(_SERIES)
-
 # Inputs the building blocks check in-function: (id, thunk, expected type).
 _BUILDING_BLOCKS = [
     ("znormalize-nan", lambda: znormalize(_NAN_SERIES[40:60]), InvalidSeriesError),
@@ -137,8 +134,6 @@ _BUILDING_BLOCKS = [
     ("exclusion-width", lambda: apply_exclusion_zone(np.zeros(9), 3, -2), InvalidParameterError),
     ("sliding-query-nan", lambda: sliding_dot_product(_NAN_SERIES[45:55], _SERIES), InvalidSeriesError),
     ("prefix-sums-nan", lambda: prefix_sums(_NAN_SERIES), InvalidSeriesError),
-    ("window-start", lambda: window_mean_std_at(_CUMSUM, _CUMSUM_SQ, -1, 8), InvalidParameterError),
-    ("window-length", lambda: window_mean_std_at(_CUMSUM, _CUMSUM_SQ, 0, 0), InvalidParameterError),
     ("trivial-match", lambda: is_trivial_match(-1, 3, 8), InvalidParameterError),
     ("lb-distance-nan", lambda: lower_bound_distance(_NAN_SERIES, 0, 30, 8, 2), InvalidSeriesError),
     ("lb-distance-start", lambda: lower_bound_distance(_SERIES, -1, 30, 8, 2), InvalidParameterError),

@@ -23,7 +23,6 @@ from repro.core.valmod import Valmod
 from repro.distance.sliding import (
     DIRECT_DOT_MAX,
     moving_mean_std,
-    prefix_sums,
     sliding_dot_product,
 )
 from repro.kernels import SeriesContext
@@ -81,15 +80,6 @@ class TestBitwiseEquivalence:
         np.testing.assert_array_equal(
             ctx.sliding_dot_product(query), sliding_dot_product(query, series)
         )
-
-    def test_prefix_sums_bitwise(self):
-        series = _series_with_shelf(11, 200, shelf=True)
-        ctx = SeriesContext(series)
-        cached = ctx.prefix_sums()
-        uncached = prefix_sums(ctx.series)
-        np.testing.assert_array_equal(cached[0], uncached[0])
-        np.testing.assert_array_equal(cached[1], uncached[1])
-        assert ctx.prefix_sums()[0] is cached[0]
 
 
 class TestEnsureSemantics:

@@ -9,8 +9,6 @@ from repro.distance.sliding import (
     prefix_sums,
     sliding_dot_product,
     validate_subsequence_length,
-    window_mean_std_at,
-    window_sums_at,
 )
 from repro.exceptions import InvalidParameterError
 
@@ -102,27 +100,9 @@ class TestMovingMeanStd:
 class TestPrefixSums:
     def test_window_sums(self, rng):
         t = rng.standard_normal(64)
-        c, c2 = prefix_sums(t)
-        s, ss = window_sums_at(c, c2, 5, 12)
-        window = t[5:17]
-        assert s == pytest.approx(window.sum())
-        assert ss == pytest.approx((window**2).sum())
-
-    def test_window_mean_std_at_matches_moving(self, rng):
-        t = rng.standard_normal(64)
-        c, c2 = prefix_sums(t)
-        mu, sigma = moving_mean_std(t, 9)
-        for i in (0, 7, 30, 55):
-            m, s = window_mean_std_at(c, c2, i, 9)
-            assert m == pytest.approx(mu[i], abs=1e-9)
-            assert s == pytest.approx(sigma[i], abs=1e-9)
-
-    def test_full_series_window(self, rng):
-        t = rng.standard_normal(30)
-        c, c2 = prefix_sums(t)
-        m, s = window_mean_std_at(c, c2, 0, 30)
-        assert m == pytest.approx(t.mean())
-        assert s == pytest.approx(t.std(), abs=1e-9)
+        c = prefix_sums(t)
+        assert c[0] == 0.0 and c.size == t.size + 1
+        assert c[17] - c[5] == pytest.approx(t[5:17].sum())
 
 
 class TestValidateSubsequenceLength:
