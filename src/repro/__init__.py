@@ -87,7 +87,7 @@ from repro.exceptions import (
     WindowTooSmallError,
 )
 
-__version__ = "6.0.0"
+__version__ = "7.0.0"
 
 __all__ = [
     "AnnotationSummary",

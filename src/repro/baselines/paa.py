@@ -17,7 +17,6 @@ series prefix sums — O(n w) total.
 from __future__ import annotations
 
 import math
-from typing import Tuple
 
 import numpy as np
 
@@ -84,7 +83,3 @@ def paa_pairwise_lower_bound(
         np.einsum("abw,abw->ab", diff, diff)
     )
 
-
-def paa_mbr(paa_block: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Minimum bounding rectangle (lo, hi) of a block of PAA rows."""
-    return paa_block.min(axis=0), paa_block.max(axis=0)

@@ -182,13 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_jobs_argument(motifs)
     motifs.add_argument("--top", type=int, default=5, help="motifs to print")
     motifs.add_argument("--export", help="write the full result to this JSON file")
-    motifs.add_argument(
-        "--no-stats-cache",
-        action="store_false",
-        dest="stats_cache",
-        help="disable the shared series stats/FFT cache (ablation; "
-        "results are bitwise identical either way)",
-    )
 
     profile = sub.add_parser(
         "profile", help="compute one fixed-length matrix profile"
@@ -413,8 +406,7 @@ def _cmd_motifs(args: argparse.Namespace) -> int:
     series = _load_series(args)
     result = extract_features(
         series, args.l_min, args.l_max, p=args.p, top_k=args.top,
-        include=(), n_jobs=args.n_jobs,
-        stats_cache=getattr(args, "stats_cache", True), store=False,
+        include=(), n_jobs=args.n_jobs, store=False,
     )
     print(f"# processed {len(result.motif_pairs)} lengths")
     print(_motif_table(result.top_motifs))

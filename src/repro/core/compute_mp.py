@@ -14,15 +14,17 @@ points) like the partial recompute of Algorithm 4:
   absolute row grid, from :func:`repro.distance.comoment.window_comoments`
   (the producer the partial recompute uses).
 * long windows: the STOMP co-moment recurrence shared with
-  :mod:`repro.matrixprofile.stomp`.
+  :mod:`repro.matrixprofile.stomp`, restarted from an exactly computed
+  row at the start of every ``TILE_ROWS`` tile of the absolute row grid
+  (SCAMP's tiles, Zimmerman et al., "Matrix Profile XIV").
 
-With ``n_jobs > 1`` the rows are split into blocks processed by worker
-processes.  A worker on the recurrence replays it up to its block start;
-a worker on the GEMM computes the whole grid chunks its block touches
-and keeps its own rows.  Either way it produces every row as a serial
-run does, and every row is ranked on its own, whatever stack it lands
-in, so the assembled profile, index, and listDP rows are bitwise
-identical to a serial run.
+Each row depends only on its grid chunk or tile, and every row is ranked
+on its own, whatever stack it lands in.  With ``n_jobs > 1`` the rows
+are split into blocks of whole tiles processed by worker processes, so
+the assembled profile, index, and listDP rows are bitwise identical to
+a serial run.  No worker runs the recurrence over a row outside its
+block; row 0, which the recurrence cannot produce, supplies column 0
+(``C[i, 0] = C[0, i]``) from one FFT per block.
 The series travels pickled in each task (it is O(n), small next to the
 O(n p) listDP rows a block sends back); each block result comes back as
 plain arrays the parent stitches together.  This pool is the package's
@@ -49,21 +51,21 @@ from repro.distance.sliding import DIRECT_DOT_MAX, validate_subsequence_length
 from repro.exceptions import InvalidParameterError
 from repro.kernels.context import SeriesContext
 from repro.matrixprofile.index import MatrixProfile
-from repro.matrixprofile.stomp import iterate_stomp_qt
+from repro.matrixprofile.stomp import _iterate_tiles
 
 __all__ = ["compute_matrix_profile", "resolve_n_jobs", "row_blocks"]
-
-#: relative cost of replaying one row of the dot-product recurrence,
-#: versus fully processing one row (recurrence + rank-space scoring +
-#: listDP write); measured 0.25 on ECG at 2000 and 6000 points.  Only
-#: load balance depends on it.
-REPLAY_COST = 0.25
 
 #: rows ranked per :func:`rank_rows` call, and the row grid of the
 #: short-window GEMM: enough rows to amortize the per-call NumPy and BLAS
 #: overhead, while the (32, n) ranking buffers stay far below the (n, p)
 #: listDP store that sets Algorithm 3's peak memory.
 FILL_BLOCK_ROWS = 32
+
+#: rows per tile, the unit of the pool's blocks and, at long windows,
+#: of one recurrence run: its exact first row costs one FFT, about 3% of
+#: 256 recurrence rows, and a multiple of ``FILL_BLOCK_ROWS`` keeps
+#: tiles on the GEMM's chunk grid.
+TILE_ROWS = 256
 
 
 def resolve_n_jobs(n_jobs: Optional[int]) -> int:
@@ -92,29 +94,19 @@ def _preferred_context() -> BaseContext:
 
 
 def row_blocks(n_rows: int, n_blocks: int) -> List[Tuple[int, int]]:
-    """Split ``[0, n_rows)`` into blocks with balanced replay-aware cost.
+    """Split ``[0, n_rows)`` into at most ``n_blocks`` runs of whole tiles.
 
-    Block ``[s, e)`` costs ``REPLAY_COST * s + (e - s)``: later blocks
-    replay more rows before producing output, so equal-size blocks would
-    leave early workers idle.  The recurrence ``s_{k+1} = (1 - r) s_k + C``
-    with the closed-form target ``C = n r / (1 - (1 - r)^K)`` equalizes
-    the cost; boundaries are rounded to integers and deduplicated.
+    The ``TILE_ROWS`` tiles are dealt out as evenly as possible, earlier
+    blocks taking the extra tiles, so block sizes differ by at most one
+    tile; a series of one tile gives one block.
     """
-    if n_rows <= 0:
-        return []
-    n_blocks = max(1, min(n_blocks, n_rows))
-    if n_blocks == 1:
-        return [(0, n_rows)]
-    r = REPLAY_COST
-    target = n_rows * r / (1.0 - (1.0 - r) ** n_blocks)
+    n_tiles = -(-n_rows // TILE_ROWS)
+    n_blocks = max(1, min(n_blocks, n_tiles))
+    base, extra = divmod(n_tiles, n_blocks)
     bounds = [0]
-    s = 0.0
-    for _ in range(n_blocks - 1):
-        s = (1.0 - r) * s + target
-        bounds.append(int(round(s)))
-    bounds.append(n_rows)
-    bounds = sorted(set(min(max(b, 0), n_rows) for b in bounds))
-    return [(bounds[k], bounds[k + 1]) for k in range(len(bounds) - 1)]
+    for k in range(n_blocks):
+        bounds.append(min(n_rows, bounds[-1] + (base + (k < extra)) * TILE_ROWS))
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def _comoment_stacks(
@@ -127,33 +119,31 @@ def _comoment_stacks(
 ) -> Iterator[Tuple[int, FloatArray]]:
     """Yield ``(first, stack)``: co-moment rows ``first, first + 1, ...``.
 
-    The stacks cover ``[start, stop)`` in order, at most
-    ``FILL_BLOCK_ROWS`` rows each; a stack may be reused by the next one.
+    ``[start, stop)`` is a run of whole tiles (:func:`row_blocks`).  The
+    stacks cover it in order, one chunk ``[k B, (k + 1) B)`` of the
+    absolute grid each, ``B = FILL_BLOCK_ROWS``; a stack may be reused by
+    the next one.
 
-    * short windows: one GEMM per chunk of the absolute grid ``[k B, (k
-      + 1) B)``, ``B = FILL_BLOCK_ROWS``, from
+    * short windows: one GEMM per chunk, from
       :func:`~repro.distance.comoment.window_comoments`.  BLAS rounds a
-      row depending on how many rows share its block, so a block whose
-      ends fall inside a chunk still computes the whole chunk and keeps
-      its own rows: every row is what a serial run computes.
-    * long windows: the STOMP recurrence, replayed from row 0 up to
-      ``start`` (:func:`~repro.matrixprofile.stomp.iterate_stomp_qt`).
+      row depending on how many rows share its block, which the grid
+      keeps the same in every run.
+    * long windows: the STOMP recurrence, started from an exact row at
+      every tile (as :func:`~repro.matrixprofile.stomp.iterate_stomp_qt`
+      does at its ``row_range``).
     """
-    n_subs = ctx.series.size - length + 1
     if length <= DIRECT_DOT_MAX:
         comoments = window_comoments(ctx, length, mu)
-        for chunk in range(start - start % FILL_BLOCK_ROWS, stop, FILL_BLOCK_ROWS):
-            rows = comoments(slice(chunk, min(chunk + FILL_BLOCK_ROWS, n_subs)))
-            first = max(chunk, start)
-            yield first, rows[first - chunk : stop - chunk]
+        for first in range(start, stop, FILL_BLOCK_ROWS):
+            yield first, comoments(slice(first, min(first + FILL_BLOCK_ROWS, stop)))
         return
-    stack = np.empty((FILL_BLOCK_ROWS, n_subs), dtype=np.float64)
+    tiles = [(tile, min(tile + TILE_ROWS, stop)) for tile in range(start, stop, TILE_ROWS)]
+    stack = np.empty((FILL_BLOCK_ROWS, ctx.series.size - length + 1), dtype=np.float64)
     filled = 0
-    for i, c in iterate_stomp_qt(
-        ctx.series, length, mu, sigma, row_range=(start, stop), context=ctx
-    ):
+    for i, c in _iterate_tiles(ctx.series, length, mu, sigma, tiles, ctx):
         stack[filled] = c
         filled += 1
+        # Tiles are whole chunks, so a stack never spans two of them.
         if filled == FILL_BLOCK_ROWS or i == stop - 1:
             yield i + 1 - filled, stack[:filled]
             filled = 0
@@ -172,8 +162,8 @@ def _fill_block(
 
     Row ``i`` is written at position ``i - start`` of ``profile``,
     ``index`` and ``store``.  :func:`_comoment_stacks` produces every row
-    as a serial run does, and :func:`rank_rows` scores every row on its
-    own, so every produced row matches a full serial run bit for bit.
+    from its own chunk or tile, and :func:`rank_rows` scores every row on
+    its own, so every produced row matches a full serial run bit for bit.
     """
     mu, sigma = ctx.moving_mean_std(length)
     for first, stack in _comoment_stacks(ctx, length, mu, sigma, start, stop):

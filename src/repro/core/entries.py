@@ -45,7 +45,6 @@ from repro import obs
 from repro.types import BoolArray, FloatArray, IntArray
 
 from repro.core.lower_bound import lower_bound_base
-from repro.distance.profile import apply_exclusion_zone
 from repro.distance.znorm import CONSTANT_EPS
 from repro.exceptions import InvalidParameterError
 from repro.matrixprofile.exclusion import exclusion_zone_half_width
@@ -91,8 +90,9 @@ def rank_rows(
     """Score a ``(B, n)`` stack of co-moment rows in rank space.
 
     Row ``b`` of ``qt_block`` holds the centred co-moments of window
-    ``rows[b]`` with every window ``0..n-1`` of the same series at
-    ``length``; ``sigma`` holds that length's window deviations.
+    ``rows[b]`` (any windows ``< n``, in any order) with every window
+    ``0..n-1`` of the same series at ``length``; ``sigma`` holds that
+    length's window deviations.
     Keeps the p candidates outside each row's exclusion zone with the
     smallest Eq. 2 lower bound and finds each row's profile minimum,
     with the constant-window conventions: distance 0 between two constant
@@ -106,8 +106,7 @@ def rank_rows(
     inv_sigma = np.where(live, 1.0 / np.maximum(sigma, CONSTANT_EPS), 0.0)
     rank = qt_block * inv_sigma
     zone = exclusion_zone_half_width(length)
-    for b in range(n_rows):
-        apply_exclusion_zone(rank[b], int(rows[b]), zone, value=-np.inf)
+    _mask_zones(rank, rows, zone)
 
     k = min(p, n_cols)
     if k < n_cols:
@@ -161,6 +160,15 @@ def rank_rows(
         profile=profile,
         index=index,
     )
+
+
+def _mask_zones(rank: FloatArray, rows: IntArray, zone: int) -> None:
+    """Set row ``b``'s exclusion zone ``[rows[b] - zone + 1, rows[b] +
+    zone)`` to -inf in place, for all rows at once; clipping to the
+    columns only repeats edge columns that lie inside the zone anyway."""
+    n_rows, n_cols = rank.shape
+    cols = np.clip(rows[:, None] + np.arange(1 - zone, zone), 0, n_cols - 1)
+    rank[np.arange(n_rows)[:, None], cols] = -np.inf
 
 
 def _first_outside_zone(cols: IntArray, rows: IntArray, zone: int) -> IntArray:

@@ -106,18 +106,12 @@ class Valmod:
         ``False`` silences an env-enabled tracer; ``None`` (default)
         leaves the global tracer's state untouched.  Results are
         bitwise identical either way.
-    stats_cache:
-        Share one :class:`~repro.kernels.SeriesContext` across the whole
-        l_min..l_max sweep (default).  Every length then computes its
-        window statistics exactly once and all FFT sliding dot products
-        reuse a single cached series spectrum.  ``False`` disables the
-        cache (ablation); the output is bitwise identical either way.
     context:
         An existing :class:`~repro.kernels.SeriesContext` to reuse (the
         :mod:`repro.features` façade threads one context through every
         workload it runs on a series).  Ignored unless it matches the
-        series and ``stats_cache`` is on; results are bitwise identical
-        with or without a shared context.
+        series; results are bitwise identical with or without a shared
+        context.
     """
 
     def __init__(
@@ -132,7 +126,6 @@ class Valmod:
         keep_margins: bool = False,
         n_jobs: Optional[int] = 1,
         trace: Optional[bool] = None,
-        stats_cache: bool = True,
         context: Optional[SeriesContext] = None,
     ) -> None:
         self.series = as_series(series, min_length=8)
@@ -158,21 +151,15 @@ class Valmod:
         self.keep_margins = bool(keep_margins)
         self.n_jobs = n_jobs
         self.trace = trace
-        self.stats_cache = bool(stats_cache)
         self._store: Optional[EntryStore] = None
         # One context for the whole sweep: window statistics are computed
         # once per length and the series FFT once per plan size.  A caller
         # (the repro.features façade) may hand in its own context so the
-        # same stats serve several workloads.  When the cache is off, a
-        # fresh throwaway context per call keeps the code path identical
-        # without reusing anything.
-        if not self.stats_cache:
-            self._context: Optional[SeriesContext] = None
-        elif context is not None and context.matches(self.series):
+        # same stats serve several workloads.
+        if context is not None and context.matches(self.series):
             self._context = context
         else:
             self._context = SeriesContext(self.series)
-        self._snapshot_context: Optional[SeriesContext] = None
 
     def run(self) -> ValmodResult:
         """Execute Algorithm 1 over the configured length range."""
@@ -304,15 +291,7 @@ class Valmod:
         n = t.size
         if offset > n - length:
             return None
-        ctx = self._context
-        if ctx is None:
-            # Cache-off ablation: snapshots still memoize their own window
-            # statistics (as before the shared context existed), but the
-            # measured compute paths receive no context at all.
-            if self._snapshot_context is None:
-                self._snapshot_context = SeriesContext(t)
-            ctx = self._snapshot_context
-        _, sigma = ctx.moving_mean_std(length)
+        _, sigma = self._context.moving_mean_std(length)
         nb = store.neighbor[offset]
         real = nb >= 0
         in_range = real & (nb <= n - length)
@@ -355,7 +334,6 @@ def valmod(
     track_top_k: int = 0,
     n_jobs: Optional[int] = 1,
     trace: Optional[bool] = None,
-    stats_cache: bool = True,
 ) -> ValmodResult:
     """Functional entry point: run VALMOD with default settings.
 
@@ -370,5 +348,5 @@ def valmod(
     """
     return Valmod(
         series, l_min, l_max, p=p, track_top_k=track_top_k, n_jobs=n_jobs,
-        trace=trace, stats_cache=stats_cache,
+        trace=trace,
     ).run()

@@ -230,8 +230,8 @@ def anchor_rows(
     included, the schedule is empty; a shelf of large values makes the
     rows whose windows touch it anchors, and the first rows past it,
     whose deviations are small again.  A pure function of its inputs,
-    so serial STOMP and every row-block worker of Algorithm 3 replay the
-    same schedule bit for bit.
+    so every run over the same rows honours the same schedule bit for
+    bit.
     """
     floor = drift_floor(sigma)
     if floor <= 0.0 or df.size == 0:

@@ -90,7 +90,6 @@ def extract_features(
     n_regimes: int = 2,
     engine: str = DEFAULT_ENGINE,
     n_jobs: Optional[int] = 1,
-    stats_cache: bool = True,
     store: StoreLike = None,
     trace: Optional[bool] = None,
 ) -> SeriesFeatures:
@@ -116,21 +115,20 @@ def extract_features(
     (never cache).  A repeat call with bit-identical series and
     parameters returns a bitwise-identical result without running any
     kernel.  ``trace`` toggles the :mod:`repro.obs` tracer for this call
-    (``None`` leaves the global state untouched); ``stats_cache`` and
-    ``n_jobs`` never change the result bits and are excluded from the
-    cache key.
+    (``None`` leaves the global state untouched); ``n_jobs`` never
+    changes the result bits and is excluded from the cache key.
     """
     if trace is None:
         return _extract(
             series, l_min, l_max, p, top_k, include, motif_set_k,
             radius_factor, k_discords, discord_lengths, n_regimes, engine,
-            n_jobs, stats_cache, store,
+            n_jobs, store,
         )
     with obs.tracing(trace):
         return _extract(
             series, l_min, l_max, p, top_k, include, motif_set_k,
             radius_factor, k_discords, discord_lengths, n_regimes, engine,
-            n_jobs, stats_cache, store,
+            n_jobs, store,
         )
 
 
@@ -148,7 +146,6 @@ def _extract(
     n_regimes: int,
     engine: str,
     n_jobs: Optional[int],
-    stats_cache: bool,
     store: StoreLike,
 ) -> SeriesFeatures:
     t = as_series(series, min_length=8)
@@ -205,7 +202,7 @@ def _extract(
             obs.add("features.cache.misses")
         features = _compute(
             t, l_min, l_max, p, top_k, included, motif_set_k, radius_factor,
-            k_discords, scan_lengths, n_regimes, engine, n_jobs, stats_cache,
+            k_discords, scan_lengths, n_regimes, engine, n_jobs,
         )
         if resolved is not None:
             resolved.put(key, features_to_dict(features))
@@ -226,14 +223,13 @@ def _compute(
     n_regimes: int,
     engine: str,
     n_jobs: Optional[int],
-    stats_cache: bool,
 ) -> SeriesFeatures:
-    context = SeriesContext(t) if stats_cache else None
+    context = SeriesContext(t)
     track = motif_set_k if "motif_sets" in included else 0
     with obs.span("features.valmod"):
         run = Valmod(
             t, l_min, l_max, p=p, track_top_k=track, n_jobs=n_jobs,
-            stats_cache=stats_cache, context=context,
+            context=context,
         ).run()
     motif_pairs = tuple(
         run.motif_pairs[length] for length in sorted(run.motif_pairs)

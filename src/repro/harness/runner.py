@@ -61,7 +61,6 @@ def _run_valmod(
     p: int,
     deadline: float,
     n_jobs: Optional[int] = 1,
-    stats_cache: bool = True,
 ):
     # VALMOD has no internal deadline: it is the fast competitor and its
     # worst case is bounded by the STOMP fallback it already contains.
@@ -69,7 +68,7 @@ def _run_valmod(
     # exercises the same entry point users call.
     return extract_features(
         series, l_min, l_max, p=p, include=(), n_jobs=n_jobs,
-        stats_cache=stats_cache, store=False,
+        store=False,
     ).pairs_by_length()
 
 
@@ -80,7 +79,6 @@ def _run_stomp(
     p: int,
     deadline: float,
     n_jobs: Optional[int] = 1,
-    stats_cache: bool = True,
 ):
     return stomp_range(series, l_min, l_max, deadline=deadline)
 
@@ -92,7 +90,6 @@ def _run_moen(
     p: int,
     deadline: float,
     n_jobs: Optional[int] = 1,
-    stats_cache: bool = True,
 ):
     return moen(series, l_min, l_max, deadline=deadline)
 
@@ -104,7 +101,6 @@ def _run_quick_motif(
     p: int,
     deadline: float,
     n_jobs: Optional[int] = 1,
-    stats_cache: bool = True,
 ):
     return quick_motif(series, l_min, l_max, deadline=deadline)
 
@@ -125,7 +121,6 @@ def run_algorithm(
     p: int = 50,
     timeout_seconds: float = 120.0,
     n_jobs: Optional[int] = 1,
-    stats_cache: bool = True,
 ) -> RunOutcome:
     """Run one competitor under a wall-clock budget.
 
@@ -133,8 +128,7 @@ def run_algorithm(
     between units of work), so a DNF is reported slightly *after* the
     budget passes — the same semantics as killing a C process.
     ``n_jobs`` splits VALMOD's Algorithm 3 row blocks over worker
-    processes; the baselines run serial and ignore it.  ``stats_cache=False`` disables VALMOD's shared series
-    stats/FFT cache (ablation; identical results, different timings).
+    processes; the baselines run serial and ignore it.
     """
     if name not in ALGORITHMS:
         raise InvalidParameterError(
@@ -153,7 +147,6 @@ def run_algorithm(
     try:
         pairs = ALGORITHMS[name](
             series, l_min, l_max, p, deadline, n_jobs=n_jobs,
-            stats_cache=stats_cache,
         )
     except BudgetExceededError:
         return RunOutcome(

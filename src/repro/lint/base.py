@@ -1,9 +1,7 @@
 """Shared analysis machinery for the :mod:`repro.lint` rules.
 
 A :class:`FileContext` wraps one parsed source file: its AST, the raw
-lines, the ``# repro-lint:`` pragmas, and lazily computed per-scope guard
-information (clip/floor assignments, comparison guards, ``np.errstate``
-spans) that R002 consults.  Rules subclass :class:`Rule` and yield
+lines and the ``# repro-lint:`` pragmas.  Rules subclass :class:`Rule` and yield
 :class:`Diagnostic` objects; they run in one of three phases:
 
 * ``file`` rules check one :class:`FileContext` at a time (and may read
@@ -24,7 +22,7 @@ import ast
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Set, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (graph imports base)
     from repro.lint.graph import ProjectContext
@@ -34,11 +32,8 @@ __all__ = [
     "FileContext",
     "PragmaRecord",
     "Rule",
-    "Scope",
     "call_name",
     "imported_names",
-    "name_tokens",
-    "is_guard_call",
 ]
 
 #: directories whose modules count as numerical-kernel code.
@@ -46,11 +41,6 @@ KERNEL_DIRS = frozenset({"distance", "matrixprofile", "core"})
 
 _PRAGMA_RE = re.compile(r"#\s*repro-lint:\s*ignore\[([A-Z0-9,\s]+)\]")
 _SKIP_FILE_RE = re.compile(r"#\s*repro-lint:\s*skip-file")
-
-#: calls that clamp a value into a safe domain (R002's guards).
-GUARD_CALLS = frozenset(
-    {"np.maximum", "np.clip", "numpy.maximum", "numpy.clip", "max", "min"}
-)
 
 
 @dataclass(frozen=True)
@@ -81,27 +71,6 @@ def call_name(node: ast.AST) -> str:
     return ""
 
 
-def name_tokens(node: ast.AST) -> Set[str]:
-    """All identifier tokens (``Name`` ids and ``Attribute`` attrs) in a subtree."""
-    tokens: Set[str] = set()
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            tokens.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
-            tokens.add(sub.attr)
-    return tokens
-
-
-def is_guard_call(node: ast.AST) -> bool:
-    """True for calls that clamp their argument (``np.maximum``, ``np.clip``...)."""
-    return isinstance(node, ast.Call) and call_name(node) in GUARD_CALLS
-
-
-def contains_guard_call(node: ast.AST) -> bool:
-    """True when any call in the subtree is a clamp/clip call."""
-    return any(is_guard_call(sub) for sub in ast.walk(node))
-
-
 def imported_names(tree: ast.AST) -> Iterator[Tuple[ast.stmt, str]]:
     """Every absolute dotted module name a file imports.
 
@@ -118,110 +87,6 @@ def imported_names(tree: ast.AST) -> Iterator[Tuple[ast.stmt, str]]:
             # an import of repro.obs, not of the whole repro package.
             for alias in node.names:
                 yield node, f"{node.module}.{alias.name}"
-
-
-def _end_line(node: ast.AST) -> int:
-    return getattr(node, "end_lineno", None) or getattr(node, "lineno", 0)
-
-
-@dataclass
-class Scope:
-    """Guard bookkeeping for one function body (or the module top level).
-
-    ``clip_guarded`` maps a variable name to the first line at which it was
-    clamped into a safe domain — either re-assigned from an expression
-    containing a clamp call (``x = np.maximum(..., eps)``,
-    ``q = min(1.0, max(-1.0, q))``) or mutated in place through an
-    ``out=x`` keyword.  ``compare_guarded`` maps a name to the first line
-    it was tested in a branch condition (the early-return guard idiom).
-    ``errstate_spans`` are the line ranges covered by ``np.errstate``
-    context managers.
-    """
-
-    node: ast.AST
-    name: str
-    clip_guarded: Dict[str, int] = field(default_factory=dict)
-    compare_guarded: Dict[str, int] = field(default_factory=dict)
-    errstate_spans: List[Tuple[int, int]] = field(default_factory=list)
-    statements: List[ast.stmt] = field(default_factory=list)
-
-    def is_clip_guarded(self, name: str, before_line: int) -> bool:
-        line = self.clip_guarded.get(name)
-        return line is not None and line <= before_line
-
-    def is_compare_guarded(self, name: str, before_line: int) -> bool:
-        line = self.compare_guarded.get(name)
-        return line is not None and line <= before_line
-
-    def in_errstate(self, line: int) -> bool:
-        return any(lo <= line <= hi for lo, hi in self.errstate_spans)
-
-    def walk(self) -> Iterator[ast.AST]:
-        """Walk the scope's own statements (nested defs are separate scopes)."""
-        for stmt in self.statements:
-            # A def statement at this level is its own scope: the def node
-            # is visible here but its body belongs to the nested scope.
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield stmt
-                continue
-            yield from _walk_scope_local(stmt)
-
-
-def _walk_scope_local(node: ast.AST) -> Iterator[ast.AST]:
-    """``ast.walk`` that does not descend into nested function/class bodies."""
-    yield node
-    for child in ast.iter_child_nodes(node):
-        if isinstance(
-            child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
-        ):
-            yield child  # the def itself is visible; its body is not
-            continue
-        yield from _walk_scope_local(child)
-
-
-def _record_guard(scope: Scope, name: str, line: int) -> None:
-    if name not in scope.clip_guarded or line < scope.clip_guarded[name]:
-        scope.clip_guarded[name] = line
-
-
-def _record_compare(scope: Scope, name: str, line: int) -> None:
-    if name not in scope.compare_guarded or line < scope.compare_guarded[name]:
-        scope.compare_guarded[name] = line
-
-
-def _scan_scope(scope: Scope) -> None:
-    for node in scope.walk():
-        if isinstance(node, (ast.Assign, ast.AnnAssign)):
-            value = node.value
-            if value is not None and contains_guard_call(value):
-                targets = (
-                    node.targets if isinstance(node, ast.Assign) else [node.target]
-                )
-                for target in targets:
-                    if isinstance(target, ast.Name):
-                        _record_guard(scope, target.id, node.lineno)
-        if isinstance(node, ast.Call) and is_guard_call(node):
-            for kw in node.keywords:
-                if kw.arg == "out" and isinstance(kw.value, ast.Name):
-                    _record_guard(scope, kw.value.id, node.lineno)
-        if isinstance(node, (ast.If, ast.While)):
-            for sub in ast.walk(node.test):
-                if isinstance(sub, ast.Compare):
-                    for tok in name_tokens(sub):
-                        _record_compare(scope, tok, node.lineno)
-        if isinstance(node, ast.IfExp):
-            for sub in ast.walk(node.test):
-                if isinstance(sub, ast.Compare):
-                    for tok in name_tokens(sub):
-                        _record_compare(scope, tok, node.lineno)
-        if isinstance(node, ast.With):
-            for item in node.items:
-                if call_name(item.context_expr) in (
-                    "np.errstate",
-                    "numpy.errstate",
-                ):
-                    scope.errstate_spans.append((node.lineno, _end_line(node)))
-                    break
 
 
 @dataclass
@@ -289,7 +154,6 @@ class FileContext:
                 self.skip_file = True
         if self.pragmas:
             self._widen_multiline_pragmas()
-        self._scopes: Optional[List[Scope]] = None
 
     def _widen_multiline_pragmas(self) -> None:
         """Let a pragma on any line of a multi-line statement cover it all.
@@ -331,26 +195,6 @@ class FileContext:
     def is_kernel(self) -> bool:
         """Module lives in a numerical-kernel package (distance/matrixprofile/core)."""
         return any(part in KERNEL_DIRS for part in self.module_parts[:-1])
-
-    # -- scopes ------------------------------------------------------------
-
-    @property
-    def scopes(self) -> List[Scope]:
-        if self._scopes is None:
-            scopes: List[Scope] = []
-            module_scope = Scope(
-                node=self.tree, name="<module>", statements=list(self.tree.body)
-            )
-            scopes.append(module_scope)
-            for node in ast.walk(self.tree):
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    scopes.append(
-                        Scope(node=node, name=node.name, statements=list(node.body))
-                    )
-            for scope in scopes:
-                _scan_scope(scope)
-            self._scopes = scopes
-        return self._scopes
 
     def consume(self, line: int, rule_id: str) -> bool:
         """True when a pragma suppresses ``rule_id`` on ``line``; records it as *used*.

@@ -10,22 +10,21 @@ generator so VALMOD's Algorithm 3 — which is STOMP plus lower-bound
 bookkeeping — can reuse the exact same inner loop for windows longer
 than ``DIRECT_DOT_MAX`` (shorter ones come from a GEMM);
 :func:`iterate_stomp_rows` adds the per-row distance profile for the
-engines.  The ``row_range`` parameter lets a caller replay the recurrence
-up to a start row and only yield a block of rows — the primitive
-Algorithm 3's row-block workers build on.
+engines.  The ``row_range`` parameter starts the recurrence from an
+exactly computed row and yields only a range of rows — the primitive
+Algorithm 3's tiles build on.
 
 The rows are centred co-moments (:mod:`repro.distance.comoment`), so a
 large DC offset costs no digits.  A shelf of large values still rounds
 the update terms of the windows that touch it at its own size; the drift
 rule of :func:`repro.distance.comoment.anchor_rows` recomputes those
-rows exactly.  The schedule is a pure function of the input, so a row-block
-worker of Algorithm 3 (:mod:`repro.core.compute_mp`) that replays the
-recurrence from row 0 reproduces the serial results bit for bit.
+rows exactly.  The schedule is a pure function of the input, so a row
+range honours the anchors inside it whoever runs it.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -62,38 +61,60 @@ def iterate_stomp_qt(
     profile per row; VALMOD's Algorithm 3 ranks these rows itself
     (:func:`repro.core.entries.rank_rows`).
 
-    ``row_range`` restricts the yielded rows to ``[start, stop)``: the
-    recurrence is still replayed from row 0, so every yielded row is
-    bitwise identical to a full run.  Workers of the parallel Algorithm-3
-    path use this to split rows across processes.
+    ``row_range`` restricts the rows to ``[start, stop)``: row ``start``
+    is computed exactly, as row 0 is (:func:`comoment_row` on the cached
+    spectrum), and the recurrence runs from there, so no row between 0
+    and ``start`` is computed (row 0 still supplies column 0, ``C[i, 0]
+    = C[0, i]``).  The rows after ``start`` round like a recurrence
+    started at ``start``, not at 0.
 
     The yielded array is reused across iterations — callers that keep it
     must copy.
     """
-    t = series
-    n_subs = t.size - length + 1
+    n_subs = series.size - length + 1
     start, stop = (0, n_subs) if row_range is None else row_range
     if not 0 <= start <= stop <= n_subs:
         raise InvalidParameterError(
             f"row_range {row_range!r} out of bounds for {n_subs} rows"
         )
+    return _iterate_tiles(series, length, mu, sigma, [(start, stop)], context)
+
+
+def _iterate_tiles(
+    series: FloatArray,
+    length: int,
+    mu: FloatArray,
+    sigma: FloatArray,
+    tiles: Sequence[Tuple[int, int]],
+    context: Optional[SeriesContext],
+) -> Iterator[Tuple[int, FloatArray]]:
+    """:func:`iterate_stomp_qt` over several row ranges, in order, each
+    started from an exact row; row 0, the increments and the anchor rows
+    are computed once for all of them (Algorithm 3's tiles,
+    :mod:`repro.core.compute_mp`)."""
+    t = series
     c_first = comoment_row(t[:length], t, mu, context=context)
-    c = c_first.copy()
     df, dg = increments(t, length, mu)
     anchors = anchor_rows(t, length, df, dg, sigma)
-    anchor_pos = 0
-    for i in range(stop):
-        if i > 0:
-            if anchor_pos < anchors.size and anchors[anchor_pos] == i:
-                # Accumulated drift too large: recompute the row exactly.
-                obs.add("comoment.reanchors")
-                c = comoment_row(t[i : i + length], t, mu, direct=True)
-                anchor_pos += 1
-            else:
-                # C[i, j] = C[i-1, j-1] + df[i-1] dg[j-1] + dg[i-1] df[j-1]
-                c[1:] = c[:-1] + dg * df[i - 1] + df * dg[i - 1]
+    for start, stop in tiles:
+        if start == stop:
+            continue
+        if start == 0:
+            c = c_first.copy()
+        else:
+            c = comoment_row(t[start : start + length], t, mu, context=context)
+        anchor_pos = int(np.searchsorted(anchors, start, side="right"))
+        for i in range(start, stop):
+            if i > start:
+                if anchor_pos < anchors.size and anchors[anchor_pos] == i:
+                    # Accumulated drift too large: recompute the row exactly.
+                    obs.add("comoment.reanchors")
+                    c = comoment_row(t[i : i + length], t, mu, direct=True)
+                    anchor_pos += 1
+                else:
+                    # C[i, j] = C[i-1, j-1] + df[i-1] dg[j-1] + dg[i-1] df[j-1]
+                    c[1:] = c[:-1] + dg * df[i - 1] + df * dg[i - 1]
             c[0] = c_first[i]
-        if i >= start:
             yield i, c
 
 
@@ -102,24 +123,18 @@ def iterate_stomp_rows(
     length: int,
     mu: FloatArray,
     sigma: FloatArray,
-    apply_exclusion: bool = True,
-    row_range: Optional[Tuple[int, int]] = None,
     context: Optional[SeriesContext] = None,
 ) -> Iterator[Tuple[int, FloatArray, FloatArray]]:
     """Yield ``(i, qt, distance_profile)`` for every query ``i``.
 
     :func:`iterate_stomp_qt` plus Eq. 3 applied to each row, with the
-    exclusion zone already masked to ``inf`` when ``apply_exclusion``.
-    ``row_range`` is passed through.  The yielded arrays are reused
-    across iterations — callers that keep them must copy.
+    exclusion zone already masked to ``inf``.  The yielded arrays are
+    reused across iterations — callers that keep them must copy.
     """
     zone = exclusion_zone_half_width(length)
-    for i, c in iterate_stomp_qt(
-        series, length, mu, sigma, row_range=row_range, context=context
-    ):
+    for i, c in iterate_stomp_qt(series, length, mu, sigma, context=context):
         profile = distance_profile_from_qt(c, length, float(sigma[i]), sigma)
-        if apply_exclusion:
-            apply_exclusion_zone(profile, i, zone)
+        apply_exclusion_zone(profile, i, zone)
         yield i, c, profile
 
 

@@ -10,10 +10,12 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.core.compute_mp import compute_matrix_profile
+from repro.core import entries as entries_module
 from repro.core.entries import EntryStore, rank_rows
 from repro.core.lower_bound import lower_bound_base
 from repro.datasets import load_dataset
 from repro.distance.comoment import correlation_from_qt
+from repro.distance.profile import apply_exclusion_zone
 from repro.distance.sliding import moving_mean_std
 from repro.distance.znorm import CONSTANT_EPS, znormalized_distance
 from repro.exceptions import InvalidParameterError
@@ -177,6 +179,40 @@ class TestRankRows:
             unstored = np.setdiff1d(np.flatnonzero(np.isfinite(base)), store.neighbor[row])
             if unstored.size:
                 assert base[unstored].min() >= stored[:kept].max() - 1e-9
+
+    @pytest.mark.parametrize("length", [1, 12, 24, 200])
+    def test_zone_mask_matches_per_row_reference(self, length):
+        n = 40
+        rank = np.random.default_rng(3).standard_normal((5, n))
+        rows = np.array([0, n - 1, 7, 20, 6])  # edges, then scattered
+        zone = exclusion_zone_half_width(length)
+        masked = rank.copy()
+        entries_module._mask_zones(masked, rows, zone)
+        for b, row in enumerate(rows):
+            reference = apply_exclusion_zone(rank[b].copy(), int(row), zone, value=-np.inf)
+            np.testing.assert_array_equal(masked[b], reference)
+
+    @pytest.mark.parametrize("name", sorted(SERIES))
+    def test_ranked_rows_match_per_row_masking(self, monkeypatch, name):
+        t = SERIES[name]()
+        length = 24
+        _, sigma = moving_mean_std(t, length)
+        qt = exact_qt(t, length)
+        n = qt.shape[0]
+        blocks = (np.arange(32), np.arange(n - 32, n), np.array([n - 1, 0, 150, 151, 9]))
+        fast = [rank_rows(qt[rows], rows, sigma, length, 6) for rows in blocks]
+
+        def per_row(rank, rows, zone):
+            for b, row in enumerate(rows):
+                apply_exclusion_zone(rank[b], int(row), zone, value=-np.inf)
+
+        monkeypatch.setattr(entries_module, "_mask_zones", per_row)
+        for rows, ranked in zip(blocks, fast):
+            reference = rank_rows(qt[rows], rows, sigma, length, 6)
+            for field in ("neighbor", "qt", "lb_base", "profile", "index"):
+                np.testing.assert_array_equal(
+                    getattr(ranked, field), getattr(reference, field)
+                )
 
     def test_fill_rows_writes_the_given_rows_and_counts(self, noise_series):
         from repro import obs

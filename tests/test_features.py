@@ -178,16 +178,6 @@ class TestFacadeMatchesParts:
         )
         assert features.include == ("motif_sets", "discords")
 
-    def test_stats_cache_off_is_bitwise_identical(self, noise_series):
-        on = extract_features(
-            noise_series, 16, 18, p=10, include=ALL_FAMILIES, store=False
-        )
-        off = extract_features(
-            noise_series, 16, 18, p=10, include=ALL_FAMILIES, store=False,
-            stats_cache=False,
-        )
-        assert features_to_dict(on) == features_to_dict(off)
-
 
 class TestValidation:
     def test_inverted_range_raises(self, noise_series):

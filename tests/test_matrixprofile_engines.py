@@ -8,7 +8,8 @@ from repro.matrixprofile import (
     stamp,
     stomp,
 )
-from repro.matrixprofile.stomp import iterate_stomp_rows
+from repro.matrixprofile.stomp import iterate_stomp_qt
+from repro.distance.comoment import distance_profile_from_qt
 from repro.distance.profile import naive_distance_profile
 from repro.distance.sliding import moving_mean_std
 from tests.conftest import assert_profiles_close
@@ -63,8 +64,9 @@ def test_stomp_rows_generator_matches_mass(noise_series):
     t = noise_series
     length = 16
     mu, sigma = moving_mean_std(t, length)
-    for i, _, row in iterate_stomp_rows(t, length, mu, sigma, apply_exclusion=False):
+    for i, c in iterate_stomp_qt(t, length, mu, sigma):
         if i in (0, 77, 250):
+            row = distance_profile_from_qt(c, length, float(sigma[i]), sigma)
             np.testing.assert_allclose(
                 row, naive_distance_profile(t, i, length), atol=1e-6
             )

@@ -222,9 +222,9 @@ class TestMultiprocessAggregation:
     def test_compute_mp_counters_invariant_across_n_jobs(self):
         """listDP work is identical however the rows are chunked.
 
-        Only ``listdp.*`` and ``compute_mp.rows`` are compared: the
-        parallel path replays the dot-product recurrence per block, so
-        ``mass.*`` call counts legitimately vary with the chunking.
+        Only ``listdp.*`` and ``compute_mp.rows`` are compared: each
+        worker builds its own context, so cache and FFT-plan counts
+        legitimately vary with the worker count.
         """
         series = _series(500, seed=1)
 
