@@ -3,8 +3,8 @@
 Not a paper figure — engineering-level timings (with pytest-benchmark's
 statistics) for the primitives the figures are built from: MASS vs the
 naive profile, one STOMP row update, the Eq. 2 lower-bound kernel, one
-ComputeSubMP step, and the blocked diagonal kernel vs the rowwise STOMP
-schedule (``micro_stomp_blocked_vs_rowwise``).
+ComputeSubMP step, and the blocked kernel vs the rowwise STOMP schedule
+(``micro_stomp_blocked_vs_rowwise``).
 
 The blocked-vs-rowwise comparison persists cells/second numbers to
 ``benchmarks/results/BENCH_micro_stomp_blocked_vs_rowwise.json``; CI

@@ -13,10 +13,11 @@ points) like the partial recompute of Algorithm 4:
 * short windows: one GEMM over the centred windows per chunk of the
   absolute row grid, from :func:`repro.distance.comoment.window_comoments`
   (the producer the partial recompute uses).
-* long windows: the STOMP co-moment recurrence shared with
-  :mod:`repro.matrixprofile.stomp`, restarted from an exactly computed
-  row at the start of every ``TILE_ROWS`` tile of the absolute row grid
-  (SCAMP's tiles, Zimmerman et al., "Matrix Profile XIV").
+* long windows: the STOMP co-moment recurrence every batch engine
+  shares (:func:`repro.distance.comoment.comoment_rows`), restarted from
+  an exactly computed row at the start of every ``TILE_ROWS`` tile of
+  the absolute row grid (SCAMP's tiles, Zimmerman et al., "Matrix
+  Profile XIV").
 
 Each row depends only on its grid chunk or tile, and every row is ranked
 on its own, whatever stack it lands in.  With ``n_jobs > 1`` the rows
@@ -46,12 +47,11 @@ from repro import obs
 from repro.types import FloatArray, IntArray
 
 from repro.core.entries import EntryStore, rank_rows
-from repro.distance.comoment import window_comoments
+from repro.distance.comoment import comoment_rows, window_comoments
 from repro.distance.sliding import DIRECT_DOT_MAX, validate_subsequence_length
 from repro.exceptions import InvalidParameterError
 from repro.kernels.context import SeriesContext
 from repro.matrixprofile.index import MatrixProfile
-from repro.matrixprofile.stomp import _iterate_tiles
 
 __all__ = ["compute_matrix_profile", "resolve_n_jobs", "row_blocks"]
 
@@ -129,8 +129,7 @@ def _comoment_stacks(
       row depending on how many rows share its block, which the grid
       keeps the same in every run.
     * long windows: the STOMP recurrence, started from an exact row at
-      every tile (as :func:`~repro.matrixprofile.stomp.iterate_stomp_qt`
-      does at its ``row_range``).
+      every tile (:func:`~repro.distance.comoment.comoment_rows`).
     """
     if length <= DIRECT_DOT_MAX:
         comoments = window_comoments(ctx, length, mu)
@@ -140,7 +139,7 @@ def _comoment_stacks(
     tiles = [(tile, min(tile + TILE_ROWS, stop)) for tile in range(start, stop, TILE_ROWS)]
     stack = np.empty((FILL_BLOCK_ROWS, ctx.series.size - length + 1), dtype=np.float64)
     filled = 0
-    for i, c in _iterate_tiles(ctx.series, length, mu, sigma, tiles, ctx):
+    for i, c in comoment_rows(ctx.series, length, mu, sigma, tiles, ctx):
         stack[filled] = c
         filled += 1
         # Tiles are whole chunks, so a stack never spans two of them.

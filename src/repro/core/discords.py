@@ -39,7 +39,13 @@ from repro.matrixprofile.exclusion import exclusion_zone_half_width
 from repro.matrixprofile.registry import DEFAULT_ENGINE, compute_with
 from repro.types import FloatArray, length_normalized
 
-__all__ = ["Discord", "find_discords", "per_length_candidates", "select_top_k"]
+__all__ = [
+    "Discord",
+    "find_discords",
+    "per_length_candidates",
+    "scan_lengths",
+    "select_top_k",
+]
 
 
 @dataclass(frozen=True, order=True)
@@ -119,6 +125,29 @@ def select_top_k(candidates: Sequence[Discord], k: int) -> List[Discord]:
     return result
 
 
+def scan_lengths(
+    l_min: int, l_max: int, k: int, lengths: Optional[Sequence[int]]
+) -> List[int]:
+    """The ascending lengths a discord search scans, after checking its
+    arguments: every length of ``[l_min, l_max]``, or the distinct
+    ``lengths`` inside it.  Shared by both drivers."""
+    if l_min > l_max:
+        raise InvalidParameterError(f"l_min ({l_min}) must not exceed l_max ({l_max})")
+    if k <= 0:
+        raise InvalidParameterError(f"k must be positive, got {k}")
+    if lengths is None:
+        return list(range(l_min, l_max + 1))
+    scan = sorted({int(length) for length in lengths})
+    if not scan:
+        raise InvalidParameterError("lengths must be non-empty when given")
+    for length in scan:
+        if not l_min <= length <= l_max:
+            raise InvalidParameterError(
+                f"discord length {length} outside [{l_min}, {l_max}]"
+            )
+    return scan
+
+
 def find_discords(
     series: FloatArray,
     l_min: int,
@@ -147,21 +176,7 @@ def find_discords(
     lower bounds certify as unable to reach the top-k.
     """
     t = as_series(series, min_length=8)
-    if l_min > l_max:
-        raise InvalidParameterError(f"l_min ({l_min}) must not exceed l_max ({l_max})")
-    if k <= 0:
-        raise InvalidParameterError(f"k must be positive, got {k}")
-    if lengths is None:
-        scan: List[int] = list(range(l_min, l_max + 1))
-    else:
-        scan = sorted({int(length) for length in lengths})
-        if not scan:
-            raise InvalidParameterError("lengths must be non-empty when given")
-        for length in scan:
-            if not l_min <= length <= l_max:
-                raise InvalidParameterError(
-                    f"discord length {length} outside [{l_min}, {l_max}]"
-                )
+    scan = scan_lengths(l_min, l_max, k, lengths)
     ctx = SeriesContext.ensure(t, context, min_length=8)
 
     candidates: List[Discord] = []

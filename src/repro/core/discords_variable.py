@@ -58,10 +58,14 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 from repro import obs
 from repro.core.compute_mp import compute_matrix_profile
 from repro.core.compute_submp import nearest_entries
-from repro.core.discords import Discord, per_length_candidates, select_top_k
+from repro.core.discords import (
+    Discord,
+    per_length_candidates,
+    scan_lengths,
+    select_top_k,
+)
 from repro.core.valmod import DEFAULT_P
 from repro.distance.znorm import as_series
-from repro.exceptions import InvalidParameterError
 from repro.kernels.context import SeriesContext
 from repro.matrixprofile.registry import DEFAULT_ENGINE, compute_with
 from repro.types import FloatArray, IntArray
@@ -129,21 +133,7 @@ def find_discords_pruned(
     toward the pruning statistics.
     """
     t = as_series(series, min_length=8)
-    if l_min > l_max:
-        raise InvalidParameterError(f"l_min ({l_min}) must not exceed l_max ({l_max})")
-    if k <= 0:
-        raise InvalidParameterError(f"k must be positive, got {k}")
-    if lengths is None:
-        scan: List[int] = list(range(l_min, l_max + 1))
-    else:
-        scan = sorted({int(length) for length in lengths})
-        if not scan:
-            raise InvalidParameterError("lengths must be non-empty when given")
-        for length in scan:
-            if not l_min <= length <= l_max:
-                raise InvalidParameterError(
-                    f"discord length {length} outside [{l_min}, {l_max}]"
-                )
+    scan = scan_lengths(l_min, l_max, k, lengths)
     ctx = SeriesContext.ensure(t, context, min_length=8)
 
     def candidates_at(length: int) -> List[Discord]:

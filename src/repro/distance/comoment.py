@@ -6,19 +6,22 @@ mu_j) = l sigma_i sigma_j corr_ij`` instead of the raw dot product
 every digit at a DC offset ``|mu| >> sigma``.  This module owns the
 first row (:func:`comoment_row`), the co-moment rows of a block of
 windows (:func:`window_comoments`), SCAMP's increments (Zimmerman et al.,
-"Matrix Profile XIV"; :func:`increments`), Eq. 3 on co-moments with the
-constant-window conventions (:func:`distance_profile_from_qt`) and the
-one re-anchor rule (:func:`anchor_rows`).  ``docs/ALGORITHMS.md``
+"Matrix Profile XIV"; :func:`increments`), the STOMP recurrence over
+them that every batch engine iterates (:func:`comoment_rows`), Eq. 3 on
+co-moments with the constant-window conventions
+(:func:`distance_profile_from_qt`) and the one re-anchor rule
+(:func:`anchor_rows`).  ``docs/ALGORITHMS.md``
 ("Exactness contract") states what the paths built on it promise.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from repro import obs
 from repro.distance.sliding import DIRECT_DOT_MAX, sliding_dot_product
 from repro.distance.znorm import CONSTANT_EPS
 from repro.exceptions import InvalidParameterError
@@ -31,6 +34,7 @@ __all__ = [
     "DRIFT_TOL",
     "anchor_rows",
     "comoment_row",
+    "comoment_rows",
     "correlation_from_qt",
     "distance_profile_from_qt",
     "drift_budget",
@@ -119,6 +123,65 @@ def increments(
     df = 0.5 * (tail - head)
     dg = (tail - mu[1 : head.size + 1]) + (head - mu[: head.size])
     return df, dg
+
+
+def comoment_rows(
+    series: FloatArray,
+    length: int,
+    mu: FloatArray,
+    sigma: FloatArray,
+    tiles: Sequence[Tuple[int, int]],
+    context: Optional["SeriesContext"] = None,
+) -> Iterator[Tuple[int, FloatArray]]:
+    """Yield ``(i, c)``: the co-moments of window ``i`` with every window.
+
+    The STOMP recurrence (Algorithm 3, line 11) on centred co-moments,
+    run over the row ranges ``tiles`` in order.  Each range ``[start,
+    stop)`` starts from an exact row (:func:`comoment_row` on
+    ``context``'s spectrum), so no row before ``start`` is formed and the
+    rows after it round like a recurrence started there.  Row 0 supplies
+    column 0 (``C[i, 0] = C[0, i]``), and the rows of :func:`anchor_rows`
+    are recomputed exactly wherever they fall; row 0, the increments and
+    the anchors are computed once for all tiles.  ``mu`` and ``sigma``
+    are the window statistics of ``series`` at ``length``.
+
+    The update allocates nothing: it writes into one of two rows it
+    swaps, so the yielded array is reused — callers that keep it must
+    copy.
+    """
+    t = series
+    n_subs = t.size - length + 1
+    c_first = comoment_row(t[:length], t, mu, context=context)
+    df, dg = increments(t, length, mu)
+    anchors = anchor_rows(t, length, df, dg, sigma)
+    cur = np.empty(n_subs, dtype=np.float64)
+    prev = np.empty(n_subs, dtype=np.float64)
+    term = np.empty(n_subs - 1, dtype=np.float64)
+    for start, stop in tiles:
+        if start == stop:
+            continue
+        if start == 0:
+            cur[:] = c_first
+        else:
+            cur[:] = comoment_row(t[start : start + length], t, mu, context=context)
+        anchor_pos = int(np.searchsorted(anchors, start, side="right"))
+        for i in range(start, stop):
+            if i > start:
+                if anchor_pos < anchors.size and anchors[anchor_pos] == i:
+                    # Accumulated drift too large: recompute the row exactly.
+                    obs.add("comoment.reanchors")
+                    cur[:] = comoment_row(t[i : i + length], t, mu, direct=True)
+                    anchor_pos += 1
+                else:
+                    # C[i, j] = (C[i-1, j-1] + dg[j-1] df[i-1]) + df[j-1] dg[i-1]
+                    prev, cur = cur, prev
+                    row = cur[1:]
+                    np.multiply(dg, df[i - 1], out=row)
+                    np.add(prev[:-1], row, out=row)
+                    np.multiply(df, dg[i - 1], out=term)
+                    np.add(row, term, out=row)
+            cur[0] = c_first[i]
+            yield i, cur
 
 
 def correlation_from_qt(

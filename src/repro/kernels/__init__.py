@@ -10,9 +10,9 @@ Two layers the whole compute stack builds on (see ``docs/KERNELS.md``):
 :mod:`repro.kernels.blocked`
     :func:`~repro.kernels.blocked.blocked_stomp`, the blocked STOMP
     backend (``engine="blocked-stomp"``): a GEMM over z-normalised
-    windows for windows of at most ``DIRECT_DOT_MAX`` points, the QT
-    recurrence as a sheared block cumulative sum above that, and one
-    Eq.-3 epilogue per block for both.
+    windows for windows of at most ``DIRECT_DOT_MAX`` points, the shared
+    co-moment recurrence (:func:`repro.distance.comoment.comoment_rows`)
+    scored in rank space above that, and one Eq.-3 epilogue for both.
 
 Layering: this package imports only :mod:`repro.distance`, :mod:`repro.obs`
 and the foundation modules at import time (engine types are resolved
@@ -29,7 +29,7 @@ from repro.kernels.streaming_stats import StreamingSeriesStats
 #: content-addressed feature store (``repro.features.store``) folds it
 #: into every cache key, so stale entries computed under the old
 #: contract miss instead of shadowing fresh results.
-KERNEL_SCHEMA_VERSION = 6
+KERNEL_SCHEMA_VERSION = 7
 
 __all__ = [
     "KERNEL_SCHEMA_VERSION",

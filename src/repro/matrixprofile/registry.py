@@ -127,6 +127,6 @@ register_engine(
     lambda series, length, context: blocked_stomp(series, length, context=context),
     description=(
         "blocked STOMP kernel: GEMM over z-normalised windows up to 64 points, "
-        "sheared recurrence above (default, fastest exact engine)"
+        "the shared co-moment recurrence above (default, fastest exact engine)"
     ),
 )

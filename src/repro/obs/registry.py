@@ -50,14 +50,14 @@ COUNTERS: Dict[str, str] = {
     # engines (shared across stomp/stamp/scrimp/blocked)
     "engine.rows": "profile rows an engine processed",
     "engine.cells": "distance cells an engine contributed (exclusion-adjusted)",
-    # the co-moment recurrence (stomp, blocked_stomp, Algorithm 3 and the
-    # streaming window)
+    # the co-moment recurrence (the shared producer comoment_rows, behind
+    # stomp, blocked_stomp and Algorithm 3, and the streaming window)
     "comoment.reanchors": "co-moment rows recomputed exactly by the drift rule",
     # stamp / scrimp
     "stamp.mass_rows": "rows computed via full MASS calls",
     "scrimp.diagonals": "diagonals visited by the SCRIMP schedule",
     # blocked kernel
-    "kernel.blocks": "row blocks processed by blocked_stomp",
+    "kernel.blocks": "GEMM row blocks processed by blocked_stomp (l <= DIRECT_DOT_MAX)",
     "kernel.gemm_rows": "rows blocked_stomp scored by GEMM over z-normalised windows",
     # series-context caches
     "stats.cache.hits": "moving mean/std lookups served from the context cache",
@@ -113,7 +113,7 @@ COUNTERS: Dict[str, str] = {
 
 #: Gauges (last-write wins locally, max across worker merges).
 GAUGES: Dict[str, str] = {
-    "kernel.block_rows": "block size B the blocked kernel ran with",
+    "kernel.block_rows": "block size B the blocked kernel's GEMM path ran with",
 }
 
 #: Timing spans.  A span records under its ``/``-joined nesting path;

@@ -2,11 +2,13 @@
 
 The blocked backend (``repro.kernels.blocked``) scores windows of at most
 ``DIRECT_DOT_MAX`` points from a GEMM over z-normalised windows and
-longer ones from the co-moment recurrence as a sheared block cumulative sum;
-these tests pin both paths to the brute-force oracle across the full
-block-size spectrum — ``B=1`` (the rowwise degenerate), interior sizes,
-the default, and ``B`` larger than the number of subsequences (one giant
-block).  The ``-long`` fixtures sit above the cut, on the recurrence.
+longer ones from the shared co-moment recurrence
+(``repro.distance.comoment.comoment_rows``), a row at a time; these tests
+pin both paths to the brute-force oracle across the full block-size
+spectrum — ``B=1`` (the rowwise degenerate), interior sizes, the
+default, and ``B`` larger than the number of subsequences (one giant
+block).  The ``-long`` fixtures sit above the cut, on the recurrence,
+where ``B`` plays no part.
 """
 
 import numpy as np
@@ -85,8 +87,8 @@ FIXTURES = {
     "constant-segment-long": _constant_segment_long,
 }
 
-#: B=1 degenerates to rowwise, 7 is coprime with every anchor spacing,
-#: 64 is the default, 10_000 exceeds n_subs of every fixture.
+#: B=1 degenerates to rowwise, 7 is an odd interior size, 64 is the
+#: default, 10_000 exceeds n_subs of every fixture.
 BLOCK_SIZES = (1, 7, DEFAULT_BLOCK_ROWS, 10_000)
 
 
@@ -125,7 +127,8 @@ class TestBlockedVsBrute:
 
     @pytest.mark.parametrize("fixture", sorted(FIXTURES))
     def test_block_size_invariance(self, fixture, oracles):
-        """All block schedules agree with each other, not just the oracle."""
+        """All block schedules agree with each other, not just the oracle;
+        above the cut, where rows are scored one at a time, bit for bit."""
         series, length, _ = oracles[fixture]
         baseline = blocked_stomp(series, length, block_rows=1)
         for block_rows in BLOCK_SIZES[1:]:
@@ -134,6 +137,9 @@ class TestBlockedVsBrute:
                 mp.profile, baseline.profile, atol=ATOL, rtol=0.0,
                 err_msg=f"B={block_rows} diverges from B=1 on {fixture}",
             )
+            if length > DIRECT_DOT_MAX:
+                np.testing.assert_array_equal(mp.profile, baseline.profile)
+                np.testing.assert_array_equal(mp.index, baseline.index)
 
     def test_reanchor_schedule_is_exercised(self):
         """On a series with a high shelf the recurrence re-anchors
@@ -156,25 +162,29 @@ class TestBlockedVsBrute:
         np.testing.assert_array_equal(mp.index, rowwise.index)
 
     def test_reanchor_schedule_is_exercised_above_the_cut(self):
-        """The same shelf at l > DIRECT_DOT_MAX, where the sheared
-        recurrence runs and must re-anchor mid-profile."""
+        """The same shelf at l > DIRECT_DOT_MAX, where the shared
+        recurrence runs and must re-anchor mid-profile, exactly as often
+        as it does under rowwise STOMP."""
         series = _high_shelf(800)
         length = 96
         assert length > DIRECT_DOT_MAX
         anchors = _anchors(series, length)
         assert len(anchors) > 1, "fixture must actually trigger reanchoring"
         reference = brute_force_matrix_profile(series, length)
+        results, counters = {}, {}
         with obs.tracing(True):
-            obs.reset()
-            mp = blocked_stomp(series, length)
-            counters = obs.snapshot()["counters"]
+            for name, engine in (("blocked", blocked_stomp), ("stomp", stomp)):
+                obs.reset()
+                results[name] = engine(series, length)
+                counters[name] = obs.snapshot()["counters"]
         obs.reset()
         obs.disable()
-        assert counters["comoment.reanchors"] == len(anchors)
+        assert counters["blocked"]["comoment.reanchors"] == len(anchors)
+        assert counters["stomp"]["comoment.reanchors"] == len(anchors)
+        mp, rowwise = results["blocked"], results["stomp"]
         np.testing.assert_allclose(
             mp.profile, reference.profile, atol=1e-6, rtol=0.0
         )
-        rowwise = stomp(series, length)
         np.testing.assert_allclose(
             rowwise.profile, reference.profile, atol=1e-6, rtol=0.0
         )
@@ -199,6 +209,7 @@ class TestBlockedVsBrute:
             assert "comoment.reanchors" not in counters
         else:
             assert "kernel.gemm_rows" not in counters
+            assert "kernel.blocks" not in counters
         _assert_matches_oracle(series, length, mp, reference)
 
     def test_short_path_is_exact_on_a_large_offset(self):
@@ -233,7 +244,7 @@ class TestContextIntegration:
         counters = snap["counters"]
         n_subs = series.size - length + 1
         assert counters["engine.rows"] == n_subs
-        assert counters["kernel.blocks"] >= n_subs // 32
+        assert counters["kernel.blocks"] == -(-n_subs // 32)
         assert snap["gauges"]["kernel.block_rows"] == 32
         assert counters["kernel.gemm_rows"] == n_subs
 

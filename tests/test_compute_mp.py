@@ -17,8 +17,7 @@ from repro.core.compute_mp import (
 )
 from repro.distance.sliding import moving_mean_std
 from repro.matrixprofile import stomp
-from repro.matrixprofile.stomp import iterate_stomp_qt
-from repro.distance.comoment import anchor_rows, increments
+from repro.distance.comoment import anchor_rows, comoment_row, comoment_rows, increments
 from tests.conftest import assert_profiles_close, oracle_profile
 
 
@@ -167,20 +166,17 @@ def test_row_range_computes_no_earlier_row(monkeypatch):
     start is formed."""
     t, length = _high_shelf_long()
     mu, sigma = moving_mean_std(t, length)
-    stomp_module = importlib.import_module("repro.matrixprofile.stomp")
+    comoment_module = importlib.import_module("repro.distance.comoment")
     queried = []
-    real_comoment_row = stomp_module.comoment_row
+    real_comoment_row = comoment_module.comoment_row
 
     def spy(query, series, mu, **kwargs):
         queried.append(query)
         return real_comoment_row(query, series, mu, **kwargs)
 
-    monkeypatch.setattr(stomp_module, "comoment_row", spy)
+    monkeypatch.setattr(comoment_module, "comoment_row", spy)
     start, stop = 100, 160
-    rows = {
-        i: c.copy()
-        for i, c in iterate_stomp_qt(t, length, mu, sigma, row_range=(start, stop))
-    }
+    rows = {i: c.copy() for i, c in comoment_rows(t, length, mu, sigma, [(start, stop)])}
     assert sorted(rows) == list(range(start, stop))
     # Row 0 is formed only for its column (C[i, 0] = C[0, i]); every
     # other exact row lies inside the range.
@@ -193,6 +189,46 @@ def test_row_range_computes_no_earlier_row(monkeypatch):
         exact = centred @ centred[i]
         scale = length * sigma[i] * sigma
         np.testing.assert_allclose(c / scale, exact / scale, rtol=0.0, atol=1e-8)
+
+
+def _reference_rows(t, length, mu, sigma, tiles):
+    """The co-moment recurrence with the plain allocating row update,
+    tile by tile and honouring the same anchors: the reference the
+    in-place update must match bit for bit."""
+    c_first = comoment_row(t[:length], t, mu)
+    df, dg = increments(t, length, mu)
+    anchors = set(anchor_rows(t, length, df, dg, sigma).tolist())
+    for start, stop in tiles:
+        c = comoment_row(t[start : start + length], t, mu)
+        for i in range(start, stop):
+            if i > start:
+                if i in anchors:
+                    c = comoment_row(t[i : i + length], t, mu, direct=True)
+                else:
+                    c[1:] = c[:-1] + dg * df[i - 1] + df * dg[i - 1]
+            c[0] = c_first[i]
+            yield i, c.copy()
+
+
+@pytest.mark.parametrize("fixture", ["high-shelf-l80", "flat-run", "random-walk"])
+@pytest.mark.parametrize("n_tiles", [1, 2])
+def test_comoment_rows_bitwise_the_allocating_update(fixture, n_tiles):
+    """The shared producer's in-place update rounds exactly like
+    ``c[1:] = c[:-1] + dg*df[i-1] + df*dg[i-1]``, anchors and tile starts
+    included."""
+    t, length = ROW_BLOCK_FIXTURES[fixture]()
+    mu, sigma = moving_mean_std(t, length)
+    n_subs = t.size - length + 1
+    split = n_subs // 3
+    tiles = [(0, n_subs)] if n_tiles == 1 else [(0, split), (split, n_subs)]
+    if fixture == "high-shelf-l80":
+        anchors = anchor_rows(t, length, *increments(t, length, mu), sigma)
+        assert any(start < a < stop for a in anchors for start, stop in tiles)
+    got = [(i, c.copy()) for i, c in comoment_rows(t, length, mu, sigma, tiles)]
+    want = list(_reference_rows(t, length, mu, sigma, tiles))
+    assert [i for i, _ in got] == [i for i, _ in want] == list(range(n_subs))
+    for (i, c), (_, ref) in zip(got, want):
+        np.testing.assert_array_equal(c, ref, err_msg=f"row {i}")
 
 
 def test_resolve_n_jobs_conventions():

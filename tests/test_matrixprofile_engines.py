@@ -8,8 +8,7 @@ from repro.matrixprofile import (
     stamp,
     stomp,
 )
-from repro.matrixprofile.stomp import iterate_stomp_qt
-from repro.distance.comoment import distance_profile_from_qt
+from repro.distance.comoment import comoment_rows, distance_profile_from_qt
 from repro.distance.profile import naive_distance_profile
 from repro.distance.sliding import moving_mean_std
 from tests.conftest import assert_profiles_close
@@ -64,7 +63,7 @@ def test_stomp_rows_generator_matches_mass(noise_series):
     t = noise_series
     length = 16
     mu, sigma = moving_mean_std(t, length)
-    for i, c in iterate_stomp_qt(t, length, mu, sigma):
+    for i, c in comoment_rows(t, length, mu, sigma, [(0, t.size - length + 1)]):
         if i in (0, 77, 250):
             row = distance_profile_from_qt(c, length, float(sigma[i]), sigma)
             np.testing.assert_allclose(
