@@ -29,7 +29,7 @@ from repro.kernels.streaming_stats import StreamingSeriesStats
 #: content-addressed feature store (``repro.features.store``) folds it
 #: into every cache key, so stale entries computed under the old
 #: contract miss instead of shadowing fresh results.
-KERNEL_SCHEMA_VERSION = 7
+KERNEL_SCHEMA_VERSION = 8
 
 __all__ = [
     "KERNEL_SCHEMA_VERSION",

@@ -9,9 +9,18 @@ one-row sliding dot product and the partial recompute's GEMM already
 make):
 
 * **Short windows** (``l <= DIRECT_DOT_MAX``): one GEMM per block of
-  ``B = block_rows`` rows over the z-normalised windows.  ``Z = (W - mu)
-  / sigma`` is built once per call, with the rows of constant windows
-  zeroed, and ``Z[r0:r1] @ Z.T`` is ``l * corr`` for the whole block.
+  ``B = block_rows`` rows over the z-normalised windows, on the upper
+  triangle only.  ``Z = (W - mu) / sigma`` is built once per call, with
+  the rows of constant windows zeroed, and ``Z[r0:r1] @ Z[r0:].T`` is
+  ``l * corr`` of the block's rows against every column from ``r0`` on.
+  ``l * corr`` is symmetric, so each pair is computed once (twice only
+  inside a block's own square) and read from both ends: a row takes the
+  argmax over its columns ``>= r0`` (the row side), and for the columns
+  ``>= r1`` the block's column maxima stand in for those rows' cells
+  against ``[r0, r1)`` (the column side; only the columns that improve
+  pay an argmax).  Blocks run last to first, so a column side always
+  meets candidates at larger offsets, and ``>=`` hands it a tie: every
+  row keeps its smallest best offset, as a full-row argmax would.
   There is no recurrence and nothing to re-anchor: the arithmetic is the
   brute-force oracle's (z-normalise each window, then take dot
   products), batched.  The GEMM costs ``O(n l)`` per row against the
@@ -25,14 +34,16 @@ make):
   correlation, so its argmax is the row's nearest neighbor.  ``B`` plays
   no part here.
 
-Both paths end in one epilogue (:func:`_finish_block`): the rows' winning
+Both paths end in one epilogue (:func:`_finish`): the rows' winning
 ``l * corr`` values pay Eq. 3's clip and sqrt in one vectorised pass.
-All scratch buffers are preallocated once per call.
+The scores buffer is preallocated once per call.
 
 Numerical behavior:
 
 * The short path matches the oracle to rounding, large DC offsets
-  included: it z-normalises the windows before the GEMM.
+  included: it z-normalises the windows before the GEMM.  A pair read
+  from the column side is ``z_j . z_i`` instead of ``z_i . z_j``, which
+  can differ in the last bit.
 * The long path carries centred co-moments, so offsets cost no digits
   either, and its rows are bit for bit those of serial STOMP; only the
   scoring (rank space against Eq. 3) rounds differently.
@@ -43,7 +54,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro import obs
 from repro.types import BoolArray, FloatArray, IntArray
@@ -65,23 +76,18 @@ __all__ = ["blocked_stomp", "DEFAULT_BLOCK_ROWS"]
 DEFAULT_BLOCK_ROWS = 64
 
 
-def _finish_block(
-    profile: FloatArray,
-    index: IntArray,
-    rows: slice,
-    lcorr: FloatArray,
-    nbr: IntArray,
-    length: int,
-) -> None:
-    """Write a block's profile entries from each row's winning ``l * corr``.
+def _finish(
+    lcorr: FloatArray, nbr: IntArray, length: int
+) -> tuple[FloatArray, IntArray]:
+    """The profile and index from each row's winning ``l * corr`` and column.
 
     A row whose every column is excluded carries ``-inf`` and reports no
     neighbor.  Clipping to ``[-l, l]`` keeps ``l - lcorr`` non-negative.
     """
     found = np.isfinite(lcorr)
     np.clip(lcorr, -length, length, out=lcorr)
-    profile[rows] = np.where(found, np.sqrt(2.0 * (length - lcorr)), np.inf)
-    index[rows] = np.where(found, nbr, -1)
+    profile = np.where(found, np.sqrt(2.0 * (length - lcorr)), np.inf)
+    return profile, np.where(found, nbr, -1)
 
 
 def _gemm_blocks(
@@ -92,10 +98,14 @@ def _gemm_blocks(
     window_const: BoolArray,
     zone: int,
     block_rows: int,
-    profile: FloatArray,
-    index: IntArray,
-) -> int:
-    """Short-window path: score each block from one GEMM; returns blocks."""
+    best: FloatArray,
+    nbr: IntArray,
+) -> tuple[int, int]:
+    """Short-window path: score the upper triangle a block at a time.
+
+    Writes each row's winning ``l * corr`` and column into ``best`` and
+    ``nbr``; returns the number of blocks and of cells the GEMMs computed.
+    """
     n_subs = mu.size
     z = sliding_window_view(t, length) - mu[:, None]
     z /= np.maximum(sigma, CONSTANT_EPS)[:, None]
@@ -103,35 +113,58 @@ def _gemm_blocks(
     const_cols = np.flatnonzero(window_const)
     half = 0.5 * length
 
-    # Each scores row is one row's l*corr with ``pad`` columns of -inf on
-    # either side, so the exclusion band of local row k starts at column
-    # r0 + k and the whole band is one sheared view.
+    # Block [r0, r1) holds z[r0:r1] @ z[r0:].T in a contiguous buffer of
+    # rows of width w = pad + (n - r0): ``pad`` columns of -inf, then the
+    # row's l*corr.  Each row's pad doubles as the previous row's right
+    # pad, so the exclusion band of local row k starts at flat offset
+    # k * (w + 1) and the whole band is one sheared view.
     pad = zone - 1
-    scores = np.full((min(block_rows, n_subs), n_subs + 2 * pad), -np.inf)
-    row_step, col_step = scores.strides
-    blocks = 0
-    for r0 in range(0, n_subs, block_rows):
+    width = min(block_rows, n_subs)
+    flat = np.empty(width * (n_subs + pad) + pad)
+    item = flat.itemsize
+    local = np.arange(width)
+    blocks = cells = 0
+    # Blocks run last to first, so a block's column side meets rows whose
+    # candidates all lie at larger offsets: ``>=`` lets the smaller offset
+    # win a tie, as a full-row argmax would.
+    for r0 in reversed(range(0, n_subs, block_rows)):
         r1 = min(r0 + block_rows, n_subs)
         b_rows = r1 - r0
-        g = scores[:b_rows]
-        lcorr = g[:, pad : pad + n_subs]
-        np.matmul(z[r0:r1], z.T, out=lcorr)
+        w = pad + n_subs - r0
+        g = flat[: b_rows * w].reshape(b_rows, w)
+        g[:, :pad] = -np.inf
+        flat[b_rows * w : b_rows * w + pad] = -np.inf
+        lcorr = g[:, pad:]
+        np.matmul(z[r0:r1], z[r0:].T, out=lcorr)
         if const_cols.size:
             # Constant windows: distance 0 to each other, sqrt(l) to
             # everything else, i.e. l*corr of l and l/2.
-            lcorr[:, const_cols] = half
+            cols = const_cols[const_cols >= r0] - r0
+            lcorr[:, cols] = half
             own = np.flatnonzero(window_const[r0:r1])
             lcorr[own] = half
-            lcorr[np.ix_(own, const_cols)] = length
-        band = as_strided(
-            g[0, r0:], shape=(b_rows, 2 * zone - 1), strides=(row_step + col_step, col_step)
+            lcorr[np.ix_(own, cols)] = length
+        band = np.ndarray(
+            (b_rows, 2 * zone - 1), buffer=flat, strides=((w + 1) * item, item)
         )
         band.fill(-np.inf)
+        # Row side: the block's rows against every column >= r0.
         j = g.argmax(axis=1)
-        best = g[np.arange(b_rows), j]
-        _finish_block(profile, index, slice(r0, r1), best, j - pad, length)
+        best[r0:r1] = g[local[:b_rows], j]
+        nbr[r0:r1] = j + (r0 - pad)
+        # Column side: the rows >= r1 against the block's rows, read from
+        # the column maxima; only the columns that improve pay an argmax.
+        if r1 < n_subs:
+            tail = lcorr[:, b_rows:]
+            cmax = tail.max(axis=0)
+            up = np.flatnonzero(cmax >= best[r1:])
+            if up.size:
+                rows = up + r1
+                best[rows] = cmax[up]
+                nbr[rows] = tail.T[up].argmax(axis=1) + r0
         blocks += 1
-    return blocks
+        cells += b_rows * (n_subs - r0)
+    return blocks, cells
 
 
 def _recurrence_rows(
@@ -141,10 +174,11 @@ def _recurrence_rows(
     sigma: FloatArray,
     window_const: BoolArray,
     zone: int,
-    profile: FloatArray,
-    index: IntArray,
+    best: FloatArray,
+    nbr: IntArray,
 ) -> None:
-    """Long-window path: score each recurrence row in rank space."""
+    """Long-window path: score each recurrence row in rank space into
+    ``best`` (``l * corr``) and ``nbr``."""
     n_subs = mu.size
     # rank[i, j] = C[i, j] * invsig[j] = corr_ij * l * sigma_i, and
     # lc_scale[i] takes a row's winning rank to l * corr.  Constant query
@@ -154,8 +188,6 @@ def _recurrence_rows(
     const_cols = np.flatnonzero(window_const)
     half = 0.5 * length
     rank = np.empty(n_subs, dtype=np.float64)
-    best = np.empty(n_subs, dtype=np.float64)
-    nbr = np.empty(n_subs, dtype=np.int64)
     rows = [(0, n_subs)]
     for i, c in comoment_rows(ctx.series, length, mu, sigma, rows, ctx):
         if window_const[i]:
@@ -172,7 +204,6 @@ def _recurrence_rows(
         best[i] = rank[j]
         nbr[i] = j
     best *= lc_scale
-    _finish_block(profile, index, slice(0, n_subs), best, nbr, length)
 
 
 def blocked_stomp(
@@ -213,16 +244,18 @@ def blocked_stomp(
         obs.add("engine.rows", n_subs)
         obs.add("engine.cells", contributing_cells(n_subs, zone))
 
-    profile = np.empty(n_subs, dtype=np.float64)
-    index = np.empty(n_subs, dtype=np.int64)
+    best = np.empty(n_subs, dtype=np.float64)
+    nbr = np.empty(n_subs, dtype=np.int64)
     with obs.span("engine.blocked_stomp"):
         if length <= DIRECT_DOT_MAX:
-            blocks = _gemm_blocks(
-                t, length, mu, sigma, window_const, zone, block_rows, profile, index
+            blocks, cells = _gemm_blocks(
+                t, length, mu, sigma, window_const, zone, block_rows, best, nbr
             )
             obs.add("kernel.blocks", blocks)
+            obs.add("kernel.gemm_cells", cells)
             obs.add("kernel.gemm_rows", n_subs)
             obs.gauge("kernel.block_rows", block_rows)
         else:
-            _recurrence_rows(ctx, length, mu, sigma, window_const, zone, profile, index)
+            _recurrence_rows(ctx, length, mu, sigma, window_const, zone, best, nbr)
+        profile, index = _finish(best, nbr, length)
     return MatrixProfile(profile=profile, index=index, length=length)

@@ -59,6 +59,7 @@ COUNTERS: Dict[str, str] = {
     # blocked kernel
     "kernel.blocks": "GEMM row blocks processed by blocked_stomp (l <= DIRECT_DOT_MAX)",
     "kernel.gemm_rows": "rows blocked_stomp scored by GEMM over z-normalised windows",
+    "kernel.gemm_cells": "l*corr cells blocked_stomp's GEMMs computed (upper triangle, sum of b*(n - r0))",
     # series-context caches
     "stats.cache.hits": "moving mean/std lookups served from the context cache",
     "stats.cache.misses": "moving mean/std lookups computed fresh",

@@ -1,8 +1,10 @@
 """Differential tests for the blocked STOMP kernel.
 
 The blocked backend (``repro.kernels.blocked``) scores windows of at most
-``DIRECT_DOT_MAX`` points from a GEMM over z-normalised windows and
-longer ones from the shared co-moment recurrence
+``DIRECT_DOT_MAX`` points from a GEMM over z-normalised windows (each
+block only against the columns from its first row on; earlier rows reach
+it through the column maxima of their own blocks) and longer ones from
+the shared co-moment recurrence
 (``repro.distance.comoment.comoment_rows``), a row at a time; these tests
 pin both paths to the brute-force oracle across the full block-size
 spectrum — ``B=1`` (the rowwise degenerate), interior sizes, the
@@ -16,10 +18,11 @@ import pytest
 
 from repro import obs
 from repro.distance.sliding import DIRECT_DOT_MAX
-from repro.distance.znorm import znormalized_distance
+from repro.distance.znorm import znormalize, znormalized_distance
 from repro.exceptions import InvalidParameterError
 from repro.kernels import DEFAULT_BLOCK_ROWS, SeriesContext, blocked_stomp
 from repro.matrixprofile.brute import brute_force_matrix_profile
+from repro.matrixprofile.exclusion import exclusion_zone_half_width
 from repro.distance.comoment import anchor_rows, increments
 from repro.matrixprofile.stomp import stomp
 
@@ -117,6 +120,28 @@ def _assert_matches_oracle(series, length, mp, reference):
         assert d == pytest.approx(float(reference.profile[i]), abs=1e-6)
 
 
+def _oracle_distances(series, length):
+    """Every pair's z-normalised distance, the brute oracle's arithmetic
+    row by row; excluded (trivial) pairs read +inf."""
+    windows = np.lib.stride_tricks.sliding_window_view(series, length)
+    z = np.array([znormalize(w) for w in windows])
+    const = ~z.any(axis=1)
+    dist = np.array([np.linalg.norm(z[i] - z, axis=1) for i in range(len(z))])
+    dist[np.ix_(const, ~const)] = np.sqrt(length)
+    dist[np.ix_(~const, const)] = np.sqrt(length)
+    dist[np.ix_(const, const)] = 0.0
+    offsets = np.arange(len(z))
+    zone = exclusion_zone_half_width(length)
+    dist[np.abs(offsets[:, None] - offsets[None, :]) < zone] = np.inf
+    return dist
+
+
+#: fixtures on the GEMM path (l <= DIRECT_DOT_MAX)
+GEMM_FIXTURES = sorted(
+    name for name, make in FIXTURES.items() if make()[1] <= DIRECT_DOT_MAX
+)
+
+
 class TestBlockedVsBrute:
     @pytest.mark.parametrize("fixture", sorted(FIXTURES))
     @pytest.mark.parametrize("block_rows", BLOCK_SIZES)
@@ -140,6 +165,46 @@ class TestBlockedVsBrute:
             if length > DIRECT_DOT_MAX:
                 np.testing.assert_array_equal(mp.profile, baseline.profile)
                 np.testing.assert_array_equal(mp.index, baseline.index)
+
+    @pytest.mark.parametrize("fixture", GEMM_FIXTURES)
+    @pytest.mark.parametrize("block_rows", BLOCK_SIZES)
+    def test_index_is_brute_where_the_best_is_clear(self, fixture, block_rows, oracles):
+        """Wherever brute's best neighbour beats its second-best non-trivial
+        one by more than rounding, the GEMM path reports that neighbour,
+        whether it sits in a later column of the row's own block or in an
+        earlier block's column maxima."""
+        series, length, reference = oracles[fixture]
+        dist = _oracle_distances(series, length)
+        rows = np.flatnonzero(reference.index >= 0)
+        dist[rows, reference.index[rows]] = np.inf
+        second = dist.min(axis=1)
+        clear = rows[second[rows] - reference.profile[rows] > 1e-9]
+        assert clear.size > 0
+        mp = blocked_stomp(series, length, block_rows=block_rows)
+        np.testing.assert_array_equal(mp.index[clear], reference.index[clear])
+
+    @pytest.mark.parametrize("block_rows", [7, DEFAULT_BLOCK_ROWS])
+    def test_later_occurrence_finds_an_earlier_block(self, block_rows):
+        """The planted motif's later occurrence has its neighbour in an
+        earlier block: only that block's column maxima can supply it."""
+        series, length = _planted_motif()
+        mp = blocked_stomp(series, length, block_rows=block_rows)
+        first, later = 75, 305
+        assert later // block_rows > first // block_rows
+        assert mp.index[later] == first
+        assert mp.index[first] == later
+
+    def test_exact_ties_go_to_the_smaller_offset(self, oracles):
+        """Constant windows tie exactly (distance 0 to each other); brute
+        keeps the first minimum, and so must the merge of the column side
+        (smaller offsets) with the row side."""
+        series, length, reference = oracles["constant-segment"]
+        const = np.flatnonzero(reference.profile == 0.0)
+        assert const.size > 2
+        for block_rows in BLOCK_SIZES:
+            mp = blocked_stomp(series, length, block_rows=block_rows)
+            np.testing.assert_array_equal(mp.index[const], reference.index[const])
+            assert (mp.index[const] < const).any()
 
     def test_reanchor_schedule_is_exercised(self):
         """On a series with a high shelf the recurrence re-anchors
@@ -247,6 +312,25 @@ class TestContextIntegration:
         assert counters["kernel.blocks"] == -(-n_subs // 32)
         assert snap["gauges"]["kernel.block_rows"] == 32
         assert counters["kernel.gemm_rows"] == n_subs
+
+    @pytest.mark.parametrize("block_rows", [7, 32, 10_000])
+    def test_gemm_cells_cover_the_upper_triangle(self, block_rows):
+        """Block [r0, r1) computes z[r0:r1] @ z[r0:].T: b * (n - r0) cells,
+        about half of the n * n a full-row GEMM would pay."""
+        series, length = _random_walk()
+        with obs.tracing(True):
+            obs.reset()
+            blocked_stomp(series, length, block_rows=block_rows)
+            counters = obs.snapshot()["counters"]
+        obs.reset()
+        obs.disable()
+        n_subs = series.size - length + 1
+        expected = sum(
+            (min(r0 + block_rows, n_subs) - r0) * (n_subs - r0)
+            for r0 in range(0, n_subs, block_rows)
+        )
+        assert counters["kernel.gemm_cells"] == expected
+        assert counters["kernel.gemm_cells"] <= n_subs * (n_subs + block_rows) / 2
 
 
 class TestValidation:
