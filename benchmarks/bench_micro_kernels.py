@@ -3,8 +3,9 @@
 Not a paper figure — engineering-level timings (with pytest-benchmark's
 statistics) for the primitives the figures are built from: MASS vs the
 naive profile, one STOMP row update, the Eq. 2 lower-bound kernel, one
-ComputeSubMP step, and the blocked kernel vs the rowwise STOMP schedule
-(``micro_stomp_blocked_vs_rowwise``).
+ComputeSubMP step, the blocked kernel vs the rowwise STOMP schedule
+(``micro_stomp_blocked_vs_rowwise``), and the minor page faults of one
+``emg_motifs``-shaped VALMOD round (``micro_valmod_round_faults``).
 
 The blocked-vs-rowwise comparison persists cells/second numbers to
 ``benchmarks/results/BENCH_micro_stomp_blocked_vs_rowwise.json``; CI
@@ -15,10 +16,22 @@ blocks, one row at l=256 on the shared recurrence (where ``B`` plays no
 part), and short-window rows at n=2000, l=32 and l=64.  Run it with one
 BLAS thread (``OPENBLAS_NUM_THREADS=1``) to match the benchmark of
 record.
+
+``micro_valmod_round_faults`` runs its rounds in a fresh interpreter and
+persists seconds and minor faults (``getrusage``'s ``ru_minflt``) per
+round to
+``benchmarks/results/BENCH_micro_valmod_round_faults.json``; in full
+mode a round must fault in fewer than ``MAX_FAULTS_PER_ROUND`` pages,
+which holds while Algorithms 3 and 4 take their blocks from the
+context's workspace (``docs/KERNELS.md``).
 """
 
+import json
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -282,4 +295,98 @@ def test_micro_stomp_blocked_vs_rowwise(benchmark):
         assert recurrence["speedup_vs_rowwise"] >= MIN_SPEEDUP, (
             f"blocked l={recurrence_length} speedup "
             f"{recurrence['speedup_vs_rowwise']:.2f}x below the {MIN_SPEEDUP:.1f}x bar"
+        )
+
+
+# ---------------------------------------------------------------------------
+# Fresh pages in one emg_motifs-shaped VALMOD round
+# ---------------------------------------------------------------------------
+
+#: one round is ``valmod`` on each of a pool of EMG series, the shape of
+#: the benchmark of record's ``emg_motifs`` workload (Algorithm 4's
+#: partial recompute dominates: the bounds collapse on EMG).
+VALMOD_POOL, VALMOD_N = 8, 2000
+SMOKE_VALMOD_POOL, SMOKE_VALMOD_N = 2, 1000
+VALMOD_LENGTHS, VALMOD_P = (32, 48), 50
+
+#: full-mode ceiling on minor page faults per round; 9.0.0, which
+#: allocated every block afresh, took about 152,000.
+MAX_FAULTS_PER_ROUND = 20_000
+
+#: the rounds run in a fresh interpreter that imports only NumPy and
+#: ``repro``, as the benchmark of record's worker does.  Page faults
+#: depend on the malloc heap's history: inside a pytest session, whose
+#: heap already holds slack from earlier tests, 9.0.0 faults only
+#: 6,000-14,000 pages per round, so this bench would not see the cost.
+ROUND_SCRIPT = """
+import json, resource, sys, time
+from repro import valmod
+from repro.datasets import load_dataset
+
+pool, n, l_min, l_max, p, rounds = map(int, sys.argv[1:])
+inputs = [load_dataset("EMG", n, seed=i) for i in range(pool)]
+
+def one_round():
+    for x in inputs:
+        valmod(x, l_min, l_max, p=p)
+
+one_round()  # warm-up: imports, BLAS buffers, the allocator's heap
+seconds, faults = [], []
+for _ in range(rounds):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    start = time.perf_counter()
+    one_round()
+    seconds.append(time.perf_counter() - start)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps({"seconds": seconds, "faults": faults}))
+"""
+
+
+def test_micro_valmod_round_faults(benchmark):
+    pytest.importorskip("resource")
+    smoke = fast_mode()
+    pool, n = (SMOKE_VALMOD_POOL, SMOKE_VALMOD_N) if smoke else (VALMOD_POOL, VALMOD_N)
+    rounds = 2 if smoke else 5
+    l_min, l_max = VALMOD_LENGTHS
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    args = [str(v) for v in (pool, n, l_min, l_max, VALMOD_P, rounds)]
+
+    def measure():
+        done = subprocess.run(
+            [sys.executable, "-c", ROUND_SCRIPT, *args],
+            env=env, capture_output=True, text=True, check=True, timeout=600,
+        )
+        return json.loads(done.stdout.strip().splitlines()[-1])
+
+    result = benchmark.pedantic(measure, iterations=1, rounds=1)
+    seconds, faults = result["seconds"], result["faults"]
+    payload = {
+        "bench": "micro_valmod_round_faults",
+        "pool": pool,
+        "series_size": n,
+        "l_min": l_min,
+        "l_max": l_max,
+        "p": VALMOD_P,
+        "smoke": smoke,
+        "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "round_seconds": seconds,
+        "best_round_seconds": min(seconds),
+        "minor_faults_per_round": faults,
+        "median_minor_faults": float(np.median(faults)),
+    }
+    save_report(
+        "micro_valmod_round_faults",
+        format_table(
+            ["round", "seconds", "minor faults"],
+            [(str(k), f"{s:.3f}", str(f)) for k, (s, f) in enumerate(zip(seconds, faults))],
+        )
+        + f"\npool={pool} n={n} lengths={l_min}-{l_max} p={VALMOD_P} smoke={smoke}\n",
+    )
+    save_result_json("BENCH_micro_valmod_round_faults", payload)
+    if not smoke:
+        assert max(faults) < MAX_FAULTS_PER_ROUND, (
+            f"a round faulted in {max(faults)} pages, "
+            f"over the {MAX_FAULTS_PER_ROUND} ceiling"
         )

@@ -87,7 +87,7 @@ from repro.exceptions import (
     WindowTooSmallError,
 )
 
-__version__ = "9.0.0"
+__version__ = "9.1.0"
 
 __all__ = [
     "AnnotationSummary",

@@ -19,6 +19,11 @@ points) like the partial recompute of Algorithm 4:
   the absolute row grid (SCAMP's tiles, Zimmerman et al., "Matrix
   Profile XIV").
 
+Each block of rows (its centred windows, co-moment rows and rank
+block) is taken from one :class:`~repro.kernels.context.Workspace` per
+pass, so a pass faults its scratch pages in once rather than once per
+block.
+
 Each row depends only on its grid chunk or tile, and every row is ranked
 on its own, whatever stack it lands in.  With ``n_jobs > 1`` the rows
 are split into blocks of whole tiles processed by worker processes, so
@@ -50,7 +55,7 @@ from repro.core.entries import EntryStore, rank_rows
 from repro.distance.comoment import comoment_rows, window_comoments
 from repro.distance.sliding import DIRECT_DOT_MAX, validate_subsequence_length
 from repro.exceptions import InvalidParameterError
-from repro.kernels.context import SeriesContext
+from repro.kernels.context import SeriesContext, Workspace
 from repro.matrixprofile.index import MatrixProfile
 
 __all__ = ["compute_matrix_profile", "resolve_n_jobs", "row_blocks"]
@@ -116,13 +121,14 @@ def _comoment_stacks(
     sigma: FloatArray,
     start: int,
     stop: int,
+    space: Workspace,
 ) -> Iterator[Tuple[int, FloatArray]]:
     """Yield ``(first, stack)``: co-moment rows ``first, first + 1, ...``.
 
     ``[start, stop)`` is a run of whole tiles (:func:`row_blocks`).  The
     stacks cover it in order, one chunk ``[k B, (k + 1) B)`` of the
-    absolute grid each, ``B = FILL_BLOCK_ROWS``; a stack may be reused by
-    the next one.
+    absolute grid each, ``B = FILL_BLOCK_ROWS``.  Every stack is a view of
+    ``space``'s ``"comoments"`` slot, valid until the next one.
 
     * short windows: one GEMM per chunk, from
       :func:`~repro.distance.comoment.window_comoments`.  BLAS rounds a
@@ -132,12 +138,12 @@ def _comoment_stacks(
       every tile (:func:`~repro.distance.comoment.comoment_rows`).
     """
     if length <= DIRECT_DOT_MAX:
-        comoments = window_comoments(ctx, length, mu)
+        comoments = window_comoments(ctx, length, mu, space)
         for first in range(start, stop, FILL_BLOCK_ROWS):
             yield first, comoments(slice(first, min(first + FILL_BLOCK_ROWS, stop)))
         return
     tiles = [(tile, min(tile + TILE_ROWS, stop)) for tile in range(start, stop, TILE_ROWS)]
-    stack = np.empty((FILL_BLOCK_ROWS, ctx.series.size - length + 1), dtype=np.float64)
+    stack = space.take("comoments", (FILL_BLOCK_ROWS, ctx.series.size - length + 1))
     filled = 0
     for i, c in comoment_rows(ctx.series, length, mu, sigma, tiles, ctx):
         stack[filled] = c
@@ -163,11 +169,16 @@ def _fill_block(
     ``index`` and ``store``.  :func:`_comoment_stacks` produces every row
     from its own chunk or tile, and :func:`rank_rows` scores every row on
     its own, so every produced row matches a full serial run bit for bit.
+    The blocks (centred windows, co-moment rows, rank block) come from
+    one heap :class:`~repro.kernels.context.Workspace` for the whole
+    block, dropped at its end.
     """
     mu, sigma = ctx.moving_mean_std(length)
-    for first, stack in _comoment_stacks(ctx, length, mu, sigma, start, stop):
+    obs.add("compute_mp.cells", (stop - start) * mu.size)
+    space = Workspace()
+    for first, stack in _comoment_stacks(ctx, length, mu, sigma, start, stop, space):
         last = first + stack.shape[0]
-        ranked = rank_rows(stack, np.arange(first, last), sigma, length, store.p)
+        ranked = rank_rows(stack, np.arange(first, last), sigma, length, store.p, space)
         slots = slice(first - start, last - start)
         profile[slots] = ranked.profile
         index[slots] = ranked.index

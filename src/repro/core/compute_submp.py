@@ -26,7 +26,10 @@ maxLB could hide a better pair are recomputed in full — but only when
 they are few; else the caller falls back to Algorithm 3.  The recompute
 takes its co-moment rows a chunk at a time from
 :func:`repro.distance.comoment.window_comoments`, the producer Algorithm
-3 also draws its short windows from.
+3 also draws its short windows from.  At short windows its centred
+windows, co-moment chunks and rank blocks live in the context's
+workspace (:class:`~repro.kernels.context.Workspace`), reused from one
+length to the next.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from repro.types import BoolArray, FloatArray, IntArray
 from repro.core.entries import EntryStore, rank_rows
 from repro.core.lower_bound import lower_bound_from_base
 from repro.distance.comoment import distance_profile_from_qt, window_comoments
+from repro.distance.sliding import DIRECT_DOT_MAX
 from repro.distance.znorm import CONSTANT_EPS
 from repro.exceptions import InvalidParameterError
 from repro.kernels.context import SeriesContext
@@ -291,13 +295,17 @@ def compute_submp(
         # the stop rule is replayed row by row inside each chunk, so only
         # the rows the one-at-a-time loop would visit are committed.
         order = needing[np.argsort(max_lb[needing])]
-        chunk_comoments = window_comoments(ctx, new_length, mu)
+        # Long windows' rows come fresh from the FFT; ranking them in a
+        # held block too would only add its pages to the run's peak
+        # memory (EXPERIMENTS.md, "Fresh pages in Algorithms 3 and 4").
+        space = ctx.workspace if new_length <= DIRECT_DOT_MAX else None
+        chunk_comoments = window_comoments(ctx, new_length, mu, space)
         start, chunk = 0, RECOMPUTE_FIRST_CHUNK
         with obs.span("submp.recompute"):
             while start < order.size and max_lb[order[start]] < best_distance:
                 rows = order[start : start + chunk]
                 ranked = rank_rows(
-                    chunk_comoments(rows), rows, sigma, new_length, store.p
+                    chunk_comoments(rows), rows, sigma, new_length, store.p, space
                 )
                 visited = 0
                 for r, d, j in zip(rows.tolist(), ranked.profile, ranked.index.tolist()):
@@ -322,6 +330,7 @@ def compute_submp(
     if obs.enabled():
         obs.add("submp.profiles.recomputed", n_recomputed)
         obs.add(f"submp.profiles.recomputed.l{new_length}", n_recomputed)
+        obs.add("submp.recompute.cells", n_recomputed * n_dp)
 
     return SubMPResult(
         length=new_length,

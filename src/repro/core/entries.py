@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -47,6 +47,7 @@ from repro.types import BoolArray, FloatArray, IntArray
 from repro.core.lower_bound import lower_bound_base
 from repro.distance.znorm import CONSTANT_EPS
 from repro.exceptions import InvalidParameterError
+from repro.kernels.context import Workspace
 from repro.matrixprofile.exclusion import exclusion_zone_half_width
 
 __all__ = ["EntryStore", "RankedRows", "rank_rows"]
@@ -86,6 +87,7 @@ def rank_rows(
     sigma: FloatArray,
     length: int,
     p: int,
+    workspace: Optional[Workspace] = None,
 ) -> RankedRows:
     """Score a ``(B, n)`` stack of co-moment rows in rank space.
 
@@ -98,13 +100,19 @@ def rank_rows(
     with the constant-window conventions: distance 0 between two constant
     windows, ``sqrt(l)`` when only one is; a constant candidate's listDP
     correlation is 0.
+
+    ``workspace`` (a :class:`~repro.kernels.context.Workspace`) holds
+    the ``(B, n)`` rank block in its ``"rank"`` slot instead of a fresh
+    array; ``qt_block`` must not be that slot.  The result is the
+    same bit for bit, and holds no view of either block.
     """
     n_rows, n_cols = qt_block.shape
     rows = np.asarray(rows, dtype=np.int64)
     sigma = sigma[:n_cols]
     live = sigma >= CONSTANT_EPS
     inv_sigma = np.where(live, 1.0 / np.maximum(sigma, CONSTANT_EPS), 0.0)
-    rank = qt_block * inv_sigma
+    out = None if workspace is None else workspace.take("rank", qt_block.shape)
+    rank = np.multiply(qt_block, inv_sigma, out=out)
     zone = exclusion_zone_half_width(length)
     _mask_zones(rank, rows, zone)
 

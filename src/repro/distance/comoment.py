@@ -28,7 +28,7 @@ from repro.exceptions import InvalidParameterError
 from repro.types import FloatArray, IntArray
 
 if TYPE_CHECKING:  # pragma: no cover - kernels sits above this layer
-    from repro.kernels.context import SeriesContext
+    from repro.kernels.context import SeriesContext, Workspace
 
 __all__ = [
     "DRIFT_TOL",
@@ -85,7 +85,10 @@ def comoment_row(
 
 
 def window_comoments(
-    context: "SeriesContext", length: int, mu: FloatArray
+    context: "SeriesContext",
+    length: int,
+    mu: FloatArray,
+    workspace: Optional["Workspace"] = None,
 ) -> Callable[[Union[slice, IntArray]], FloatArray]:
     """The co-moment rows of a block of windows, as a function of the block.
 
@@ -98,18 +101,30 @@ def window_comoments(
       n x l centred copy is made once, when this function is called.
       BLAS may round a row differently depending on how many rows share
       its block, so callers that must reproduce a row bit for bit ask
-      for the same block every time.
+      for the same block every time.  With a ``workspace``, the centred
+      windows and the returned rows live in its ``"centred"`` and
+      ``"comoments"`` slots rather than in fresh arrays: the rows are
+      valid until the next call of the returned function, and only one
+      such function may be live per workspace.
     * long windows: a batched FFT on the cached series spectrum
       (:func:`comoment_row` on a stack of queries), O(B n log n) time and
-      O(B n) memory.
+      O(B n) memory; the rows are fresh arrays.
     """
     windows = sliding_window_view(context.series, length)
     if length > DIRECT_DOT_MAX:
         return lambda rows: comoment_row(
             windows[rows], context.series, mu, context=context
         )
-    centred = windows - mu[:, None]
-    return lambda rows: centred[rows] @ centred.T
+    out = None if workspace is None else workspace.take("centred", windows.shape)
+    centred = np.subtract(windows, mu[:, None], out=out)
+
+    def comoments(rows: Union[slice, IntArray]) -> FloatArray:
+        block = centred[rows]
+        shape = (block.shape[0], centred.shape[0])
+        out = None if workspace is None else workspace.take("comoments", shape)
+        return np.matmul(block, centred.T, out=out)
+
+    return comoments
 
 
 def increments(

@@ -6,7 +6,9 @@ Two layers the whole compute stack builds on (see ``docs/KERNELS.md``):
     :class:`~repro.kernels.context.SeriesContext`, the per-series cache of
     window statistics (one ``moving_mean_std`` per length) and FFT plans
     (one ``rfft`` of the padded series per plan size), threaded through
-    every engine and both VALMOD sweep layers as an optional argument.
+    every engine and both VALMOD sweep layers as an optional argument,
+    and the :class:`~repro.kernels.context.Workspace` of scratch blocks
+    Algorithms 3 and 4 reuse from one block of rows to the next.
 :mod:`repro.kernels.blocked`
     :func:`~repro.kernels.blocked.blocked_stomp`, the blocked STOMP
     backend (``engine="blocked-stomp"``): a GEMM over z-normalised
@@ -19,7 +21,7 @@ and the foundation modules at import time (engine types are resolved
 lazily), so engines above it can import :class:`SeriesContext` freely.
 """
 
-from repro.kernels.context import SeriesContext
+from repro.kernels.context import SeriesContext, Workspace
 from repro.kernels.blocked import DEFAULT_BLOCK_ROWS, blocked_stomp
 from repro.kernels.streaming_stats import StreamingSeriesStats
 
@@ -35,6 +37,7 @@ __all__ = [
     "KERNEL_SCHEMA_VERSION",
     "SeriesContext",
     "StreamingSeriesStats",
+    "Workspace",
     "DEFAULT_BLOCK_ROWS",
     "blocked_stomp",
 ]

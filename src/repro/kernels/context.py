@@ -18,6 +18,10 @@ deterministic).  The context is threaded through the compute stack as an
 optional trailing argument — every public entry point still works without
 one, constructing a throwaway context internally.
 
+Each context also owns a :class:`Workspace`: scratch blocks that
+Algorithm 4's partial recompute reuses from one length to the next
+instead of allocating (and faulting in) fresh pages at every step.
+
 Cache effectiveness is observable (``docs/OBSERVABILITY.md``):
 
 ``stats.cache.misses`` / ``stats.cache.hits``
@@ -33,6 +37,8 @@ R008 pushes them to).
 
 from __future__ import annotations
 
+import math
+import mmap
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -48,7 +54,61 @@ from repro.distance.sliding import (
 )
 from repro.distance.znorm import as_series
 
-__all__ = ["SeriesContext"]
+__all__ = ["SeriesContext", "Workspace"]
+
+
+class Workspace:
+    """Scratch blocks reused from one block of rows to the next.
+
+    Algorithms 3 and 4 score rows a block at a time.  Allocating every
+    block afresh costs more than its arithmetic: a block of a few hundred
+    KiB is mapped fresh by glibc, or trimmed back to the OS when freed,
+    so each one faults in new zero pages.  A workspace keeps one buffer
+    per named *slot* and hands out views of it.
+
+    Contract:
+
+    * :meth:`take` returns a C-contiguous float64 view of ``shape``
+      whose contents are arbitrary; the caller writes every element it
+      reads.
+    * The view is valid until the next :meth:`take` of the same slot,
+      which may hand out the same memory or a new, larger buffer.  Slots
+      do not alias each other.
+    * A workspace serves one thread of work and is not shared between
+      processes (each pool worker builds its own).
+
+    Backing: by default buffers are NumPy (malloc) blocks of the size
+    asked for, which suits a workspace dropped at the end of one pass:
+    its blocks reuse the heap's free pages.  ``mapped=True`` makes each
+    buffer its own anonymous memory map instead, for a workspace that
+    lives across passes (a :class:`SeriesContext`'s): a long-lived heap
+    block would pin the heap's top and keep the pages freed below it
+    resident, while a map is returned to the OS whole when dropped.  A
+    map reserves four times the request; its pages are resident only
+    once written, so the reserve costs address space, not memory, and
+    Algorithm 4's chunks grow from 8 to 32 rows, and its centred windows
+    with the length, without a new map each time (``EXPERIMENTS.md``,
+    "Fresh pages in Algorithms 3 and 4", measures both backings).
+    """
+
+    __slots__ = ("_buffers", "_mapped")
+
+    def __init__(self, mapped: bool = False) -> None:
+        self._buffers: Dict[str, FloatArray] = {}
+        self._mapped = mapped
+
+    def take(self, slot: str, shape: Tuple[int, ...]) -> FloatArray:
+        """A ``shape`` block from ``slot``'s buffer (see above)."""
+        size = math.prod(shape)
+        buffer = self._buffers.get(slot)
+        if buffer is None or buffer.size < size:
+            if self._mapped:
+                raw = mmap.mmap(-1, max(4 * size, 1) * 8)
+                buffer = np.frombuffer(raw, dtype=np.float64)
+            else:
+                buffer = np.empty(size, dtype=np.float64)
+            self._buffers[slot] = buffer
+        return buffer[:size].reshape(shape)
 
 
 class SeriesContext:
@@ -62,14 +122,37 @@ class SeriesContext:
     The cached arrays are returned with ``writeable=False`` so an
     accidental in-place mutation by one consumer cannot corrupt every
     other consumer of the cache (NumPy raises instead).
+
+    ``workspace`` is the context's mapped :class:`Workspace`, created on
+    first use and freed with the context (for ``valmod``, at the end of
+    the run), so Algorithm 4's partial recompute reuses its blocks from
+    one length to the next.  It does so at l <= 64 only: longer
+    windows' rows are fresh FFT arrays, and a held rank block would only
+    raise the run's peak memory.  Its slots, each under the contract of
+    :meth:`Workspace.take`:
+
+    ``"centred"``
+        the ``(n_subs, l)`` centred windows of
+        :func:`repro.distance.comoment.window_comoments`.  Only one
+        ``window_comoments`` function may be live per workspace: the
+        next call overwrites the windows the previous one reads.
+    ``"comoments"``
+        the GEMM chunk that function returns, valid until its next call.
+    ``"rank"``
+        the ``(B, n)`` rank block inside
+        :func:`repro.core.entries.rank_rows`; never returned.
+
+    Algorithm 3 takes the same slots from a heap workspace of its own,
+    dropped when its pass ends (:mod:`repro.core.compute_mp`).
     """
 
-    __slots__ = ("series", "_stats", "_ffts")
+    __slots__ = ("series", "_stats", "_ffts", "_workspace")
 
     def __init__(self, series: SeriesLike, min_length: int = 2) -> None:
         self.series: FloatArray = as_series(series, min_length=min_length)
         self._stats: Dict[int, Tuple[FloatArray, FloatArray]] = {}
         self._ffts: Dict[int, ComplexArray] = {}
+        self._workspace: Optional[Workspace] = None
 
     # -- construction helpers ------------------------------------------
 
@@ -105,6 +188,13 @@ class SeriesContext:
         if t is mine or np.shares_memory(t, mine):
             return True
         return bool(np.array_equal(t, mine))
+
+    @property
+    def workspace(self) -> Workspace:
+        """This context's scratch :class:`Workspace` (created on first use)."""
+        if self._workspace is None:
+            self._workspace = Workspace(mapped=True)
+        return self._workspace
 
     # -- cached primitives ---------------------------------------------
 

@@ -71,6 +71,7 @@ COUNTERS: Dict[str, str] = {
     "mass.direct_dot_calls": "sliding dot products computed by direct correlation",
     # compute_mp
     "compute_mp.rows": "rows processed by the row-blocked reference driver",
+    "compute_mp.cells": "co-moment cells Algorithm 3 ranked (rows x n_subs)",
     # listDP store (VALMOD partial profiles)
     "listdp.rows_filled": "listDP rows populated with best-entry lists",
     "listdp.entries_stored": "listDP entries stored across all rows",
@@ -87,6 +88,7 @@ COUNTERS: Dict[str, str] = {
     "submp.profiles.invalid.l{length}": "per-length split of submp.profiles.invalid",
     "submp.profiles.recomputed": "profiles recomputed exactly after certification failed",
     "submp.profiles.recomputed.l{length}": "per-length split of submp.profiles.recomputed",
+    "submp.recompute.cells": "co-moment cells of the recomputed profiles (recomputed rows x n_subs)",
     # valmod driver
     "valmod.lengths.initial": "lengths solved by the initial full profile",
     "valmod.lengths.{mode}": "lengths resolved per update mode (lb-pruned/recomputed/...)",
