@@ -310,8 +310,12 @@ SMOKE_VALMOD_POOL, SMOKE_VALMOD_N = 2, 1000
 VALMOD_LENGTHS, VALMOD_P = (32, 48), 50
 
 #: full-mode ceiling on minor page faults per round; 9.0.0, which
-#: allocated every block afresh, took about 152,000.
+#: allocated every block afresh, took 45,000-154,000 depending on the
+#: heap's layout.
 MAX_FAULTS_PER_ROUND = 20_000
+
+#: the environment variables the round's interpreter inherits.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 #: the rounds run in a fresh interpreter that imports only NumPy and
 #: ``repro``, as the benchmark of record's worker does.  Page faults
@@ -349,8 +353,11 @@ def test_micro_valmod_round_faults(benchmark):
     rounds = 2 if smoke else 5
     l_min, l_max = VALMOD_LENGTHS
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    # The count moves with the heap's layout, which moves even with the
+    # size of the environment: the interpreter gets exactly ``src`` as its
+    # PYTHONPATH and the BLAS thread settings, whatever the caller's.
+    env = {k: v for k, v in os.environ.items() if k in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = src
     args = [str(v) for v in (pool, n, l_min, l_max, VALMOD_P, rounds)]
 
     def measure():

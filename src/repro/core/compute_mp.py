@@ -20,9 +20,11 @@ points) like the partial recompute of Algorithm 4:
   Profile XIV").
 
 Each block of rows (its centred windows, co-moment rows and rank
-block) is taken from one :class:`~repro.kernels.context.Workspace` per
-pass, so a pass faults its scratch pages in once rather than once per
-block.
+block) is taken from one :class:`~repro.kernels.context.Workspace`, so a
+pass faults its scratch pages in once rather than once per block.  At
+l <= 64 that is the context's open workspace, which a ``Valmod`` run's
+partial recompute goes on to reuse; above, no later step takes those
+slots, so the pass keeps a workspace of its own.
 
 Each row depends only on its grid chunk or tile, and every row is ranked
 on its own, whatever stack it lands in.  With ``n_jobs > 1`` the rows
@@ -170,12 +172,13 @@ def _fill_block(
     from its own chunk or tile, and :func:`rank_rows` scores every row on
     its own, so every produced row matches a full serial run bit for bit.
     The blocks (centred windows, co-moment rows, rank block) come from
-    one heap :class:`~repro.kernels.context.Workspace` for the whole
-    block, dropped at its end.
+    one :class:`~repro.kernels.context.Workspace` for the whole block:
+    ``ctx.workspace()`` at l <= 64, a workspace dropped at the block's
+    end above.
     """
     mu, sigma = ctx.moving_mean_std(length)
     obs.add("compute_mp.cells", (stop - start) * mu.size)
-    space = Workspace()
+    space = ctx.workspace() if length <= DIRECT_DOT_MAX else Workspace()
     for first, stack in _comoment_stacks(ctx, length, mu, sigma, start, stop, space):
         last = first + stack.shape[0]
         ranked = rank_rows(stack, np.arange(first, last), sigma, length, store.p, space)

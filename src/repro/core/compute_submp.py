@@ -28,8 +28,9 @@ takes its co-moment rows a chunk at a time from
 :func:`repro.distance.comoment.window_comoments`, the producer Algorithm
 3 also draws its short windows from.  At short windows its centred
 windows, co-moment chunks and rank blocks live in the context's
-workspace (:class:`~repro.kernels.context.Workspace`), reused from one
-length to the next.
+workspace (:class:`~repro.kernels.context.Workspace`), which a
+``Valmod`` run holds open, so they are reused from one length to the
+next.
 """
 
 from __future__ import annotations
@@ -295,17 +296,23 @@ def compute_submp(
         # the stop rule is replayed row by row inside each chunk, so only
         # the rows the one-at-a-time loop would visit are committed.
         order = needing[np.argsort(max_lb[needing])]
+        space = ctx.workspace()
         # Long windows' rows come fresh from the FFT; ranking them in a
         # held block too would only add its pages to the run's peak
         # memory (EXPERIMENTS.md, "Fresh pages in Algorithms 3 and 4").
-        space = ctx.workspace if new_length <= DIRECT_DOT_MAX else None
+        rank_space = space if new_length <= DIRECT_DOT_MAX else None
+        if rank_space is not None:
+            # The chunks double up to RECOMPUTE_MAX_CHUNK rows: size their
+            # blocks for the largest once, so no chunk maps new pages.
+            space.reserve("comoments", RECOMPUTE_MAX_CHUNK * n_dp)
+            space.reserve("rank", RECOMPUTE_MAX_CHUNK * n_dp)
         chunk_comoments = window_comoments(ctx, new_length, mu, space)
         start, chunk = 0, RECOMPUTE_FIRST_CHUNK
         with obs.span("submp.recompute"):
             while start < order.size and max_lb[order[start]] < best_distance:
                 rows = order[start : start + chunk]
                 ranked = rank_rows(
-                    chunk_comoments(rows), rows, sigma, new_length, store.p, space
+                    chunk_comoments(rows), rows, sigma, new_length, store.p, rank_space
                 )
                 visited = 0
                 for r, d, j in zip(rows.tolist(), ranked.profile, ranked.index.tolist()):

@@ -163,10 +163,13 @@ class Valmod:
 
     def run(self) -> ValmodResult:
         """Execute Algorithm 1 over the configured length range."""
-        if self.trace is None:
-            return self._run()
-        with obs.tracing(self.trace):
-            return self._run()
+        # One workspace per run: Algorithm 3's blocks and every partial
+        # recompute reuse its pages, and it is dropped when the run ends.
+        with self._context.open_workspace():
+            if self.trace is None:
+                return self._run()
+            with obs.tracing(self.trace):
+                return self._run()
 
     def _run(self) -> ValmodResult:
         t = self.series

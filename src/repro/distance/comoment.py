@@ -88,7 +88,7 @@ def window_comoments(
     context: "SeriesContext",
     length: int,
     mu: FloatArray,
-    workspace: Optional["Workspace"] = None,
+    workspace: "Workspace",
 ) -> Callable[[Union[slice, IntArray]], FloatArray]:
     """The co-moment rows of a block of windows, as a function of the block.
 
@@ -101,11 +101,11 @@ def window_comoments(
       n x l centred copy is made once, when this function is called.
       BLAS may round a row differently depending on how many rows share
       its block, so callers that must reproduce a row bit for bit ask
-      for the same block every time.  With a ``workspace``, the centred
-      windows and the returned rows live in its ``"centred"`` and
-      ``"comoments"`` slots rather than in fresh arrays: the rows are
-      valid until the next call of the returned function, and only one
-      such function may be live per workspace.
+      for the same block every time.  The centred windows and the
+      returned rows live in ``workspace``'s ``"centred"`` and
+      ``"comoments"`` slots: the rows are valid until the next call of
+      the returned function, and only one such function may be live per
+      workspace.
     * long windows: a batched FFT on the cached series spectrum
       (:func:`comoment_row` on a stack of queries), O(B n log n) time and
       O(B n) memory; the rows are fresh arrays.
@@ -115,13 +115,13 @@ def window_comoments(
         return lambda rows: comoment_row(
             windows[rows], context.series, mu, context=context
         )
-    out = None if workspace is None else workspace.take("centred", windows.shape)
-    centred = np.subtract(windows, mu[:, None], out=out)
+    centred = np.subtract(
+        windows, mu[:, None], out=workspace.take("centred", windows.shape)
+    )
 
     def comoments(rows: Union[slice, IntArray]) -> FloatArray:
         block = centred[rows]
-        shape = (block.shape[0], centred.shape[0])
-        out = None if workspace is None else workspace.take("comoments", shape)
+        out = workspace.take("comoments", (block.shape[0], centred.shape[0]))
         return np.matmul(block, centred.T, out=out)
 
     return comoments

@@ -18,8 +18,9 @@ deterministic).  The context is threaded through the compute stack as an
 optional trailing argument — every public entry point still works without
 one, constructing a throwaway context internally.
 
-Each context also owns a :class:`Workspace`: scratch blocks that
-Algorithm 4's partial recompute reuses from one length to the next
+A context can also open a :class:`Workspace` for a stretch of work
+(:meth:`SeriesContext.open_workspace`, one per ``Valmod`` run): scratch
+blocks that Algorithms 3 and 4 reuse from one length to the next
 instead of allocating (and faulting in) fresh pages at every step.
 
 Cache effectiveness is observable (``docs/OBSERVABILITY.md``):
@@ -39,7 +40,8 @@ from __future__ import annotations
 
 import math
 import mmap
-from typing import Dict, Optional, Tuple
+from contextlib import contextmanager
+from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -77,18 +79,23 @@ class Workspace:
     * A workspace serves one thread of work and is not shared between
       processes (each pool worker builds its own).
 
-    Backing: by default buffers are NumPy (malloc) blocks of the size
-    asked for, which suits a workspace dropped at the end of one pass:
-    its blocks reuse the heap's free pages.  ``mapped=True`` makes each
-    buffer its own anonymous memory map instead, for a workspace that
-    lives across passes (a :class:`SeriesContext`'s): a long-lived heap
-    block would pin the heap's top and keep the pages freed below it
-    resident, while a map is returned to the OS whole when dropped.  A
-    map reserves four times the request; its pages are resident only
-    once written, so the reserve costs address space, not memory, and
-    Algorithm 4's chunks grow from 8 to 32 rows, and its centred windows
-    with the length, without a new map each time (``EXPERIMENTS.md``,
-    "Fresh pages in Algorithms 3 and 4", measures both backings).
+    Backing, chosen by lifetime (``EXPERIMENTS.md``, "Fresh pages in
+    Algorithms 3 and 4", measures both):
+
+    * by default, NumPy (malloc) blocks, for a workspace dropped at the
+      end of one pass: its blocks reuse pages the heap already holds.
+      Mapped instead, one Algorithm 3 pass raised ``ecg_motifs``' peak
+      memory by 4%, since the maps' pages came on top of the heap's.
+    * ``mapped=True``: each buffer its own private anonymous memory map,
+      for a workspace that outlives many passes (a ``Valmod`` run's): a
+      heap block held that long would pin the heap's top and keep the
+      pages freed below it resident, while a map is returned to the OS
+      whole when the workspace is dropped.
+
+    Pages of either are resident only once written, so a caller that
+    knows how large a slot will grow reserves that size up front
+    (:meth:`reserve`) at the cost of address space, not memory, and
+    later, larger blocks reuse the pages already written.
     """
 
     __slots__ = ("_buffers", "_mapped")
@@ -97,18 +104,27 @@ class Workspace:
         self._buffers: Dict[str, FloatArray] = {}
         self._mapped = mapped
 
-    def take(self, slot: str, shape: Tuple[int, ...]) -> FloatArray:
-        """A ``shape`` block from ``slot``'s buffer (see above)."""
-        size = math.prod(shape)
+    def reserve(self, slot: str, size: int) -> None:
+        """Make ``slot``'s buffer hold at least ``size`` float64 values.
+
+        A larger buffer replaces the old one, whose contents are lost.
+        """
         buffer = self._buffers.get(slot)
         if buffer is None or buffer.size < size:
             if self._mapped:
-                raw = mmap.mmap(-1, max(4 * size, 1) * 8)
+                raw = mmap.mmap(
+                    -1, max(size, 1) * 8, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS
+                )
                 buffer = np.frombuffer(raw, dtype=np.float64)
             else:
                 buffer = np.empty(size, dtype=np.float64)
             self._buffers[slot] = buffer
-        return buffer[:size].reshape(shape)
+
+    def take(self, slot: str, shape: Tuple[int, ...]) -> FloatArray:
+        """A ``shape`` block from ``slot``'s buffer (see above)."""
+        size = math.prod(shape)
+        self.reserve(slot, size)
+        return self._buffers[slot][:size].reshape(shape)
 
 
 class SeriesContext:
@@ -123,12 +139,15 @@ class SeriesContext:
     accidental in-place mutation by one consumer cannot corrupt every
     other consumer of the cache (NumPy raises instead).
 
-    ``workspace`` is the context's mapped :class:`Workspace`, created on
-    first use and freed with the context (for ``valmod``, at the end of
-    the run), so Algorithm 4's partial recompute reuses its blocks from
-    one length to the next.  It does so at l <= 64 only: longer
-    windows' rows are fresh FFT arrays, and a held rank block would only
-    raise the run's peak memory.  Its slots, each under the contract of
+    :meth:`workspace` is the scratch :class:`Workspace` of the open
+    :meth:`open_workspace` block (a mapped one), or a fresh heap one
+    outside such a block.
+    ``Valmod.run`` opens one block per run, so within a run Algorithm 3
+    at l <= 64 and every step of Algorithm 4's partial recompute reuse
+    the same pages; the workspace is dropped, and its maps returned to
+    the OS, when the run returns, even if the context lives on (the
+    :mod:`repro.features` façade keeps its context for the discord
+    phases).  Its slots, each under the contract of
     :meth:`Workspace.take`:
 
     ``"centred"``
@@ -137,13 +156,17 @@ class SeriesContext:
         ``window_comoments`` function may be live per workspace: the
         next call overwrites the windows the previous one reads.
     ``"comoments"``
-        the GEMM chunk that function returns, valid until its next call.
+        the GEMM chunk that function returns, valid until its next call;
+        at l > 64, Algorithm 3's stack of recurrence rows.
     ``"rank"``
         the ``(B, n)`` rank block inside
         :func:`repro.core.entries.rank_rows`; never returned.
 
-    Algorithm 3 takes the same slots from a heap workspace of its own,
-    dropped when its pass ends (:mod:`repro.core.compute_mp`).
+    Above 64 points no step of a run takes these slots, so Algorithm 3
+    ranks in a workspace of its own, dropped when its pass ends
+    (:mod:`repro.core.compute_mp`), and the recompute ranks its fresh FFT
+    rows in fresh blocks.  A context with an open workspace serves one
+    thread of work.
     """
 
     __slots__ = ("series", "_stats", "_ffts", "_workspace")
@@ -189,12 +212,30 @@ class SeriesContext:
             return True
         return bool(np.array_equal(t, mine))
 
-    @property
+    @contextmanager
+    def open_workspace(self) -> Iterator[Workspace]:
+        """Hold one :class:`Workspace` for the ``with`` block.
+
+        Inside the block :meth:`workspace` returns it; it is dropped when
+        the block ends.  A block opened inside another one shares the
+        outer block's workspace.
+        """
+        if self._workspace is not None:
+            yield self._workspace
+            return
+        self._workspace = Workspace(mapped=True)
+        # The centred windows of every length up to DIRECT_DOT_MAX fit in
+        # n x DIRECT_DOT_MAX values, so a run's later lengths reuse the
+        # pages its first one wrote instead of mapping anew.
+        self._workspace.reserve("centred", self.series.size * DIRECT_DOT_MAX)
+        try:
+            yield self._workspace
+        finally:
+            self._workspace = None
+
     def workspace(self) -> Workspace:
-        """This context's scratch :class:`Workspace` (created on first use)."""
-        if self._workspace is None:
-            self._workspace = Workspace(mapped=True)
-        return self._workspace
+        """The open block's mapped :class:`Workspace`, else a fresh heap one."""
+        return self._workspace if self._workspace is not None else Workspace()
 
     # -- cached primitives ---------------------------------------------
 

@@ -7,6 +7,8 @@ held before: the GEMM rows of ``window_comoments``, the rank block of
 counters the same loops emit are checked against closed forms.
 """
 
+import mmap
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
@@ -17,6 +19,7 @@ from repro.core.entries import rank_rows
 from repro.core.valmod import Valmod
 from repro.datasets import load_dataset
 from repro.distance.comoment import window_comoments
+from repro.distance.sliding import DIRECT_DOT_MAX
 from repro.kernels.context import SeriesContext, Workspace
 
 FIELDS = ("neighbor", "qt", "lb_base", "profile", "index")
@@ -34,9 +37,8 @@ def series_of(n, seed=0):
 
 
 class TestWorkspace:
-    @pytest.mark.parametrize("mapped", [False, True])
-    def test_a_slot_reuses_its_memory_and_slots_do_not_alias(self, mapped):
-        space = Workspace(mapped=mapped)
+    def test_a_slot_reuses_its_memory_and_slots_do_not_alias(self):
+        space = Workspace()
         a = space.take("a", (4, 10))
         again = space.take("a", (2, 10))
         b = space.take("b", (4, 10))
@@ -46,32 +48,74 @@ class TestWorkspace:
         a[...] = 1.0
         assert a.flags.writeable and (again == 1.0).all()
 
-    @pytest.mark.parametrize("mapped, capacity", [(False, 100), (True, 400)])
-    def test_a_larger_request_gets_a_new_buffer(self, mapped, capacity):
-        space = Workspace(mapped=mapped)
+    def test_a_larger_request_gets_a_new_buffer(self):
+        space = Workspace()
         first = space.take("a", (100,))
-        assert space._buffers["a"].size == capacity
-        assert space.take("a", (capacity,)).base is first.base
-        grown = space.take("a", (capacity + 1,))
-        assert grown.size == capacity + 1 and not np.shares_memory(first, grown)
+        assert space._buffers["a"].size == 100
+        grown = space.take("a", (101,))
+        assert grown.size == 101 and not np.shares_memory(first, grown)
 
-    def test_context_creates_one_mapped_workspace_lazily(self):
+    def test_a_reserve_sizes_the_slot_for_later_takes(self):
+        space = Workspace()
+        space.reserve("a", 400)
+        small = space.take("a", (8, 10))
+        large = space.take("a", (40, 10))
+        assert np.shares_memory(small, large)
+        space.reserve("a", 100)
+        assert space._buffers["a"].size == 400
+
+
+class TestContextWorkspace:
+    def test_outside_a_block_each_call_is_a_fresh_heap_workspace(self):
         ctx = SeriesContext(np.arange(50.0))
+        assert ctx.workspace() is not ctx.workspace()
+        assert not ctx.workspace()._mapped
+
+    def test_a_block_workspace_is_mapped_and_reserves_its_centred_slot(self):
+        ctx = SeriesContext(np.arange(50.0))
+        with ctx.open_workspace() as space:
+            assert space._mapped
+            assert space._buffers["centred"].size == 50 * DIRECT_DOT_MAX
+            space.take("a", (3, 4))
+            assert isinstance(space._buffers["a"].base.obj, mmap.mmap)
+
+    def test_a_block_holds_one_workspace_and_drops_it(self):
+        ctx = SeriesContext(np.arange(50.0))
+        with ctx.open_workspace() as space:
+            assert ctx.workspace() is space
+            with ctx.open_workspace() as inner:
+                assert inner is space
+            assert ctx.workspace() is space
         assert ctx._workspace is None
-        assert ctx.workspace is ctx.workspace
-        assert ctx.workspace._mapped
+        with pytest.raises(RuntimeError):
+            with ctx.open_workspace():
+                raise RuntimeError
+        assert ctx._workspace is None
+
+    @pytest.mark.parametrize("length, held", [(40, True), (80, False)])
+    def test_algorithm_3_uses_the_open_workspace_at_short_windows(self, length, held):
+        t = series_of(600, seed=1)
+        ctx = SeriesContext(t)
+        with ctx.open_workspace() as space:
+            compute_matrix_profile(t, length, 5, context=ctx)
+            assert ("rank" in space._buffers) == held
+
+    def test_a_run_drops_its_workspace_when_it_returns(self):
+        t = series_of(600, seed=1)
+        ctx = SeriesContext(t)
+        Valmod(t, 30, 36, p=5, context=ctx).run()
+        assert ctx._workspace is None
 
 
 class TestWindowComoments:
-    @pytest.mark.parametrize("mapped", [False, True])
     @pytest.mark.parametrize("length", [16, 40, 64])
-    def test_rows_equal_the_fresh_gemm_bit_for_bit(self, length, mapped):
+    def test_rows_equal_the_fresh_gemm_bit_for_bit(self, length):
         t = series_of(700)
         ctx = SeriesContext(t)
         mu, _ = ctx.moving_mean_std(length)
         n_subs = mu.size
         centred = sliding_window_view(t, length) - mu[:, None]
-        space = Workspace(mapped=mapped)
+        space = Workspace()
         dirty(space, n_subs, length + 40)
         comoments = window_comoments(ctx, length, mu, space)
         rng = np.random.default_rng(1)
@@ -87,7 +131,7 @@ class TestWindowComoments:
         t = series_of(300)
         ctx = SeriesContext(t)
         mu, _ = ctx.moving_mean_std(20)
-        comoments = window_comoments(ctx, 20, mu, ctx.workspace)
+        comoments = window_comoments(ctx, 20, mu, Workspace())
         first = comoments(slice(0, 8))
         kept = first.copy()
         second = comoments(slice(8, 16))
@@ -105,12 +149,13 @@ class TestRankRows:
         centred = sliding_window_view(t, length) - mu[:, None]
         qt = centred @ centred.T
         n_subs = mu.size
-        dirty(ctx.workspace, 32, n_subs)
+        space = Workspace()
+        dirty(space, 32, n_subs)
         blocks = (np.arange(32), np.arange(n_subs - 8, n_subs), np.array([n_subs - 1, 0, 210, 9]))
-        buffer = ctx.workspace._buffers["rank"]
+        buffer = space._buffers["rank"]
         for rows in blocks:
             fresh = rank_rows(qt[rows], rows, sigma, length, 7)
-            reused = rank_rows(qt[rows], rows, sigma, length, 7, ctx.workspace)
+            reused = rank_rows(qt[rows], rows, sigma, length, 7, space)
             for field in FIELDS:
                 assert getattr(reused, field).tobytes() == getattr(fresh, field).tobytes()
                 assert not np.shares_memory(getattr(reused, field), buffer)
@@ -137,20 +182,23 @@ class TestSharedContext:
         # Short windows (GEMM rows), then a range across the cut at 64
         # (recurrence rows in Algorithm 3), then the first range again.
         ranges = [(20, 30), (58, 70), (20, 30)]
-        for l_min, l_max in ranges:
-            shared = run(t, l_min, l_max, context=ctx)
-            fresh = run(t, l_min, l_max)
-            assert_same_run(shared, fresh)
-        assert ctx.workspace._buffers
+        # The outer block makes the runs share one workspace, so each run
+        # starts on the blocks the one before it left behind.
+        with ctx.open_workspace():
+            for l_min, l_max in ranges:
+                shared = run(t, l_min, l_max, context=ctx)
+                fresh = run(t, l_min, l_max)
+                assert_same_run(shared, fresh)
 
     @pytest.mark.parametrize("length", [24, 80])
     def test_pool_equals_serial_on_a_used_context(self, length):
         t = series_of(1200, seed=5)
         ctx = SeriesContext(t)
-        dirty(ctx.workspace, 64, t.size)
-        # An earlier run at another length leaves its state behind.
-        compute_matrix_profile(t, length + 7, 8, context=ctx)
-        serial_mp, serial = compute_matrix_profile(t, length, 8, context=ctx)
+        with ctx.open_workspace() as space:
+            dirty(space, 64, t.size)
+            # An earlier pass at another length leaves its state behind.
+            compute_matrix_profile(t, length + 7, 8, context=ctx)
+            serial_mp, serial = compute_matrix_profile(t, length, 8, context=ctx)
         pool_mp, pool = compute_matrix_profile(t, length, 8, n_jobs=2)
         assert serial_mp.profile.tobytes() == pool_mp.profile.tobytes()
         assert serial_mp.index.tobytes() == pool_mp.index.tobytes()
