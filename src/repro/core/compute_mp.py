@@ -185,7 +185,7 @@ def _fill_block(
         slots = slice(first - start, last - start)
         profile[slots] = ranked.profile
         index[slots] = ranked.index
-        store.fill_rows(slots, ranked, length)
+        store.fill_rows(slots, ranked)
 
 
 def _block_worker(task):
@@ -205,7 +205,7 @@ def _block_worker(task):
             SeriesContext(t, min_length=4), length, start, stop,
             profile, index, store,
         )
-    block = (profile, index, store.neighbor, store.qt, store.lb_base)
+    block = (profile, index, store.neighbor, store.qt, store.max_lb_base)
     return (start, stop) + block + (obs.worker_snapshot(),)
 
 
@@ -254,6 +254,6 @@ def compute_matrix_profile(
                 index[start:stop] = idx
                 store.neighbor[start:stop] = nb
                 store.qt[start:stop] = qt
-                store.lb_base[start:stop] = lb
+                store.max_lb_base[start:stop] = lb
                 obs.merge(trace)
     return MatrixProfile(profile=profile, index=index, length=length), store

@@ -6,7 +6,7 @@ per distance profile (O(n p) work), instead of the full O(n^2) matrix
 profile.  Eq. 3 and Eq. 2 run once per profile, not once per entry: the
 entries are ranked by ``C / sigma_j`` and only each row's nearest is
 scored (:func:`nearest_entries`), and ``maxLB`` divides the row's
-largest ``lb_base`` by ``sigma_i`` (``docs/ALGORITHMS.md`` §3).
+stored bound ``max_lb_base`` by ``sigma_i`` (``docs/ALGORITHMS.md`` §3).
 
 Validity logic (paper, Section 4.4)
 -----------------------------------
@@ -239,12 +239,12 @@ def compute_submp(
         obs.add("listdp.misses", slots - hits)
 
     min_dist, ind = nearest_entries(store.neighbor, store.qt, sigma, new_length, n)
-    # maxLB = max_k lb_base[i, k] / sigma_i: dividing by one positive
-    # sigma_i keeps the order under rounding, so this is the largest of
-    # the per-entry bounds bit for bit.  Empty slots keep lb_base = +inf
+    # maxLB = max_lb_base[i] / sigma_i: dividing by one positive sigma_i
+    # keeps the order under rounding, so this is the largest of the
+    # per-entry bounds bit for bit.  A row with an empty slot stores +inf
     # -> maxLB = +inf, encoding "nothing was left unstored".
     max_lb = np.asarray(
-        lower_bound_from_base(store.lb_base[:n_dp].max(axis=1), sigma[:n_dp]),
+        lower_bound_from_base(store.max_lb_base[:n_dp], sigma[:n_dp]),
         dtype=np.float64,
     )
 
@@ -326,7 +326,7 @@ def compute_submp(
                     visited += 1
                 # Rebuild the visited profiles' listDP rows at the new base
                 # length so later steps keep pruning (Algorithm 4, line 34).
-                store.fill_rows(rows[:visited], ranked.head(visited), new_length)
+                store.fill_rows(rows[:visited], ranked.head(visited))
                 n_recomputed += visited
                 start += visited
                 if visited < rows.size:

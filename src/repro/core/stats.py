@@ -3,18 +3,15 @@
 The evaluation section of the paper reports, beyond wall-clock time, the
 internal behaviour of the algorithm: how many profiles were valid at each
 length (the |subMP| curves of Figure 14), how often the partial and full
-recomputation fallbacks fire, and the pruning margins of Figure 9.  The
-driver records one :class:`LengthStats` per processed length.
+recomputation fallbacks fire.  The driver records one
+:class:`LengthStats` per processed length; Figure 9's pruning margins
+come from :func:`repro.analysis.pruning.pruning_margins`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
-
-import numpy as np
-
-from repro.types import FloatArray
+from typing import List
 
 __all__ = ["LengthStats", "RunStats"]
 
@@ -32,8 +29,6 @@ class LengthStats:
     n_recomputed: int = 0
     submp_size: int = 0
     motif_distance: float = float("nan")
-    # Optional per-profile pruning margin maxLB - minDist (Figure 9).
-    pruning_margin: Optional[FloatArray] = field(default=None, repr=False)
 
     @property
     def valid_fraction(self) -> float:

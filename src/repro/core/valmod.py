@@ -93,8 +93,6 @@ class Valmod:
     lb_pruning:
         Ablation switch — ``False`` recomputes the full matrix profile at
         every length, i.e. degenerates to STOMP-per-length.
-    keep_margins:
-        Keep per-profile maxLB - minDist vectors for Figure 9 analysis.
     n_jobs:
         Worker processes for the full matrix-profile passes (the initial
         length and every full recompute).  ``1`` (default) stays
@@ -123,7 +121,6 @@ class Valmod:
         track_top_k: int = 0,
         recompute_fraction: float = 0.5,
         lb_pruning: bool = True,
-        keep_margins: bool = False,
         n_jobs: Optional[int] = 1,
         trace: Optional[bool] = None,
         context: Optional[SeriesContext] = None,
@@ -148,7 +145,6 @@ class Valmod:
         self.track_top_k = int(track_top_k)
         self.recompute_fraction = float(recompute_fraction)
         self.lb_pruning = bool(lb_pruning)
-        self.keep_margins = bool(keep_margins)
         self.n_jobs = n_jobs
         self.trace = trace
         self._store: Optional[EntryStore] = None
@@ -235,11 +231,6 @@ class Valmod:
                         n_recomputed=result.n_recomputed,
                         submp_size=result.submp_size,
                         motif_distance=result.best_distance,
-                        pruning_margin=(
-                            result.max_lb - result.min_dist
-                            if self.keep_margins
-                            else None
-                        ),
                     )
                 )
             else:
@@ -315,17 +306,14 @@ class Valmod:
             length,
             rows=np.array([offset]),
         )[0]
-        lb = np.asarray(
-            lower_bound_from_base(store.lb_base[offset], float(sigma[offset])),
-            dtype=np.float64,
-        )
-        max_lb = float(lb.max()) if lb.size else float("inf")
         return PartialProfile(
             owner=offset,
             length=length,
             neighbors=nb[in_range].copy(),
             distances=dist[in_range].copy(),
-            max_lb=max_lb,
+            max_lb=float(
+                lower_bound_from_base(store.max_lb_base[offset], float(sigma[offset]))
+            ),
         )
 
 

@@ -38,7 +38,7 @@ def test_store_dimensions(noise_series):
     assert store.n_profiles == len(mp)
     assert store.p == 7
     assert store.current_length == 16
-    assert (store.base_length == 16).all()
+    assert store.max_lb_base.shape == (len(mp),)
 
 
 def test_every_profile_has_entries(noise_series):
@@ -130,7 +130,7 @@ def test_compute_mp_row_blocks_bitwise(monkeypatch, fixture):
         mp, st = compute_matrix_profile(t, length, 8, n_jobs=jobs)
         np.testing.assert_array_equal(mp1.profile, mp.profile)
         np.testing.assert_array_equal(mp1.index, mp.index)
-        for field in ("neighbor", "qt", "lb_base", "base_length"):
+        for field in ("neighbor", "qt", "max_lb_base"):
             np.testing.assert_array_equal(getattr(st1, field), getattr(st, field))
         assert st1.current_length == st.current_length
 

@@ -6,6 +6,7 @@ import pytest
 from repro.core.compute_mp import compute_matrix_profile
 from repro.core.compute_submp import compute_submp
 from repro.matrixprofile import stomp
+from tests.test_entries import expected_max_lb_base
 
 
 def advance(series, l_min, target, p, recompute_fraction=0.5):
@@ -173,17 +174,16 @@ class TestChunkedRecompute:
             assert result.best_distance == pytest.approx(best, abs=1e-6)
             # The pair's two rows may each report it, so compare it unordered.
             assert sorted(result.best_pair) == sorted(pair)
-            refilled = np.flatnonzero(store.base_length == length)
+            # Recomputed rows: the non-valid ones the step committed.
+            valid = result.min_dist < result.max_lb
+            refilled = np.flatnonzero(~valid & (result.index >= 0))
             np.testing.assert_array_equal(refilled, sorted(visited))
             np.testing.assert_array_equal(
                 np.sort(store.neighbor[refilled], axis=1),
                 np.sort(reference_store.neighbor[refilled], axis=1),
             )
-            np.testing.assert_allclose(
-                np.sort(store.lb_base[refilled], axis=1),
-                np.sort(reference_store.lb_base[refilled], axis=1),
-                rtol=1e-9,
-            )
+            expected = [expected_max_lb_base(t, r, length, p) for r in refilled]
+            np.testing.assert_allclose(store.max_lb_base[refilled], expected, rtol=1e-9)
             # Chunks hold 8, 16, 32, 32, ... rows; a stop strictly inside
             # one leaves scored rows uncommitted.
             if len(visited) not in (0, 8, 24, 56, 88):
@@ -247,12 +247,41 @@ class TestPairwiseRows:
         assert checked > 0
 
 
-def nxp_lookup(series, store, length):
+def entry_lb_base(series, store):
+    """Eq. 2 numerators of every stored entry at the store's length.
+
+    Each entry's bound is computed on its own, from its co-moment and
+    offset, with the arithmetic of the fill: ``rank = C / sigma_j`` (0
+    for a constant candidate) scaled by ``1 / (l sigma_i)``; +inf marks
+    an empty slot.
+    """
+    from repro.core.lower_bound import lower_bound_base
+    from repro.distance.znorm import CONSTANT_EPS
+    from repro.kernels.context import SeriesContext
+
+    length = store.current_length
+    _, sigma = SeriesContext(series).moving_mean_std(length)
+    nb = store.neighbor
+    sigma_rows = sigma[: nb.shape[0]]
+    inv_sigma = np.where(sigma >= CONSTANT_EPS, 1.0 / np.maximum(sigma, CONSTANT_EPS), 0.0)
+    to_corr = np.where(
+        sigma_rows >= CONSTANT_EPS,
+        1.0 / (length * np.maximum(sigma_rows, CONSTANT_EPS)),
+        0.0,
+    )
+    corr = np.clip(store.qt * inv_sigma[np.maximum(nb, 0)] * to_corr[:, None], -1.0, 1.0)
+    base = lower_bound_base(corr, length, sigma_rows[:, None])
+    return np.where(nb >= 0, base, np.inf)
+
+
+def nxp_lookup(series, store, length, lb_base):
     """Algorithm 4's lookup with Eq. 3 and Eq. 2 on every stored entry.
 
     The reference for the rank-space lookup: ``min_dist`` and its offset
     from an ``argmin`` over the whole row (the first slot wins a tie) and
-    ``max_lb`` as the largest of the per-entry bounds.
+    ``max_lb`` as the largest of the per-entry bounds, whose Eq. 2
+    numerators ``lb_base`` (``(n, p)``, see :func:`entry_lb_base`) the
+    caller supplies.
     """
     from repro.core.lower_bound import lower_bound_from_base
     from repro.distance.comoment import distance_profile_from_qt
@@ -270,7 +299,7 @@ def nxp_lookup(series, store, length):
     sig_nb = sigma[np.where(in_range, nb, 0)]
     dist = distance_profile_from_qt(qt, length, sigma[:n_dp][:, None], sig_nb)
     dist = np.where(usable, dist, np.inf)
-    lb = lower_bound_from_base(store.lb_base[:n_dp], sigma[:n_dp][:, None])
+    lb = lower_bound_from_base(lb_base[:n_dp], sigma[:n_dp][:, None])
     arg = np.argmin(dist, axis=1)
     return dist.min(axis=1), np.asarray(lb).max(axis=1), nb[np.arange(n_dp), arg], dist
 
@@ -315,11 +344,14 @@ class TestRankSpaceLookup:
         t = LOOKUP_SERIES[name]()
         ctx = SeriesContext(t)
         _, store = compute_matrix_profile(t, 16, 8, context=ctx)
+        # No step refills a row (recompute_fraction=0), so every entry's
+        # bound stays the one it had at length 16.
+        lb_base = entry_lb_base(t, store)
         const_owner_rows = const_ties = 0
         for length in range(17, 27):
             reference = copy.deepcopy(store)
             reference.advance_to(length, t, ctx.moving_mean_std(length - 1)[0])
-            min_dist, max_lb, index, dist = nxp_lookup(t, reference, length)
+            min_dist, max_lb, index, dist = nxp_lookup(t, reference, length, lb_base)
             result = compute_submp(t, store, length, recompute_fraction=0.0, context=ctx)
             np.testing.assert_array_equal(store.qt, reference.qt)
             np.testing.assert_array_equal(result.min_dist, min_dist)
@@ -371,7 +403,9 @@ class TestRankSpaceLookup:
         store.qt[11, 1] = 0.5 * (length * sigma[11] * sigma[live])
         assert (sigma[[130, 131, const_a, const_b]] < CONSTANT_EPS).all()
         min_dist, index = nearest_entries(store.neighbor, store.qt, sigma, length, t.size)
-        reference_dist, _, reference_index, _ = nxp_lookup(t, store, length)
+        reference_dist, _, reference_index, _ = nxp_lookup(
+            t, store, length, np.full(store.neighbor.shape, np.inf)
+        )
         np.testing.assert_array_equal(min_dist[rows], reference_dist[rows])
         np.testing.assert_array_equal(index[rows], reference_index[rows])
         assert min_dist[10] == min_dist[11] == np.sqrt(length)

@@ -3,29 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.analysis.pruning import pruning_margins
 from repro.core.valmod import Valmod
 from repro.datasets import generate_epg, load_dataset
 from repro.datasets.registry import dataset_spec
 from repro.exceptions import InvalidParameterError
 from repro.io import load_series, save_series
-
-
-class TestKeepMarginsConsistency:
-    def test_driver_margins_match_analysis_helper(self, structured_series):
-        """Valmod(keep_margins=True) must record the same margins the
-        standalone analysis helper computes."""
-        run = Valmod(structured_series, 40, 42, p=10, keep_margins=True).run()
-        recorded = next(
-            s.pruning_margin
-            for s in run.stats.per_length
-            if s.length == 42 and s.pruning_margin is not None
-        )
-        direct = pruning_margins(structured_series, 40, 42, p=10)
-        finite = np.isfinite(recorded)
-        np.testing.assert_allclose(
-            recorded[finite], direct[finite], atol=1e-9
-        )
 
 
 class TestDatasetKwargsPassThrough:
@@ -78,12 +60,6 @@ class TestValmodCornerCases:
         for record in pairs:
             assert record.profile_a is not None
             assert record.profile_a.length == record.length
-
-    def test_margins_absent_by_default(self, noise_series):
-        run = Valmod(noise_series, 16, 18, p=4).run()
-        assert all(
-            s.pruning_margin is None for s in run.stats.per_length
-        )
 
     def test_recompute_fraction_one_avoids_full_recomputes(self, noise_series):
         run = Valmod(noise_series, 16, 22, p=2, recompute_fraction=1.0).run()

@@ -2,7 +2,7 @@
 
 The scorer is checked against the oracles: the brute-force matrix
 profile (each window z-normalized directly) for the profile minimum, and
-a full-row Eq. 2 sort for the stored lower bounds.
+a full-row Eq. 2 sort for each row's stored bound.
 """
 
 import numpy as np
@@ -73,6 +73,14 @@ def full_row_lb_base(series, row, length):
     return base
 
 
+def expected_max_lb_base(series, row, length, p):
+    """The row bound listDP must store: the largest of the row's p
+    smallest Eq. 2 numerators, or +inf when it has fewer than p
+    candidates."""
+    base = np.sort(full_row_lb_base(series, row, length))
+    return base[p - 1] if p <= base.size else np.inf
+
+
 def build_row(series, row, length, p):
     """Helper: fill one store row the way Algorithm 3 does."""
     _, sigma = moving_mean_std(series, length)
@@ -89,7 +97,8 @@ class TestEmpty:
         assert store.p == 4
         assert store.current_length == 16
         assert (store.neighbor == -1).all()
-        assert np.isinf(store.lb_base).all()
+        assert store.max_lb_base.shape == (10,)
+        assert np.isinf(store.max_lb_base).all()
 
     def test_invalid_p(self):
         with pytest.raises(InvalidParameterError):
@@ -104,9 +113,9 @@ class TestFillRow:
     def test_keeps_p_smallest_lb(self, noise_series):
         t = noise_series
         store = build_row(t, 100, 16, 5)
-        expected = np.sort(full_row_lb_base(t, 100, 16))[:5]
-        stored = np.sort(store.lb_base[100])
-        np.testing.assert_allclose(stored, expected, atol=1e-10)
+        expected = expected_max_lb_base(t, 100, 16, 5)
+        assert np.isfinite(expected)
+        np.testing.assert_allclose(store.max_lb_base[100], expected, atol=1e-10)
 
     def test_excludes_trivial_matches(self, noise_series):
         store = build_row(noise_series, 100, 16, 8)
@@ -121,9 +130,10 @@ class TestFillRow:
         store = build_row(t, 12, 16, 50)
         eligible = np.isfinite(full_row_lb_base(t, 12, 16))
         count = int((store.neighbor[12] >= 0).sum())
-        assert count == int(eligible.sum())
+        assert count == int(eligible.sum()) < 50
         assert (store.neighbor[12][:count] >= 0).all()
-        assert np.isinf(store.lb_base[12][count:]).all()
+        # The row holds every candidate, so nothing unstored bounds it.
+        assert store.max_lb_base[12] == expected_max_lb_base(t, 12, 16, 50) == np.inf
 
     def test_qt_values_are_dot_products(self, noise_series):
         t = noise_series
@@ -169,16 +179,16 @@ class TestRankRows:
             eligible = int(np.isfinite(base).sum())
             kept = min(p, eligible)
             # Ties among q <= 0 share one value, so any tied choice sorts alike.
-            expected = np.sort(base)[:kept]
-            stored = store.lb_base[row]
+            expected = expected_max_lb_base(t, row, length, p)
+            stored = store.max_lb_base[row]
             assert (store.neighbor[row][:kept] >= 0).all()
             assert (store.neighbor[row][kept:] == -1).all()
-            assert np.isinf(stored[kept:]).all()
-            np.testing.assert_allclose(np.sort(stored[:kept]), expected, rtol=1e-9, atol=1e-9)
-            # Every unstored candidate bounds at least the largest stored one.
+            assert np.isinf(stored) == np.isinf(expected) == (kept < p)
+            np.testing.assert_allclose(stored, expected, rtol=1e-9, atol=1e-9)
+            # Every unstored candidate bounds at least the stored bound.
             unstored = np.setdiff1d(np.flatnonzero(np.isfinite(base)), store.neighbor[row])
             if unstored.size:
-                assert base[unstored].min() >= stored[:kept].max() - 1e-9
+                assert base[unstored].min() >= stored - 1e-9
 
     @pytest.mark.parametrize("length", [1, 12, 24, 200])
     def test_zone_mask_matches_per_row_reference(self, length):
@@ -209,7 +219,7 @@ class TestRankRows:
         monkeypatch.setattr(entries_module, "_mask_zones", per_row)
         for rows, ranked in zip(blocks, fast):
             reference = rank_rows(qt[rows], rows, sigma, length, 6)
-            for field in ("neighbor", "qt", "lb_base", "profile", "index"):
+            for field in ("neighbor", "qt", "max_lb_base", "profile", "index"):
                 np.testing.assert_array_equal(
                     getattr(ranked, field), getattr(reference, field)
                 )
@@ -224,12 +234,14 @@ class TestRankRows:
         store = EntryStore.empty(mu.size, 4, 16)
         with obs.tracing(True):
             obs.reset()
-            store.fill_rows(rows[:10], ranked.head(10), 16)
+            store.fill_rows(rows[:10], ranked.head(10))
             counters = obs.snapshot()["counters"]
         assert counters["listdp.rows_filled"] == 10
         assert counters["listdp.entries_stored"] == 40
         np.testing.assert_array_equal(store.neighbor[40:50], ranked.neighbor[:10])
+        np.testing.assert_array_equal(store.max_lb_base[40:50], ranked.max_lb_base[:10])
         assert (store.neighbor[50:] == -1).all()
+        assert np.isinf(store.max_lb_base[50:]).all()
 
 
 class TestAdvance:

@@ -149,6 +149,61 @@ class TestRankPreservation:
         assert agreement == 1.0
 
 
+#: correlations over every branch of Eq. 2's f(q): q <= 0, the open
+#: interval, the 1e-12 snap bands near +/-1, the limits and beyond them.
+CORRELATIONS = st.one_of(
+    st.floats(-1.5, 1.5),
+    st.floats(1.0 - 4e-12, 1.0),
+    st.floats(-1.0, -1.0 + 4e-12),
+    st.sampled_from([-1.0, -0.0, 0.0, 5e-324, 1.0 - 1e-12, -1.0 + 1e-12, 1.0]),
+)
+#: owner deviations from subnormal to huge (1e305 times sqrt(l) stays finite).
+SIGMAS = st.one_of(
+    st.floats(5e-324, 1e-300),
+    st.floats(1e-6, 1e6),
+    st.floats(1e300, 1e305),
+)
+
+
+class TestMonotoneInCorrelation:
+    """listDP stores one bound per row, Eq. 2 on the row's smallest
+    correlation; that is the largest per-entry bound only because the
+    rounded formula never increases with q."""
+
+    @given(CORRELATIONS, CORRELATIONS, st.integers(1, 10**6), SIGMAS)
+    @example(1.0 - 2e-12, 1.0 - 5e-13, 16, 1.0)  # across the snap edge
+    @example(-1.0, -1.0 + 5e-13, 16, 1.0)
+    @example(-1.0, 1.0, 64, 5e-324)
+    @example(0.0, 1e-200, 1, 1e308)
+    @settings(max_examples=400, deadline=None)
+    def test_never_increases_with_q(self, a, b, length, sigma):
+        q1, q2 = sorted((a, b))
+        low, high = lower_bound_base(q1, length, sigma), lower_bound_base(q2, length, sigma)
+        assert low >= high
+        # The vectorized form rounds every element as the scalar one does.
+        vec = lower_bound_base(np.array([q1, q2]), length, sigma)
+        assert vec.tobytes() == np.array([low, high]).tobytes()
+
+    @given(
+        st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8),
+        st.floats(1e-12, 1e3),
+        st.integers(1, 4096),
+        SIGMAS,
+    )
+    @example([2.0 * (1.0 - 3e-13), 1.0, -3.0], 0.5, 16, 1.0)
+    @settings(max_examples=300, deadline=None)
+    def test_row_maximum_is_the_bound_of_the_smallest_rank(
+        self, ranks, scale, length, sigma
+    ):
+        """The fill's arithmetic: ``corr = clip(rank * scale)``, one
+        positive ``scale = 1 / (l sigma_i)`` per row."""
+        rank = np.array(ranks)
+        per_entry = lower_bound_base(np.clip(rank * scale, -1.0, 1.0), length, sigma)
+        smallest = np.clip(rank.min() * scale, -1.0, 1.0)
+        row = lower_bound_base(np.array([smallest]), length, sigma)
+        assert per_entry.max().tobytes() == row[0].tobytes()
+
+
 class TestFormula:
     def test_negative_correlation_branch(self):
         # Anti-correlated windows: LB = sqrt(l) * sigma ratio.

@@ -26,10 +26,10 @@ class TestLengthStats:
         stats = make_stats("submp", n_profiles=0)
         assert stats.valid_fraction == 0.0
 
-    def test_margin_storage(self):
-        margin = np.array([1.0, -2.0])
-        stats = make_stats("submp", pruning_margin=margin)
-        np.testing.assert_array_equal(stats.pruning_margin, margin)
+    def test_no_margin_field(self):
+        # Fig. 9's margins come from repro.analysis.pruning.pruning_margins.
+        with pytest.raises(TypeError):
+            make_stats("submp", pruning_margin=np.array([1.0, -2.0]))
 
 
 class TestRunStats:

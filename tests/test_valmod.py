@@ -112,11 +112,17 @@ class TestStats:
             == len(stats.per_length) - 1
         )
 
-    def test_margins_kept_on_request(self, noise_series):
-        run = Valmod(noise_series, 16, 18, p=8, keep_margins=True).run()
-        submp_stats = [s for s in run.stats.per_length if s.mode.startswith("submp")]
-        for s in submp_stats:
-            assert s.pruning_margin is not None
+    def test_valid_counts_match_pruning_margins(self, noise_series):
+        """The first step's valid profiles are the ones Fig. 9's margins
+        (``pruning_margins``) show as positive."""
+        from repro.analysis.pruning import pruning_margins
+
+        run = Valmod(noise_series, 16, 18, p=8).run()
+        first = run.stats.per_length[1]
+        assert first.length == 17 and first.mode.startswith("submp")
+        margins = pruning_margins(noise_series, 16, 17, p=8)
+        assert first.n_valid == int((margins > 0).sum())
+        assert first.n_valid + first.n_invalid == first.n_profiles == margins.size
 
     def test_summary_mentions_counts(self, noise_series):
         run = Valmod(noise_series, 16, 18, p=8).run()

@@ -22,7 +22,7 @@ from repro.distance.comoment import window_comoments
 from repro.distance.sliding import DIRECT_DOT_MAX
 from repro.kernels.context import SeriesContext, Workspace
 
-FIELDS = ("neighbor", "qt", "lb_base", "profile", "index")
+FIELDS = ("neighbor", "qt", "max_lb_base", "profile", "index")
 
 
 def dirty(space, n_rows, n_cols):
@@ -202,7 +202,7 @@ class TestSharedContext:
         pool_mp, pool = compute_matrix_profile(t, length, 8, n_jobs=2)
         assert serial_mp.profile.tobytes() == pool_mp.profile.tobytes()
         assert serial_mp.index.tobytes() == pool_mp.index.tobytes()
-        for name in ("neighbor", "qt", "lb_base"):
+        for name in ("neighbor", "qt", "max_lb_base"):
             assert getattr(serial, name).tobytes() == getattr(pool, name).tobytes()
 
 
